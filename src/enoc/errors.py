@@ -34,7 +34,11 @@ class ScheduleError(EnocError, ValueError):
 
 
 class TerminalValueError(EnocError, ValueError):
-    """Terminal cost evaluated to NaN or +inf on a state grid node."""
+    """Terminal cost is NaN, or infinite where the caller needs it finite.
+
+    NaN is rejected everywhere; ``terminal_functional`` also rejects -inf,
+    and ``value_dp`` rejects any infinite cost on its grid nodes.
+    """
 
 
 class GridCoverageWarning(UserWarning):

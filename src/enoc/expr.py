@@ -4,7 +4,7 @@ Grammar version 1.  An expression is parsed with Python's ``ast`` module and
 evaluated against numpy arrays, so compiled expressions broadcast over
 batches of states.  Allowed syntax:
 
-* numeric literals, the declared variable names,
+* numeric literals (evaluated as floats), the declared variable names,
 * binary ``+  -  *  /  **``, unary ``-``/``+``, parentheses,
 * calls to ``exp``, ``sin``, ``cos``, ``abs``, ``min``, ``max``
   (``min``/``max`` take two or more arguments and apply elementwise).
@@ -58,6 +58,8 @@ class Expression:
         if isinstance(node, ast.Constant):
             if not isinstance(node.value, (int, float)):
                 raise ExpressionError(f"literal {node.value!r} is not a number")
+            # literals are floats, so 2**-1 is 0.5 and 3**40 cannot wrap an int64
+            node.value = float(node.value)
         elif isinstance(node, ast.Name):
             if node.id not in self.variables:
                 raise ExpressionError(

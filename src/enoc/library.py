@@ -94,9 +94,6 @@ def linear_ensemble(M=2, n=1, a=None, c=None, weights=None, coords=None,
     a_col = a[:, None]
     eye = np.eye(n)
 
-    def f_eval(t, x, u, i):
-        return a[i] * np.asarray(x, dtype=float) + np.asarray(u, dtype=float)
-
     def f_ens(t, X, u):
         return a_col * X + np.asarray(u, dtype=float)
 
@@ -105,9 +102,6 @@ def linear_ensemble(M=2, n=1, a=None, c=None, weights=None, coords=None,
 
     def jac_u(t, X, u):
         return np.broadcast_to(eye, (M, n, n))
-
-    def g_eval(x, i):
-        return float(cvec[i] @ np.asarray(x, dtype=float))
 
     def g_ens(X):
         return (X * cvec).sum(axis=-1)
@@ -127,9 +121,9 @@ def linear_ensemble(M=2, n=1, a=None, c=None, weights=None, coords=None,
     # g is linear: c.x + b|x|^2 >= -|c|^2 / (4b) with b = 1
     lb_a = -0.25 * (cvec * cvec).sum(axis=1)
 
-    dyn = DynamicsSpec(eval=f_eval, eval_ens=f_ens, jac_x_ens=jac_x, jac_u_ens=jac_u,
+    dyn = DynamicsSpec(eval_ens=f_ens, jac_x_ens=jac_x, jac_u_ens=jac_u,
                        growth_c=growth_c, lipschitz_k=lipschitz_k, omega_modulus=theta)
-    cost = TerminalCostSpec(eval=g_eval, eval_ens=g_ens, grad_ens=g_grad,
+    cost = TerminalCostSpec(eval_ens=g_ens, grad_ens=g_grad,
                             lower_bound_a=lb_a, lower_bound_b=1.0)
     meta = {"builtin": "linear-ensemble",
             "parameters": {"M": M, "n": n, "a": a.tolist(), "c": cvec.tolist(),
@@ -149,9 +143,6 @@ def decoupled_quadratic(M=1, n=1, tau=None, weights=None, coords=None,
     tau = _per_atom_vectors(0.0 if tau is None else tau, M, n, "tau")
     eye = np.eye(n)
 
-    def f_eval(t, x, u, i):
-        return np.asarray(u, dtype=float)
-
     def f_ens(t, X, u):
         return np.broadcast_to(np.asarray(u, dtype=float), np.shape(X))
 
@@ -161,10 +152,6 @@ def decoupled_quadratic(M=1, n=1, tau=None, weights=None, coords=None,
     def jac_u(t, X, u):
         return np.broadcast_to(eye, (M, n, n))
 
-    def g_eval(x, i):
-        d = np.asarray(x, dtype=float) - tau[i]
-        return float(d @ d)
-
     def g_ens(X):
         d = X - tau
         return (d * d).sum(axis=-1)
@@ -172,10 +159,10 @@ def decoupled_quadratic(M=1, n=1, tau=None, weights=None, coords=None,
     def g_grad(X):
         return 2.0 * (X - tau)
 
-    dyn = DynamicsSpec(eval=f_eval, eval_ens=f_ens, jac_x_ens=jac_x, jac_u_ens=jac_u,
+    dyn = DynamicsSpec(eval_ens=f_ens, jac_x_ens=jac_x, jac_u_ens=jac_u,
                        growth_c=max(rho * np.sqrt(n), 1e-6), lipschitz_k=1.0,
                        omega_modulus=lambda r: 0.0)
-    cost = TerminalCostSpec(eval=g_eval, eval_ens=g_ens, grad_ens=g_grad,
+    cost = TerminalCostSpec(eval_ens=g_ens, grad_ens=g_grad,
                             lower_bound_a=np.zeros(M), lower_bound_b=0.0)
     meta = {"builtin": "decoupled-quadratic",
             "parameters": {"M": M, "n": n, "tau": tau.tolist(),
@@ -196,9 +183,6 @@ def bilinear(M=2, n=1, a=None, weights=None, coords=None,
         raise ValueError(f"a must have one gain per atom ({M}), got shape {a.shape}")
     eye = np.eye(n)
 
-    def f_eval(t, x, u, i):
-        return float(np.asarray(u).reshape(-1)[0]) * a[i] * np.asarray(x, dtype=float)
-
     def f_ens(t, X, u):
         return float(np.asarray(u).reshape(-1)[0]) * a[:, None] * X
 
@@ -207,10 +191,6 @@ def bilinear(M=2, n=1, a=None, weights=None, coords=None,
 
     def jac_u(t, X, u):
         return (a[:, None] * X)[..., None]
-
-    def g_eval(x, i):
-        x = np.asarray(x, dtype=float)
-        return float(x @ x)
 
     def g_ens(X):
         return (X * X).sum(axis=-1)
@@ -226,9 +206,9 @@ def bilinear(M=2, n=1, a=None, weights=None, coords=None,
     def theta(r):
         return osc_gain * r
 
-    dyn = DynamicsSpec(eval=f_eval, eval_ens=f_ens, jac_x_ens=jac_x, jac_u_ens=jac_u,
+    dyn = DynamicsSpec(eval_ens=f_ens, jac_x_ens=jac_x, jac_u_ens=jac_u,
                        growth_c=cert, lipschitz_k=cert, omega_modulus=theta)
-    cost = TerminalCostSpec(eval=g_eval, eval_ens=g_ens, grad_ens=g_grad,
+    cost = TerminalCostSpec(eval_ens=g_ens, grad_ens=g_grad,
                             lower_bound_a=np.zeros(M), lower_bound_b=0.0)
     meta = {"builtin": "bilinear",
             "parameters": {"M": M, "n": n, "a": a.tolist(),
@@ -382,16 +362,12 @@ def _expression_problem(doc, base_dir) -> ProblemSpec:
         comps = [np.broadcast_to(e(**env), np.shape(X)[:-1]) for e in exprs]
         return np.stack(comps, axis=-1).astype(float)
 
-    def f_eval(t, x, u, i):
-        X = np.broadcast_to(np.asarray(x, dtype=float), (space.size, n))
-        return f_ens(t, X, u)[i]
-
     theta = None
     if "omega_modulus" in dyn_doc:
         texpr = Expression(dyn_doc["omega_modulus"], ["r"])
         theta = lambda r: float(texpr(r=r))
 
-    dyn = DynamicsSpec(eval=f_eval, eval_ens=f_ens,
+    dyn = DynamicsSpec(eval_ens=f_ens,
                        growth_c=float(dyn_doc["growth_c"]),
                        lipschitz_k=float(dyn_doc["lipschitz_k"]),
                        omega_modulus=theta)
@@ -409,15 +385,10 @@ def _expression_problem(doc, base_dir) -> ProblemSpec:
             env[f"w{k+1}"] = coords[:, k]
         return np.broadcast_to(gexpr(**env), np.shape(X)[:-1]).astype(float)
 
-    def g_eval(x, i):
-        X = np.zeros((space.size, n))
-        X[i] = np.asarray(x, dtype=float)
-        return float(g_ens(X)[i])
-
     lb_a = cost_doc.get("lower_bound_a", 0.0)
     lb_a = (np.full(space.size, float(lb_a)) if np.isscalar(lb_a)
             else np.asarray(lb_a, dtype=float))
-    cost = TerminalCostSpec(eval=g_eval, eval_ens=g_ens, lower_bound_a=lb_a,
+    cost = TerminalCostSpec(eval_ens=g_ens, lower_bound_a=lb_a,
                             lower_bound_b=float(cost_doc.get("lower_bound_b", 0.0)))
 
     ctl = doc["controls"]

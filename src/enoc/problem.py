@@ -13,26 +13,24 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import CapabilityError, ScheduleError
-from .measure import ParameterSpace
+from .errors import CapabilityError, DimensionMismatchError, ScheduleError
+from .measure import EnsembleState, ParameterSpace
 
 
 @dataclass
 class DynamicsSpec:
     """Velocity field of the ensemble plus its declared regularity certificates.
 
-    ``eval(t, x, u, i)`` maps time, one atom's state (n,), a control (m,) and
-    the atom index to a velocity (n,).  ``eval_ens``, when given, evaluates
-    all atoms at once on arrays of shape (..., M, n) and is what the
-    integrator and grid solver call on hot paths.  ``jac_x_ens``/``jac_u_ens``
-    (shapes (..., M, n, n) and (..., M, n, m)) enable the adjoint solver.
+    ``eval_ens(t, X, u)`` maps a time, stacked ensemble states X of shape
+    (..., M, n) and one control (m,) to the velocities (..., M, n); it is the
+    only description of the dynamics.  ``jac_x_ens``/``jac_u_ens`` (shapes
+    (..., M, n, n) and (..., M, n, m)) enable the adjoint solver.
     Evaluators must be pure; parallel callers rely on that.
     """
 
-    eval: Callable
+    eval_ens: Callable
     growth_c: float
     lipschitz_k: float
-    eval_ens: Optional[Callable] = None
     jac_x_ens: Optional[Callable] = None
     jac_u_ens: Optional[Callable] = None
     omega_modulus: Optional[Callable] = None
@@ -51,32 +49,35 @@ class DynamicsSpec:
 
     def field(self, t, X, u):
         """Ensemble velocity for stacked states X of shape (..., M, n)."""
-        if self.eval_ens is not None:
-            return np.asarray(self.eval_ens(t, X, u), dtype=float)
-        X = np.asarray(X, dtype=float)
-        lead = X.shape[:-2]
-        flat = X.reshape((-1,) + X.shape[-2:])
-        out = np.empty_like(flat)
-        for q in range(flat.shape[0]):
-            for i in range(flat.shape[1]):
-                out[q, i] = self.eval(t, flat[q, i], u, i)
-        return out.reshape(lead + X.shape[-2:])
+        return np.asarray(self.eval_ens(t, X, u), dtype=float)
+
+    def min_pairing(self, t, X, G, controls):
+        """Minimum over the control points of <G, f(t, X, u)>, with its first argmin.
+
+        X and G have shape (..., M, n) and the pairing sums over the last two
+        axes, so G carries any weights.  Returns the minima and the lowest
+        minimizing row of ``controls`` (K, m), both of shape (...).
+        """
+        lead = np.shape(X)[:-2] + (-1,)
+        vals = np.stack([(G * self.field(t, X, u)).reshape(lead).sum(axis=-1)
+                         for u in controls])
+        return vals.min(axis=0), vals.argmin(axis=0)
 
 
 @dataclass
 class TerminalCostSpec:
-    """Terminal cost per atom with its declared lower-bound certificate.
+    """Terminal cost of the ensemble with its declared lower-bound certificate.
 
-    ``eval(x, i)`` may return +inf (extended-valued costs are allowed);
+    ``eval_ens(X)`` maps stacked states of shape (..., M, n) to per-atom costs
+    (..., M) and may return +inf (extended-valued costs are allowed);
     ``lower_bound_a`` (per atom) and ``lower_bound_b`` certify
     g(x, i) >= a_i - b |x|^2.  ``grad_ens`` (shape (..., M, n)) enables the
     adjoint solver.
     """
 
-    eval: Callable
+    eval_ens: Callable
     lower_bound_a: np.ndarray
     lower_bound_b: float
-    eval_ens: Optional[Callable] = None
     grad_ens: Optional[Callable] = None
 
     def __post_init__(self):
@@ -90,16 +91,7 @@ class TerminalCostSpec:
 
     def values(self, X):
         """Per-atom costs for stacked states X of shape (..., M, n) -> (..., M)."""
-        if self.eval_ens is not None:
-            return np.asarray(self.eval_ens(X), dtype=float)
-        X = np.asarray(X, dtype=float)
-        lead = X.shape[:-2]
-        flat = X.reshape((-1,) + X.shape[-2:])
-        out = np.empty(flat.shape[:2])
-        for q in range(flat.shape[0]):
-            for i in range(flat.shape[1]):
-                out[q, i] = self.eval(flat[q, i], i)
-        return out.reshape(lead + (X.shape[-2],))
+        return np.asarray(self.eval_ens(X), dtype=float)
 
 
 class ControlSchedule:
@@ -222,6 +214,43 @@ class ProblemSpec:
 
 
 @dataclass
+class HamiltonianResult:
+    value: float
+    minimizer: np.ndarray
+    minimizer_index: int
+
+
+def hamiltonian(p: ProblemSpec, t, phi: EnsembleState,
+                costate: EnsembleState) -> HamiltonianResult:
+    """Minimize the paired velocity over the control set active at time t.
+
+    The costate acts through the mass-weighted pairing, so the value is
+    min over admissible u of sum_i w_i p_i . f(t, phi_i, u, w_i).  The
+    minimum over the finite set is exact for the discretized problem; the gap
+    to a continuum control set is of the order of the set's dispersion times
+    the Lipschitz certificate times the costate norm.  Ties break to the
+    lowest control index, which keeps downstream argmin tables deterministic.
+    """
+    if not (0.0 <= t <= p.horizon + 1e-12):
+        raise ValueError(f"time {t} outside the horizon [0, {p.horizon}]")
+    if phi.values.shape != (p.space.size, p.n):
+        raise DimensionMismatchError(
+            f"state shape {phi.values.shape} does not match problem"
+        )
+    if costate.values.shape != phi.values.shape:
+        raise DimensionMismatchError(
+            f"costate shape {costate.values.shape} != state shape {phi.values.shape}"
+        )
+    pts = p.controls.active_set(t)
+    if pts.shape[0] == 0:
+        raise ScheduleError(f"empty control set at t={t}")
+    G = p.space.weights[:, None] * costate.values
+    value, k = p.dynamics.min_pairing(t, phi.values, G, pts)
+    return HamiltonianResult(value=float(value), minimizer=pts[k].copy(),
+                             minimizer_index=int(k))
+
+
+@dataclass
 class ValidationReport:
     """Outcome of a sampled certificate check.
 
@@ -252,6 +281,11 @@ def _sample_controls(p: ProblemSpec, rng, count):
     return ts, us
 
 
+def _atom_rows(p: ProblemSpec, t, x, u):
+    """Field at every atom for the ensemble whose atoms all sit at x: (M, n)."""
+    return p.dynamics.field(t, np.broadcast_to(x, (p.space.size, p.n)), u)
+
+
 def validate_growth(p: ProblemSpec, samples: int, seed=0, x_radius=10.0) -> ValidationReport:
     """Check |f(t,x,u,w)| <= c (1 + |x|) on random samples."""
     if samples <= 0:
@@ -264,7 +298,7 @@ def validate_growth(p: ProblemSpec, samples: int, seed=0, x_radius=10.0) -> Vali
     worst = 0.0
     witness = None
     for q in range(samples):
-        v = np.asarray(p.dynamics.eval(ts[q], xs[q], us[q], int(idx[q])), dtype=float)
+        v = _atom_rows(p, ts[q], xs[q], us[q])[idx[q]]
         ratio = float(np.linalg.norm(v) / (c * (1.0 + np.linalg.norm(xs[q]))))
         if ratio > worst:
             worst = ratio
@@ -296,8 +330,8 @@ def validate_lipschitz(p: ProblemSpec, samples: int, seed=0, x_radius=10.0) -> V
         gap = np.linalg.norm(xs[q] - ys[q])
         if gap < 1e-9:
             continue
-        vx = np.asarray(p.dynamics.eval(ts[q], xs[q], us[q], int(idx[q])), dtype=float)
-        vy = np.asarray(p.dynamics.eval(ts[q], ys[q], us[q], int(idx[q])), dtype=float)
+        vx = _atom_rows(p, ts[q], xs[q], us[q])[idx[q]]
+        vy = _atom_rows(p, ts[q], ys[q], us[q])[idx[q]]
         ratio = float(np.linalg.norm(vx - vy) / (k * gap))
         if ratio > worst:
             worst = ratio
@@ -322,22 +356,19 @@ def validate_cost_bound(p: ProblemSpec, samples: int, seed=0, x_radius=10.0) -> 
     idx = rng.integers(p.space.size, size=samples)
     a = p.cost.lower_bound_a
     b = p.cost.lower_bound_b
-    worst = np.inf
-    witness = None
-    for q in range(samples):
-        i = int(idx[q])
-        g = float(p.cost.eval(xs[q], i))
-        slack = g - (a[i] - b * float(xs[q] @ xs[q]))
-        if slack < worst:
-            worst = slack
-            witness = {"x": xs[q].tolist(), "atom": i, "slack": slack}
+    X = np.broadcast_to(xs[:, None, :], (samples, p.space.size, p.n))
+    g = p.cost.values(X)[np.arange(samples), idx]
+    slack = g - (a[idx] - b * (xs * xs).sum(axis=1))
+    q = int(np.argmin(slack))
+    worst = float(slack[q])
     return ValidationReport(
         name="cost_bound",
         passed=worst >= -1e-12,
-        worst=float(worst),
+        worst=worst,
         samples=samples,
         domain={"x_radius": x_radius},
-        witness=witness if worst < -1e-12 else None,
+        witness=({"x": xs[q].tolist(), "atom": int(idx[q]), "slack": worst}
+                 if worst < -1e-12 else None),
     )
 
 
@@ -371,21 +402,20 @@ def modulus_check(p: ProblemSpec, pairs: int, seed=0, x_radius=5.0,
         chosen = [all_pairs[s] for s in sorted(sel)]
     ts = np.linspace(0.0, p.horizon, t_nodes)
     xs = rng.uniform(-x_radius, x_radius, size=(state_samples, p.n))
+    # every atom of sample ensemble q sits at xs[q]
+    X = np.broadcast_to(xs[:, None, :], (state_samples, M, p.n))
+    I, J = np.array(chosen).T
+    vals = np.zeros((len(chosen), t_nodes))
+    for q, t in enumerate(ts):
+        for u in p.controls.active_set(t):
+            V = p.dynamics.field(t, X, u)
+            gaps = np.linalg.norm(V[:, I] - V[:, J], axis=-1).max(axis=0)
+            vals[:, q] = np.maximum(vals[:, q], gaps)
     theta = p.dynamics.omega_modulus
     worst = -np.inf
     witness = None
-    for (i, j) in chosen:
-        vals = np.empty(t_nodes)
-        for q, t in enumerate(ts):
-            pts = p.controls.active_set(t)
-            best = 0.0
-            for x in xs:
-                for u in pts:
-                    vi = np.asarray(p.dynamics.eval(t, x, u, i), dtype=float)
-                    vj = np.asarray(p.dynamics.eval(t, x, u, j), dtype=float)
-                    best = max(best, float(np.linalg.norm(vi - vj)))
-            vals[q] = best
-        est = float(np.trapezoid(vals, ts))
+    for (i, j), row in zip(chosen, vals):
+        est = float(np.trapezoid(row, ts))
         bound = float(theta(p.space.metric[i, j]))
         excess = est - bound
         if excess > worst:

@@ -49,10 +49,10 @@ def terminal_functional(p: ProblemSpec, phi: EnsembleState) -> float:
     per_atom = p.cost.values(phi.values)
     if np.any(np.isnan(per_atom)):
         bad = int(np.flatnonzero(np.isnan(per_atom))[0])
-        raise ValueError(f"terminal cost is NaN at atom {bad}")
+        raise TerminalValueError(f"terminal cost is NaN at atom {bad}")
     if np.any(np.isneginf(per_atom)):
         bad = int(np.flatnonzero(np.isneginf(per_atom))[0])
-        raise ValueError(f"terminal cost is -inf at atom {bad}")
+        raise TerminalValueError(f"terminal cost is -inf at atom {bad}")
     if np.any(np.isposinf(per_atom)):
         return np.inf
     return float(p.space.weights @ per_atom)
@@ -126,7 +126,7 @@ def build_oracle_tree(p: ProblemSpec, s, phi: EnsembleState, grid: TimeGrid,
         states.append(nxt.reshape((-1,) + cur.shape[1:]))
     per_atom = p.cost.values(states[-1])
     if np.any(np.isnan(per_atom)):
-        raise ValueError("terminal cost is NaN on an enumerated endpoint")
+        raise TerminalValueError("terminal cost is NaN on an enumerated endpoint")
     leaf = per_atom @ p.space.weights
     values = [None] * (grid.steps + 1)
     values[grid.steps] = leaf
@@ -625,8 +625,10 @@ def compute_value(p: ProblemSpec, query: ValueQuery) -> QueryResult:
     """Evaluate one query by the selected method.
 
     The oracle is exact for the discretized problem, dp tabulates and
-    interpolates, adjoint descends; all three return an admissible control
-    realizing their reported value.
+    interpolates, adjoint descends; all three return an admissible control.
+    The oracle's and the adjoint's controls realize their reported values.
+    The dp control is the nearest-node greedy rollout of the argmin table and
+    need not realize the interpolated table value it is reported with.
     """
     if not (0.0 <= query.s < p.horizon):
         raise ValueError(f"query time {query.s} outside [0, {p.horizon})")

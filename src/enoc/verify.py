@@ -59,8 +59,9 @@ def hjb_residual(vg: ValueGrid, p: ProblemSpec, samples=None,
     stored argmin differs from a grid neighbor's) and boundary-influenced
     nodes (the recursion behind the node, or a finite-difference neighbor,
     involved a clamped lookup, so the tabulated value does not witness the
-    equation there).  Pass iff the worst residual over the remaining smooth
-    nodes is at most kappa * (dt + max axis spacing).
+    equation there).  Pass iff at least one smooth node remains and the worst
+    residual over them is at most kappa * (dt + max axis spacing); with no
+    node evaluated the report fails and says the evidence is insufficient.
     """
     N = vg.grid.steps
     counts = vg.shape
@@ -91,51 +92,41 @@ def hjb_residual(vg: ValueGrid, p: ProblemSpec, samples=None,
             q = int(np.ravel_multi_index(tuple(v - 1 for v in idx), inner_shape))
             selected.setdefault(j, []).append(q)
 
+    def shifted(ax_i, lo):
+        return tuple(slice(lo, c - 2 + lo) if a == ax_i else slice(1, c - 1)
+                     for a, c in enumerate(counts))
+
+    # (up, down) neighbors of the interior block along each axis
+    shifts = [(shifted(ax_i, 2), shifted(ax_i, 0)) for ax_i in range(d)]
+
     worst = 0.0
     witness = {}
     skipped = 0
     skipped_boundary = 0
     evaluated = 0
-    fld = p.dynamics.field
     for j in range(1, N):
         if selected is not None and j not in selected:
             continue
         xi_t = ((vg.values[j + 1] - vg.values[j - 1]) / (2.0 * dt))[interior].reshape(-1)
         grads = np.empty((Qi, d))
-        for ax_i in range(d):
-            up = tuple(slice(2, c) if a == ax_i else slice(1, c - 1)
-                       for a, c in enumerate(counts))
-            dn = tuple(slice(0, c - 2) if a == ax_i else slice(1, c - 1)
-                       for a, c in enumerate(counts))
-            grads[:, ax_i] = ((vg.values[j][up] - vg.values[j][dn])
-                              / (2.0 * vg.axes[ax_i].spacing)).reshape(-1)
-        # kink suspicion: argmin differs from any axis neighbor
         arg = vg.argmin[j]
         kink = np.zeros(inner_shape, dtype=bool)
-        for ax_i in range(d):
-            up = tuple(slice(2, c) if a == ax_i else slice(1, c - 1)
-                       for a, c in enumerate(counts))
-            dn = tuple(slice(0, c - 2) if a == ax_i else slice(1, c - 1)
-                       for a, c in enumerate(counts))
-            kink |= (arg[up] != arg[interior]) | (arg[dn] != arg[interior])
-        kink = kink.reshape(-1)
         # boundary influence: the node itself, a time neighbor, or a spatial
         # finite-difference neighbor depends on a clamped lookup
         taint = (vg.tainted[j - 1][interior] | vg.tainted[j][interior]
                  | vg.tainted[j + 1][interior])
-        for ax_i in range(d):
-            up = tuple(slice(2, c) if a == ax_i else slice(1, c - 1)
-                       for a, c in enumerate(counts))
-            dn = tuple(slice(0, c - 2) if a == ax_i else slice(1, c - 1)
-                       for a, c in enumerate(counts))
+        for ax_i, (up, dn) in enumerate(shifts):
+            grads[:, ax_i] = ((vg.values[j][up] - vg.values[j][dn])
+                              / (2.0 * vg.axes[ax_i].spacing)).reshape(-1)
+            # kink suspicion: argmin differs from any axis neighbor
+            kink |= (arg[up] != arg[interior]) | (arg[dn] != arg[interior])
             taint |= vg.tainted[j][up] | vg.tainted[j][dn]
+        kink = kink.reshape(-1)
         taint = taint.reshape(-1)
 
-        pts = p.controls.active_set(vg.grid.nodes[j])
-        ham = np.full(Qi, np.inf)
-        for k in range(pts.shape[0]):
-            vel = fld(vg.grid.nodes[j], X, pts[k]).reshape(Qi, d)
-            ham = np.minimum(ham, (grads * vel).sum(axis=1))
+        t = vg.grid.nodes[j]
+        ham, _ = p.dynamics.min_pairing(t, X, grads.reshape(X.shape),
+                                        p.controls.active_set(t))
         res = np.abs(xi_t + ham)
 
         mask = ~kink & ~taint
@@ -154,16 +145,17 @@ def hjb_residual(vg: ValueGrid, p: ProblemSpec, samples=None,
             q = int(np.argmax(masked))
             if res[q] > worst:
                 worst = float(res[q])
-                witness = {"t": float(vg.grid.nodes[j]),
-                           "z": Z[q].tolist(), "time_index": j}
+                witness = {"t": float(t), "z": Z[q].tolist(), "time_index": j}
 
+    details = {"skipped_kinks": skipped, "skipped_boundary": skipped_boundary,
+               "evaluated": evaluated, "kappa": kappa, "dt": dt,
+               "dz": max(ax.spacing for ax in vg.axes)}
+    if not evaluated:
+        details["note"] = "insufficient evidence: every node was skipped"
     return CheckReport(
         name="hjb_residual", instance=_instance_tag(p), tolerance=tol,
-        worst=worst, witness=witness, passed=worst <= tol,
-        details={"skipped_kinks": skipped,
-                 "skipped_boundary": skipped_boundary,
-                 "evaluated": evaluated, "kappa": kappa, "dt": dt,
-                 "dz": max(ax.spacing for ax in vg.axes)})
+        worst=worst, witness=witness, passed=bool(evaluated) and worst <= tol,
+        details=details)
 
 
 # -- invariance of the value along trajectories -------------------------------

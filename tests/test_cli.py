@@ -112,17 +112,22 @@ def test_verify_impossible_tolerance_fails(tmp_path, small_verify_cfg):
     assert any(row.endswith("False") for row in rows[1:])
 
 
-def test_bench_smoke(tmp_path):
-    out = tmp_path / "b"
-    cfg = tmp_path / "bench.json"
-    cfg.write_text(json.dumps({"bench": {"integrate_steps": [50, 100],
-                                         "dp_counts": [9], "oracle_steps": [3]}}))
-    rc = run(["bench", "--problem", "linear-ensemble", "--config", str(cfg),
-              "--out", str(out)])
-    assert rc == 0
-    rows = (out / "bench.csv").read_text().strip().splitlines()
-    assert rows[0] == "operation,size,seconds"
-    assert len(rows) == 1 + 4
+def test_verify_tolerance_override_keeps_zero_evidence_failing(tmp_path,
+                                                              small_verify_cfg):
+    cfg = json.loads(open(small_verify_cfg).read())
+    cfg["verify"]["hjb_steps"] = 4
+    path = tmp_path / "coarse.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "v"
+    rc = run(["verify", "--problem", "linear-ensemble",
+              "--param", "a=[0.5,-0.3]", "--param", "c=[2.0,1.0]",
+              "--phi", "0.3,0.4", "--grid=-0.5:0.5:5", "--grid=-0.5:0.5:5",
+              "--config", str(path), "--tol", "1e6", "--out", str(out)])
+    assert rc == 1
+    rows = (out / "checks.csv").read_text().strip().splitlines()[1:]
+    passed = {row.split(",")[0]: row.split(",")[-1] for row in rows}
+    assert passed.pop("hjb_residual") == "False"
+    assert set(passed.values()) == {"True"}
 
 
 def test_query_round_trip(tmp_path):

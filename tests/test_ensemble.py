@@ -10,11 +10,10 @@ from enoc import (ControlSchedule, ControlSignal, DivergenceError, DynamicsSpec,
 def drift_free(M=2):
     space = ParameterSpace(weights=np.full(M, 1.0 / M),
                            coords=np.linspace(0, 1, M)[:, None])
-    dyn = DynamicsSpec(eval=lambda t, x, u, i: np.zeros_like(x),
-                       eval_ens=lambda t, X, u: np.zeros_like(X),
+    dyn = DynamicsSpec(eval_ens=lambda t, X, u: np.zeros_like(X),
                        growth_c=1.0, lipschitz_k=1.0)
-    cost = TerminalCostSpec(eval=lambda x, i: 0.0, lower_bound_a=np.zeros(M),
-                            lower_bound_b=0.0)
+    cost = TerminalCostSpec(eval_ens=lambda X: np.zeros(np.shape(X)[:-1]),
+                            lower_bound_a=np.zeros(M), lower_bound_b=0.0)
     return ProblemSpec(space=space, n=1, m=1, dynamics=dyn, cost=cost,
                        controls=ControlSchedule.constant([[-1.0], [0.0], [1.0]]),
                        horizon=1.0)
@@ -115,11 +114,10 @@ def test_per_atom_decoupling_exact():
 
 def test_divergence_error_carries_location():
     space = ParameterSpace(weights=[0.5, 0.5], coords=[[0.0], [1.0]])
-    dyn = DynamicsSpec(eval=lambda t, x, u, i: x ** 3,
-                       eval_ens=lambda t, X, u: X ** 3,
+    dyn = DynamicsSpec(eval_ens=lambda t, X, u: X ** 3,
                        growth_c=1.0, lipschitz_k=1.0)
-    cost = TerminalCostSpec(eval=lambda x, i: 0.0, lower_bound_a=np.zeros(2),
-                            lower_bound_b=0.0)
+    cost = TerminalCostSpec(eval_ens=lambda X: np.zeros(np.shape(X)[:-1]),
+                            lower_bound_a=np.zeros(2), lower_bound_b=0.0)
     p = ProblemSpec(space=space, n=1, m=1, dynamics=dyn, cost=cost,
                     controls=ControlSchedule.constant([[0.0]]), horizon=1.0)
     phi = EnsembleState([[0.1], [30.0]], space)

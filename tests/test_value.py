@@ -13,13 +13,11 @@ from enoc.value import ValueGrid
 
 def drift_free_quadratic(target=0.3):
     space = ParameterSpace(weights=[1.0], coords=[[0.0]])
-    dyn = DynamicsSpec(eval=lambda t, x, u, i: np.zeros_like(x),
-                       eval_ens=lambda t, X, u: np.zeros_like(X),
+    dyn = DynamicsSpec(eval_ens=lambda t, X, u: np.zeros_like(X),
                        jac_x_ens=lambda t, X, u: np.zeros((1, 1, 1)),
                        jac_u_ens=lambda t, X, u: np.zeros((1, 1, 1)),
                        growth_c=1.0, lipschitz_k=1.0)
-    cost = TerminalCostSpec(eval=lambda x, i: float((x[0] - target) ** 2),
-                            eval_ens=lambda X: (X[..., 0] - target) ** 2,
+    cost = TerminalCostSpec(eval_ens=lambda X: (X[..., 0] - target) ** 2,
                             grad_ens=lambda X: 2.0 * (X - target),
                             lower_bound_a=np.zeros(1), lower_bound_b=0.0)
     return ProblemSpec(space=space, n=1, m=1, dynamics=dyn, cost=cost,
@@ -50,13 +48,31 @@ def test_terminal_weighted_linear():
 
 def test_terminal_allows_plus_infinity():
     space = ParameterSpace(weights=[0.5, 0.5], coords=[[0.0], [1.0]])
-    cost = TerminalCostSpec(eval=lambda x, i: np.inf if i == 1 else 0.0,
+    cost = TerminalCostSpec(eval_ens=lambda X: np.broadcast_to([0.0, np.inf], np.shape(X)[:-1]),
                             lower_bound_a=np.zeros(2), lower_bound_b=0.0)
-    dyn = DynamicsSpec(eval=lambda t, x, u, i: np.zeros_like(x),
+    dyn = DynamicsSpec(eval_ens=lambda t, X, u: np.zeros_like(X),
                        growth_c=1.0, lipschitz_k=1.0)
     p = ProblemSpec(space=space, n=1, m=1, dynamics=dyn, cost=cost,
                     controls=ControlSchedule.constant([[0.0]]), horizon=1.0)
     assert terminal_functional(p, EnsembleState.zeros(space, 1)) == np.inf
+
+
+def test_nan_and_minus_infinity_terminal_costs_raise_typed_error():
+    space = ParameterSpace(weights=[0.5, 0.5], coords=[[0.0], [1.0]])
+    dyn = DynamicsSpec(eval_ens=lambda t, X, u: np.zeros_like(X),
+                       growth_c=1.0, lipschitz_k=1.0)
+    phi = EnsembleState.zeros(space, 1)
+    for bad, word in ((np.nan, "NaN"), (-np.inf, "-inf")):
+        cost = TerminalCostSpec(
+            eval_ens=lambda X, bad=bad: np.broadcast_to([0.0, bad], np.shape(X)[:-1]),
+            lower_bound_a=np.zeros(2), lower_bound_b=0.0)
+        p = ProblemSpec(space=space, n=1, m=1, dynamics=dyn, cost=cost,
+                        controls=ControlSchedule.constant([[0.0]]), horizon=1.0)
+        with pytest.raises(TerminalValueError, match=f"{word} at atom 1"):
+            terminal_functional(p, phi)
+        if word == "NaN":
+            with pytest.raises(TerminalValueError, match="NaN"):
+                build_oracle_tree(p, 0.0, phi, TimeGrid(0.0, 1.0, 2))
 
 
 # -- reduced cost ---------------------------------------------------------------
@@ -189,11 +205,9 @@ def test_dp_counts_clamped_lookups():
 
 def test_dp_rejects_nonfinite_terminal_cost():
     space = ParameterSpace(weights=[1.0], coords=[[0.0]])
-    cost = TerminalCostSpec(eval=lambda x, i: np.inf if x[0] < 0 else 0.0,
-                            eval_ens=lambda X: np.where(X[..., 0] < 0, np.inf, 0.0),
+    cost = TerminalCostSpec(eval_ens=lambda X: np.where(X[..., 0] < 0, np.inf, 0.0),
                             lower_bound_a=np.zeros(1), lower_bound_b=0.0)
-    dyn = DynamicsSpec(eval=lambda t, x, u, i: np.zeros_like(x),
-                       eval_ens=lambda t, X, u: np.zeros_like(X),
+    dyn = DynamicsSpec(eval_ens=lambda t, X, u: np.zeros_like(X),
                        growth_c=1.0, lipschitz_k=1.0)
     p = ProblemSpec(space=space, n=1, m=1, dynamics=dyn, cost=cost,
                     controls=ControlSchedule.constant([[0.0]]), horizon=1.0)
@@ -272,10 +286,10 @@ def test_adjoint_upper_bounds_oracle(lin2):
 
 def test_adjoint_requires_derivative_capability():
     space = ParameterSpace(weights=[1.0], coords=[[0.0]])
-    dyn = DynamicsSpec(eval=lambda t, x, u, i: np.zeros_like(x),
+    dyn = DynamicsSpec(eval_ens=lambda t, X, u: np.zeros_like(X),
                        growth_c=1.0, lipschitz_k=1.0)
-    cost = TerminalCostSpec(eval=lambda x, i: 0.0, lower_bound_a=np.zeros(1),
-                            lower_bound_b=0.0)
+    cost = TerminalCostSpec(eval_ens=lambda X: np.zeros(np.shape(X)[:-1]),
+                            lower_bound_a=np.zeros(1), lower_bound_b=0.0)
     p = ProblemSpec(space=space, n=1, m=1, dynamics=dyn, cost=cost,
                     controls=ControlSchedule.constant([[0.0]]), horizon=1.0)
     with pytest.raises(CapabilityError):

@@ -11,12 +11,10 @@ from enoc import (Axis, CapabilityError, ControlSchedule, ControlSignal,
 
 def drift_free_smooth():
     space = ParameterSpace(weights=[1.0], coords=[[0.0]])
-    dyn = DynamicsSpec(eval=lambda t, x, u, i: np.zeros_like(x),
-                       eval_ens=lambda t, X, u: np.zeros_like(X),
+    dyn = DynamicsSpec(eval_ens=lambda t, X, u: np.zeros_like(X),
                        growth_c=1.0, lipschitz_k=1.0,
                        omega_modulus=lambda r: 0.0)
-    cost = TerminalCostSpec(eval=lambda x, i: float(np.sin(x[0])),
-                            eval_ens=lambda X: np.sin(X[..., 0]),
+    cost = TerminalCostSpec(eval_ens=lambda X: np.sin(X[..., 0]),
                             lower_bound_a=np.full(1, -1.0), lower_bound_b=0.0)
     return ProblemSpec(space=space, n=1, m=1, dynamics=dyn, cost=cost,
                        controls=ControlSchedule.constant([[-1.0], [0.0], [1.0]]),
@@ -39,6 +37,15 @@ def test_hjb_smooth_linear_instance_within_tolerance(lin2):
     rep = hjb_residual(vg, lin2)
     assert rep.passed
     assert rep.worst <= rep.tolerance
+
+
+def test_hjb_zero_evidence_fails(lin2):
+    # on this coarse grid every interior node is boundary-influenced
+    vg = value_dp(lin2, [Axis(-0.5, 0.5, 5)] * 2, TimeGrid(0.0, 1.0, 4))
+    rep = hjb_residual(vg, lin2)
+    assert rep.details["evaluated"] == 0
+    assert not rep.passed
+    assert "insufficient evidence" in rep.details["note"]
 
 
 def test_hjb_boundary_sample_rejected(lin2):
@@ -185,10 +192,10 @@ def test_oscillation_linear_family_below_bound(lin2):
 
 def test_oscillation_requires_modulus():
     space = ParameterSpace(weights=[0.5, 0.5], coords=[[0.0], [1.0]])
-    dyn = DynamicsSpec(eval=lambda t, x, u, i: np.zeros_like(x),
+    dyn = DynamicsSpec(eval_ens=lambda t, X, u: np.zeros_like(X),
                        growth_c=1.0, lipschitz_k=1.0)
-    cost = TerminalCostSpec(eval=lambda x, i: 0.0, lower_bound_a=np.zeros(2),
-                            lower_bound_b=0.0)
+    cost = TerminalCostSpec(eval_ens=lambda X: np.zeros(np.shape(X)[:-1]),
+                            lower_bound_a=np.zeros(2), lower_bound_b=0.0)
     p = ProblemSpec(space=space, n=1, m=1, dynamics=dyn, cost=cost,
                     controls=ControlSchedule.constant([[0.0]]), horizon=1.0)
     with pytest.raises(CapabilityError):
