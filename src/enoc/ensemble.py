@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DivergenceError
-from .measure import EnsembleState, l2_norm
+from .measure import EnsembleState
 from .problem import ProblemSpec
 
 _FLOAT_FMT = "%.17g"
@@ -128,17 +128,12 @@ class Trajectory:
         reproduce exactly under re-evaluation; anything else means the
         states array was tampered with or belongs to another problem.
         """
-        if not np.array_equal(self.states[0],
-                              np.asarray(self.states[0], dtype=float)):
+        try:
+            redo = _integrate_batch(p, self.grid.nodes[None], self.states[None, 0],
+                                    self.control.values[None])
+        except DivergenceError:
             return False
-        X = self.states[0]
-        for j in range(self.grid.steps):
-            h = self.grid.nodes[j + 1] - self.grid.nodes[j]
-            X = _rk4_step(p.dynamics.field, self.grid.nodes[j], h, X,
-                          self.control.values[j])
-            if not np.array_equal(X, self.states[j + 1]):
-                return False
-        return True
+        return np.array_equal(redo[:, 0], self.states)
 
     def to_csv(self, path):
         """Write rows (t, atom, x_0.., u_0..); the control column of the last
@@ -182,11 +177,47 @@ class Trajectory:
 
 
 def _rk4_step(fld, t, h, X, u):
+    """One classical 4th-order step; t and h are scalars or of X's lead shape."""
+    hx = np.expand_dims(h, (-2, -1)) if np.ndim(h) else h
     k1 = fld(t, X, u)
-    k2 = fld(t + 0.5 * h, X + 0.5 * h * k1, u)
-    k3 = fld(t + 0.5 * h, X + 0.5 * h * k2, u)
-    k4 = fld(t + h, X + h * k3, u)
-    return X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = fld(t + 0.5 * h, X + 0.5 * hx * k1, u)
+    k3 = fld(t + 0.5 * h, X + 0.5 * hx * k2, u)
+    k4 = fld(t + h, X + hx * k3, u)
+    return X + (hx / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _integrate_batch(p: ProblemSpec, nodes, X0, U, start=None):
+    """Advance B ensembles at once on per-row grids; states (N+1, B, M, n).
+
+    ``nodes`` (B, N+1) are each row's time nodes, ``X0`` (B, M, n) its
+    initial state and ``U`` (B, N, m) its control per interval.  Row b holds
+    X0[b] until node ``start[b]`` (default 0) and steps from there on.  RK4 is
+    elementwise, so with a field whose rows are independent (the evaluator
+    contract) every row matches its one-row integration bitwise.  A
+    non-finite row raises :class:`DivergenceError`
+    at its first non-finite node; with several, the lowest row wins, which is
+    the error a row-by-row loop would hit first.
+    """
+    fld = p.dynamics.field
+    N = U.shape[1]
+    states = np.empty((N + 1,) + X0.shape)
+    states[0] = X0
+    X = X0
+    for j in range(N):
+        t = nodes[:, j]
+        X_next = _rk4_step(fld, t, nodes[:, j + 1] - t, X, U[:, j])
+        X = X_next if start is None else np.where(
+            (j >= start)[:, None, None], X_next, X)
+        states[j + 1] = X
+    finite = np.isfinite(states[1:]).all(axis=(2, 3))           # (N, B)
+    if start is not None:
+        finite |= np.arange(1, N + 1)[:, None] <= start
+    if not finite.all():
+        row = int(np.flatnonzero(~finite.all(axis=0))[0])
+        j = int(np.argmin(finite[:, row])) + 1
+        atom = int(np.flatnonzero(~np.isfinite(states[j, row]).all(axis=1))[0])
+        raise DivergenceError(nodes[row, j], atom)
+    return states
 
 
 def integrate(p: ProblemSpec, s, phi: EnsembleState, u: ControlSignal) -> Trajectory:
@@ -194,8 +225,18 @@ def integrate(p: ProblemSpec, s, phi: EnsembleState, u: ControlSignal) -> Trajec
 
     Classical 4th-order one-step rule with the control frozen per interval;
     deterministic and exact for dynamics polynomial of degree <= 3 in t.
-    Raises :class:`DivergenceError` at the first non-finite node.
+    Raises :class:`DivergenceError` at the first non-finite node.  This is
+    the one-row case of the batched integrator.
     """
+    _check_start(p, s, phi, u)
+    states = _integrate_batch(p, u.grid.nodes[None], phi.values[None],
+                              u.values[None])[:, 0]
+    return Trajectory(grid=u.grid, states=states, control=u, space=phi.space)
+
+
+def _check_start(p: ProblemSpec, s, phi: EnsembleState, u: ControlSignal):
+    """Reject a signal that does not start at s or ends past the horizon,
+    and initial data of the wrong shape."""
     grid = u.grid
     if abs(grid.s - s) > 1e-12:
         raise ValueError(f"signal grid starts at {grid.s}, expected {s}")
@@ -206,19 +247,6 @@ def integrate(p: ProblemSpec, s, phi: EnsembleState, u: ControlSignal) -> Trajec
             f"initial state shape {phi.values.shape} does not match problem "
             f"({p.space.size}, {p.n})"
         )
-    fld = p.dynamics.field
-    states = np.empty((grid.steps + 1, p.space.size, p.n))
-    states[0] = phi.values
-    X = phi.values
-    for j in range(grid.steps):
-        t = grid.nodes[j]
-        h = grid.nodes[j + 1] - grid.nodes[j]
-        X = _rk4_step(fld, t, h, X, u.values[j])
-        if not np.all(np.isfinite(X)):
-            atom = int(np.flatnonzero(~np.isfinite(X).all(axis=1))[0])
-            raise DivergenceError(grid.nodes[j + 1], atom)
-        states[j + 1] = X
-    return Trajectory(grid=grid, states=states, control=u, space=phi.space)
 
 
 @dataclass
@@ -240,12 +268,25 @@ class PropertyReport:
 
 
 def random_signal(p: ProblemSpec, grid: TimeGrid, rng) -> ControlSignal:
-    """Uniformly random admissible signal on the grid."""
+    """Uniformly random admissible signal on the grid.
+
+    One vector draw per run of intervals that share an active set; the
+    Generator yields the same stream as one scalar draw per interval.
+    """
+    sched = p.controls
+    idx = np.searchsorted(sched.breakpoints, grid.nodes[:-1], side="right") - 1
+    if idx[0] < 0:
+        sched.active_index(grid.nodes[0])        # raises ScheduleError
     vals = np.empty((grid.steps, p.m))
-    for j in range(grid.steps):
-        pts = p.controls.active_set(grid.nodes[j])
-        vals[j] = pts[rng.integers(pts.shape[0])]
+    cuts = np.flatnonzero(np.diff(idx)) + 1
+    for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, grid.steps]):
+        pts = sched.sets[idx[lo]]
+        vals[lo:hi] = pts[rng.integers(pts.shape[0], size=hi - lo)]
     return ControlSignal(grid, vals)
+
+
+def _weighted_norm(w, d):
+    return np.sqrt(float(np.einsum("i,ij,ij->", w, d, d)))
 
 
 def trajectory_bound_suite(p: ProblemSpec, trials: int, steps=200, seed=0,
@@ -266,12 +307,21 @@ def trajectory_bound_suite(p: ProblemSpec, trials: int, steps=200, seed=0,
     argument applied to 1 + |x|; each bound is allowed the multiplicative
     discretization slack.  Violations are recorded with witnesses, never
     raised.
+
+    The trials run as one batch, or as several when the held states would
+    pass 16 MB.  A batch first draws every trial's s, tau, t, phi, phibar and
+    signal in the trial-by-trial order of a sequential loop (the draws never
+    depend on the integration), then integrates the x, xbar and shifted
+    trajectories of all its trials together; the shifted row holds phi until
+    its start node tau.  A divergence raises the error the sequential order
+    would: first trial, x before xbar before the shift.
     """
     rng = np.random.default_rng(seed)
     M, n = p.space.size, p.n
     c = p.dynamics.growth_c
     k = p.dynamics.lipschitz_k
     mu = np.sqrt(p.space.mass)
+    w = p.space.weights
     max_ratio = {"growth": 0.0, "stability": 0.0, "shift": 0.0, "time": 0.0}
     violations = []
 
@@ -288,42 +338,42 @@ def trajectory_bound_suite(p: ProblemSpec, trials: int, steps=200, seed=0,
             violations.append({"bound": kind, "trial": trial,
                                "lhs": lhs, "rhs": rhs, "ratio": ratio})
 
-    for trial in range(trials):
-        s = rng.uniform(0.0, 0.5 * p.horizon)
-        grid = TimeGrid(s, p.horizon, steps)
-        j_tau = int(rng.integers(0, steps))
-        j_t = int(rng.integers(j_tau, steps)) + 1
-        tau, t = grid.nodes[j_tau], grid.nodes[j_t]
-        phi = EnsembleState(phi_scale * rng.standard_normal((M, n)), p.space)
-        phibar = EnsembleState(phi_scale * rng.standard_normal((M, n)), p.space)
-        sig = random_signal(p, grid, rng)
-        x = integrate(p, s, phi, sig)
-        xbar = integrate(p, s, phibar, sig)
+    # trials per batch: the held states stay near 2**21 floats (16 MB)
+    per_batch = max(1, 2 ** 21 // (3 * (steps + 1) * M * n))
+    for first in range(0, trials, per_batch):
+        draws, nodes, X0, U, start = [], [], [], [], []
+        for trial in range(first, min(first + per_batch, trials)):
+            s = rng.uniform(0.0, 0.5 * p.horizon)
+            grid = TimeGrid(s, p.horizon, steps)
+            j_tau = int(rng.integers(0, steps))
+            j_t = int(rng.integers(j_tau, steps)) + 1
+            phi = phi_scale * rng.standard_normal((M, n))
+            phibar = phi_scale * rng.standard_normal((M, n))
+            sig = random_signal(p, grid, rng)
+            # rows x, xbar and (when tau > s) the shift, in the sequential order
+            draws.append((trial, grid, j_tau, j_t, phi, phibar, len(X0)))
+            for x0, j0 in [(phi, 0), (phibar, 0)] + [(phi, j_tau)] * (j_tau > 0):
+                nodes.append(grid.nodes)
+                X0.append(x0)
+                U.append(sig.values)
+                start.append(j0)
+        states = _integrate_batch(p, np.stack(nodes), np.stack(X0), np.stack(U),
+                                  np.array(start))
 
-        norm_phi = l2_norm(phi)
-        nx_t = np.sqrt(float(np.einsum(
-            "i,ij,ij->", p.space.weights, x.states[j_t], x.states[j_t])))
-        track("growth", nx_t,
-              np.exp(c * (t - s)) * (norm_phi + c * (t - s) * mu), trial)
-
-        d2 = x.states[j_t] - xbar.states[j_t]
-        track("stability",
-              np.sqrt(float(np.einsum("i,ij,ij->", p.space.weights, d2, d2))),
-              np.exp(k * (t - s)) * l2_norm(
-                  EnsembleState(phi.values - phibar.values, p.space)), trial)
-
-        if j_tau > 0:
-            x_shift = integrate(p, tau, phi, sig.restrict(j_tau))
-            d3 = x_shift.states[j_t - j_tau] - x.states[j_t]
-            track("shift",
-                  np.sqrt(float(np.einsum("i,ij,ij->", p.space.weights, d3, d3))),
-                  c * np.exp(k * (t - tau)) * np.exp(c * (tau - s))
-                  * (mu + norm_phi) * (tau - s), trial)
-
-        d4 = x.states[j_t] - x.states[j_tau]
-        track("time",
-              np.sqrt(float(np.einsum("i,ij,ij->", p.space.weights, d4, d4))),
-              c * np.exp(c * (t - s)) * (mu + norm_phi) * (t - tau), trial)
+        for trial, grid, j_tau, j_t, phi, phibar, row in draws:
+            s, tau, t = grid.s, grid.nodes[j_tau], grid.nodes[j_t]
+            x_t = states[j_t, row]
+            norm_phi = _weighted_norm(w, phi)
+            track("growth", _weighted_norm(w, x_t),
+                  np.exp(c * (t - s)) * (norm_phi + c * (t - s) * mu), trial)
+            track("stability", _weighted_norm(w, x_t - states[j_t, row + 1]),
+                  np.exp(k * (t - s)) * _weighted_norm(w, phi - phibar), trial)
+            if j_tau > 0:
+                track("shift", _weighted_norm(w, states[j_t, row + 2] - x_t),
+                      c * np.exp(k * (t - tau)) * np.exp(c * (tau - s))
+                      * (mu + norm_phi) * (tau - s), trial)
+            track("time", _weighted_norm(w, x_t - states[j_tau, row]),
+                  c * np.exp(c * (t - s)) * (mu + norm_phi) * (t - tau), trial)
 
     return PropertyReport(name="trajectory_bounds", trials=trials,
                           passed=not violations, max_ratio=max_ratio,

@@ -95,7 +95,7 @@ def linear_ensemble(M=2, n=1, a=None, c=None, weights=None, coords=None,
     eye = np.eye(n)
 
     def f_ens(t, X, u):
-        return a_col * X + np.asarray(u, dtype=float)
+        return a_col * X + np.asarray(u, dtype=float)[..., None, :]
 
     def jac_x(t, X, u):
         return a[:, None, None] * eye
@@ -144,7 +144,7 @@ def decoupled_quadratic(M=1, n=1, tau=None, weights=None, coords=None,
     eye = np.eye(n)
 
     def f_ens(t, X, u):
-        return np.broadcast_to(np.asarray(u, dtype=float), np.shape(X))
+        return np.broadcast_to(np.asarray(u, dtype=float)[..., None, :], np.shape(X))
 
     def jac_x(t, X, u):
         return np.zeros((M, n, n))
@@ -184,7 +184,7 @@ def bilinear(M=2, n=1, a=None, weights=None, coords=None,
     eye = np.eye(n)
 
     def f_ens(t, X, u):
-        return float(np.asarray(u).reshape(-1)[0]) * a[:, None] * X
+        return np.asarray(u, dtype=float)[..., None, :1] * a[:, None] * X
 
     def jac_x(t, X, u):
         return float(np.asarray(u).reshape(-1)[0]) * a[:, None, None] * eye
@@ -347,12 +347,14 @@ def _expression_problem(doc, base_dir) -> ProblemSpec:
     coords = space.coords if d else np.zeros((space.size, 0))
 
     def env_for(t, X, u):
-        env = {"t": t}
+        # t and u carry the batch dims of X without the atom axis; the
+        # trailing axis lets them broadcast against the (..., M) state columns
+        env = {"t": t if np.ndim(t) == 0 else np.asarray(t)[..., None]}
         for k in range(n):
             env[f"x{k+1}"] = X[..., k]
-        uu = np.asarray(u, dtype=float).reshape(-1)
+        uu = np.asarray(u, dtype=float)
         for k in range(m):
-            env[f"u{k+1}"] = uu[k]
+            env[f"u{k+1}"] = uu[..., k, None]
         for k in range(d):
             env[f"w{k+1}"] = coords[:, k]
         return env

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.optimize import linprog
 
 from .errors import CapabilityError, DimensionMismatchError, ScheduleError
 from .measure import EnsembleState, ParameterSpace
@@ -21,10 +22,14 @@ from .measure import EnsembleState, ParameterSpace
 class DynamicsSpec:
     """Velocity field of the ensemble plus its declared regularity certificates.
 
-    ``eval_ens(t, X, u)`` maps a time, stacked ensemble states X of shape
-    (..., M, n) and one control (m,) to the velocities (..., M, n); it is the
-    only description of the dynamics.  ``jac_x_ens``/``jac_u_ens`` (shapes
-    (..., M, n, n) and (..., M, n, m)) enable the adjoint solver.
+    ``eval_ens(t, X, u)`` maps stacked ensemble states X of shape (..., M, n)
+    to the velocities (..., M, n); it is the only description of the
+    dynamics.  The time ``t`` is a scalar or an array of X's lead shape (...),
+    and the control ``u`` is one point (m,) or one per lead index, (..., m),
+    so the batched integrator advances ensembles with their own times and
+    controls in one call.  Row i of a batched call must equal the call on
+    row i alone.  ``jac_x_ens``/``jac_u_ens`` (shapes (..., M, n, n) and
+    (..., M, n, m), for one control (m,)) enable the adjoint solver.
     Evaluators must be pure; parallel callers rely on that.
     """
 
@@ -48,7 +53,8 @@ class DynamicsSpec:
         return self.jac_x_ens is not None and self.jac_u_ens is not None
 
     def field(self, t, X, u):
-        """Ensemble velocity for stacked states X of shape (..., M, n)."""
+        """Ensemble velocity for stacked states X of shape (..., M, n), with t
+        scalar or shaped (...) and u shaped (m,) or (..., m)."""
         return np.asarray(self.eval_ens(t, X, u), dtype=float)
 
     def min_pairing(self, t, X, G, controls):
@@ -163,10 +169,13 @@ class ControlSchedule:
         return self.sets[self.active_index(t)]
 
     def hull_contains(self, t, u, tol=1e-9):
-        """Whether u lies in the convex hull of the active set.
+        """Whether u lies within ``tol`` (per coordinate) of the convex hull
+        of the active set.
 
-        Exact for scalar controls; for m >= 2 the bounding box of the set is
-        used (hull membership up to box outer-approximation).
+        Scalar controls compare against the set's interval; for m >= 2 a
+        linear program looks for convex weights lam >= 0, sum lam = 1, with
+        |pts^T lam - u| <= tol, so the test is exact (up to the solver's
+        1e-10 feasibility tolerance), not a bounding box.
         """
         pts = self.active_set(t)
         u = np.asarray(u, dtype=float).reshape(-1)
@@ -174,9 +183,13 @@ class ControlSchedule:
             return False
         if self.m == 1:
             return pts.min() - tol <= u[0] <= pts.max() + tol
-        return bool(
-            np.all(u >= pts.min(axis=0) - tol) and np.all(u <= pts.max(axis=0) + tol)
-        )
+        K = pts.shape[0]
+        res = linprog(np.zeros(K), A_ub=np.vstack([pts.T, -pts.T]),
+                      b_ub=np.concatenate([u + tol, tol - u]),
+                      A_eq=np.ones((1, K)), b_eq=[1.0], bounds=(0.0, None),
+                      method="highs",
+                      options={"primal_feasibility_tolerance": 1e-10})
+        return res.status == 0
 
 
 @dataclass

@@ -15,7 +15,8 @@ import numpy as np
 from .errors import CapabilityError
 from .measure import EnsembleState, ball_average, ball_mass, l2_norm
 from .problem import ProblemSpec
-from .ensemble import TimeGrid, integrate, random_signal
+from .ensemble import (TimeGrid, _check_start, _integrate_batch, integrate,
+                       random_signal)
 from .value import (ValueGrid, build_oracle_tree, terminal_functional,
                     value_oracle)
 
@@ -269,6 +270,8 @@ def oscillation_diagnostic(p: ProblemSpec, s, phi: EnsembleState, controls,
     trajectory is formed by composite trapezoid; for each radius r the
     mass-weighted squared deviation from its own ball average must stay
     below mass * theta(r)^2, and every ball must carry positive mass.
+    ``controls`` is a count of random signals on one grid or a list of
+    signals with a common number of steps; they are integrated as one batch.
     """
     theta = p.dynamics.omega_modulus
     if theta is None:
@@ -283,25 +286,32 @@ def oscillation_diagnostic(p: ProblemSpec, s, phi: EnsembleState, controls,
     else:
         signals = list(controls)
 
+    if not signals or len({sig.grid.steps for sig in signals}) > 1:
+        raise ValueError("need one or more signals with a common number of steps")
+    for sig in signals:
+        _check_start(p, s, phi, sig)
+    nodes = np.stack([sig.grid.nodes for sig in signals])
+    U = np.stack([sig.values for sig in signals])
+    states = _integrate_batch(
+        p, nodes, np.broadcast_to(phi.values, (len(signals),) + phi.values.shape), U)
+    # running integral of the velocity by composite trapezoid, all signals at once
+    fld = p.dynamics.field
+    F = np.zeros(states.shape[1:])
+    f_lo = fld(nodes[:, 0], states[0], U[:, 0])
+    for j in range(U.shape[1]):
+        h = (nodes[:, j + 1] - nodes[:, j])[:, None, None]
+        f_hi = fld(nodes[:, j + 1], states[j + 1], U[:, j])
+        F += 0.5 * h * (f_lo + f_hi)
+        if j + 1 < U.shape[1]:
+            f_lo = fld(nodes[:, j + 1], states[j + 1], U[:, j + 1])
+
     mass = p.space.mass
     worst = -np.inf
     witness = {}
     curves = []
     h_vals = {float(r): ball_mass(p.space, float(r)) for r in radii}
-    for sig_i, sig in enumerate(signals):
-        traj = integrate(p, s, phi, sig)
-        grid = sig.grid
-        F = np.zeros((p.space.size, p.n))
-        fld = p.dynamics.field
-        f_lo = fld(grid.nodes[0], traj.states[0], sig.values[0])
-        for j in range(grid.steps):
-            h = grid.nodes[j + 1] - grid.nodes[j]
-            f_hi = fld(grid.nodes[j + 1], traj.states[j + 1], sig.values[j])
-            F += 0.5 * h * (f_lo + f_hi)
-            if j + 1 < grid.steps:
-                f_lo = fld(grid.nodes[j + 1], traj.states[j + 1],
-                           sig.values[j + 1])
-        F_state = EnsembleState(F, p.space)
+    for sig_i in range(len(signals)):
+        F_state = EnsembleState(F[sig_i], p.space)
         for r in radii:
             avg = ball_average(p.space, F_state, float(r))
             dev = F_state.values - avg.values

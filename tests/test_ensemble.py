@@ -3,8 +3,9 @@ import pytest
 
 from enoc import (ControlSchedule, ControlSignal, DivergenceError, DynamicsSpec,
                   EnsembleState, ParameterSpace, ProblemSpec, TerminalCostSpec,
-                  TimeGrid, Trajectory, builtin, integrate, trajectory_bound_suite,
-                  random_signal)
+                  TimeGrid, Trajectory, ball_average, builtin, integrate,
+                  oscillation_diagnostic, problem_from_dict, random_signal,
+                  trajectory_bound_suite)
 
 
 def drift_free(M=2):
@@ -199,3 +200,160 @@ def test_suite_records_violations_instead_of_raising():
     rep = trajectory_bound_suite(p, trials=30, steps=60, seed=11)
     assert not rep.passed
     assert any(v["bound"] == "stability" for v in rep.violations)
+
+
+# -- the batched suite against the trial-by-trial order ----------------------------
+
+def sequential_suite(p, trials, steps, seed, slack=1.05, phi_scale=1.0):
+    """The bound suite one trial at a time over public integrate + random_signal."""
+    rng = np.random.default_rng(seed)
+    c, k = p.dynamics.growth_c, p.dynamics.lipschitz_k
+    mu = np.sqrt(p.space.mass)
+    max_ratio = {"growth": 0.0, "stability": 0.0, "shift": 0.0, "time": 0.0}
+    violations = []
+
+    def norm(d):
+        return np.sqrt(float(np.einsum("i,ij,ij->", p.space.weights, d, d)))
+
+    def track(kind, lhs, rhs, trial):
+        ratio = lhs / rhs if rhs > 0.0 else (0.0 if lhs <= 1e-12 else np.inf)
+        max_ratio[kind] = max(max_ratio[kind], ratio)
+        if not (ratio <= slack if rhs > 0.0 else lhs <= 1e-12):
+            violations.append({"bound": kind, "trial": trial,
+                               "lhs": lhs, "rhs": rhs, "ratio": ratio})
+
+    for trial in range(trials):
+        s = rng.uniform(0.0, 0.5 * p.horizon)
+        grid = TimeGrid(s, p.horizon, steps)
+        j_tau = int(rng.integers(0, steps))
+        j_t = int(rng.integers(j_tau, steps)) + 1
+        tau, t = grid.nodes[j_tau], grid.nodes[j_t]
+        phi = EnsembleState(phi_scale * rng.standard_normal((p.space.size, p.n)),
+                            p.space)
+        phibar = EnsembleState(phi_scale * rng.standard_normal((p.space.size, p.n)),
+                               p.space)
+        sig = random_signal(p, grid, rng)
+        x = integrate(p, s, phi, sig).states
+        xbar = integrate(p, s, phibar, sig).states
+        nphi = norm(phi.values)
+        track("growth", norm(x[j_t]),
+              np.exp(c * (t - s)) * (nphi + c * (t - s) * mu), trial)
+        track("stability", norm(x[j_t] - xbar[j_t]),
+              np.exp(k * (t - s)) * norm(phi.values - phibar.values), trial)
+        if j_tau > 0:
+            x_shift = integrate(p, tau, phi, sig.restrict(j_tau)).states
+            track("shift", norm(x_shift[j_t - j_tau] - x[j_t]),
+                  c * np.exp(k * (t - tau)) * np.exp(c * (tau - s))
+                  * (mu + nphi) * (tau - s), trial)
+        track("time", norm(x[j_t] - x[j_tau]),
+              c * np.exp(c * (t - s)) * (mu + nphi) * (t - tau), trial)
+    return max_ratio, violations, not violations
+
+
+def t_dependent_expression():
+    return problem_from_dict({
+        "format": "enoc-problem/1",
+        "space": {"format": "enoc-space/1",
+                  "atoms": [{"id": "a", "coords": [0.5]}, {"id": "b", "coords": [1.0]}],
+                  "weights": [0.5, 0.5]},
+        "n": 1, "m": 1, "horizon": 1.0,
+        "dynamics": {"expressions": ["w1 * x1 * cos(3 * t) + u1"],
+                     "growth_c": 2.0, "lipschitz_k": 1.0},
+        "cost": {"expression": "(x1 - w1) ** 2"},
+        "controls": {"breakpoints": [0.0], "sets": [[[-1.0], [0.0], [1.0]]]},
+    })
+
+
+def understated_lipschitz():
+    p = builtin("linear-ensemble", M=2, a=[2.0, 2.0], c=[1.0, 1.0])
+    p.dynamics.lipschitz_k = 0.5
+    return p
+
+
+@pytest.mark.parametrize("make,trials,steps", [
+    (lambda: builtin("linear-ensemble", M=2, n=2), 30, 40),
+    (lambda: builtin("decoupled-quadratic", M=3, n=2,
+                     tau=[[0.3, 0.1], [-0.4, 0.2], [0.0, 1.0]]), 30, 40),
+    (lambda: builtin("bilinear", M=3, n=2), 30, 40),
+    (understated_lipschitz, 30, 40),
+    # 64 atoms x 2 states x 101 nodes: 54 trials per batch, so 60 take two
+    (lambda: builtin("linear-ensemble", M=64, n=2), 60, 100),
+], ids=["linear-ensemble", "decoupled-quadratic", "bilinear", "violations",
+        "two-batches"])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_suite_equals_trial_by_trial_order(make, trials, steps, seed):
+    p = make()
+    rep = trajectory_bound_suite(p, trials=trials, steps=steps, seed=seed)
+    max_ratio, violations, passed = sequential_suite(p, trials, steps, seed)
+    assert rep.max_ratio == max_ratio
+    assert rep.violations == violations
+    assert rep.passed == passed
+
+
+def test_suite_close_to_trial_by_trial_order_for_time_dependent_field():
+    p = t_dependent_expression()
+    rep = trajectory_bound_suite(p, trials=30, steps=40, seed=3)
+    max_ratio, violations, passed = sequential_suite(p, 30, 40, 3)
+    for kind, ratio in max_ratio.items():
+        assert np.allclose(rep.max_ratio[kind], ratio, rtol=1e-12, atol=0.0)
+    assert [v["trial"] for v in rep.violations] == [v["trial"] for v in violations]
+    assert rep.passed == passed
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_suite_divergence_matches_trial_by_trial_order(seed):
+    space = ParameterSpace(weights=[0.5, 0.5], coords=[[0.0], [1.0]])
+    dyn = DynamicsSpec(eval_ens=lambda t, X, u: X ** 3,
+                       growth_c=1.0, lipschitz_k=1.0)
+    cost = TerminalCostSpec(eval_ens=lambda X: np.zeros(np.shape(X)[:-1]),
+                            lower_bound_a=np.zeros(2), lower_bound_b=0.0)
+    p = ProblemSpec(space=space, n=1, m=1, dynamics=dyn, cost=cost,
+                    controls=ControlSchedule.constant([[0.0]]), horizon=1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError) as expected:
+            sequential_suite(p, 20, 50, seed, phi_scale=1.5)
+        with pytest.raises(DivergenceError) as err:
+            trajectory_bound_suite(p, trials=20, steps=50, seed=seed, phi_scale=1.5)
+    assert (err.value.t, err.value.atom) == (expected.value.t, expected.value.atom)
+
+
+def test_random_signal_draws_match_one_draw_per_interval():
+    # three control sets of different sizes, switched twice inside the grid
+    sets = [np.linspace(-1.0, 1.0, K)[:, None] for K in (3, 9, 1)]
+    space = ParameterSpace(weights=[1.0], coords=[[0.0]])
+    p = ProblemSpec(space=space, n=1, m=1,
+                    dynamics=DynamicsSpec(eval_ens=lambda t, X, u: np.zeros_like(X),
+                                          growth_c=1.0, lipschitz_k=1.0),
+                    cost=TerminalCostSpec(eval_ens=lambda X: np.zeros(np.shape(X)[:-1]),
+                                          lower_bound_a=np.zeros(1), lower_bound_b=0.0),
+                    controls=ControlSchedule([0.0, 0.3, 0.7], sets), horizon=1.0)
+    grid = TimeGrid(0.1, 1.0, 37)
+    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    sig = random_signal(p, grid, rng)
+    ref = np.array([p.controls.active_set(t)[ref_rng.integers(
+        p.controls.active_set(t).shape[0])] for t in grid.nodes[:-1]])
+    np.testing.assert_array_equal(sig.values, ref)
+    assert rng.integers(2 ** 31) == ref_rng.integers(2 ** 31)
+
+
+def test_oscillation_batch_matches_per_signal_integration(lin2):
+    phi = EnsembleState([[0.5], [-0.25]], lin2.space)
+    grid = TimeGrid(0.2, 1.0, 30)
+    rng = np.random.default_rng(4)
+    signals = [random_signal(lin2, grid, rng) for _ in range(3)]
+    rep = oscillation_diagnostic(lin2, 0.2, phi, signals, [1.5])
+    fld, w = lin2.dynamics.field, lin2.space.weights
+    for sig, row in zip(signals, rep.details["curves"]):
+        X = integrate(lin2, 0.2, phi, sig).states
+        F = np.zeros_like(phi.values)
+        for j in range(grid.steps):
+            h = grid.nodes[j + 1] - grid.nodes[j]
+            F += 0.5 * h * (fld(grid.nodes[j], X[j], sig.values[j])
+                            + fld(grid.nodes[j + 1], X[j + 1], sig.values[j]))
+        dev = F - ball_average(lin2.space, EnsembleState(F, lin2.space), 1.5).values
+        assert row["oscillation"] == float(np.einsum("i,ij,ij->", w, dev, dev))
+        assert row["oscillation"] > 0.0
+    with pytest.raises(ValueError, match="common number of steps"):
+        oscillation_diagnostic(lin2, 0.2, phi,
+                               signals + [random_signal(lin2, grid.prefix(10), rng)],
+                               [1.5])

@@ -52,6 +52,12 @@ EXPR_DOC = {
 }
 
 
+def _expr_doc_with(expressions):
+    doc = json.loads(json.dumps(EXPR_DOC))
+    doc["dynamics"]["expressions"] = expressions
+    return doc
+
+
 # -- the ensemble evaluator contract ------------------------------------------
 
 @pytest.mark.parametrize("make", [
@@ -59,12 +65,22 @@ EXPR_DOC = {
     lambda: builtin("decoupled-quadratic", M=2, n=2, tau=[[0.3, 0.1], [-0.4, 0.2]]),
     lambda: builtin("bilinear", M=2, n=2, a=[0.5, 1.0]),
     lambda: problem_from_dict(EXPR_DOC),
-], ids=["linear-ensemble", "decoupled-quadratic", "bilinear", "expression"])
+    lambda: problem_from_dict(_expr_doc_with(["w1 * x1 * (1 + t * t) - t * u1"])),
+], ids=["linear-ensemble", "decoupled-quadratic", "bilinear", "expression",
+        "expression-t"])
 def test_ensemble_evaluator_contract(make):
     p = make()
     M, n = p.space.size, p.n
-    Xs = np.random.default_rng(0).uniform(-2.0, 2.0, (5, M, n))
+    rng = np.random.default_rng(0)
+    Xs = rng.uniform(-2.0, 2.0, (5, M, n))
     u = p.controls.active_set(0.3)[-1]
+    # batched times and controls: row i equals the call on row i alone
+    t_b = rng.uniform(0.0, p.horizon, 5)
+    U_b = rng.uniform(-1.0, 1.0, (5, p.m))
+    rows = p.dynamics.field(t_b, Xs, U_b)
+    assert rows.shape == (5, M, n)
+    for i in range(5):
+        np.testing.assert_array_equal(rows[i], p.dynamics.field(t_b[i], Xs[i], U_b[i]))
     assert p.dynamics.field(0.3, Xs[0], u).shape == (M, n)
     assert p.cost.values(Xs[0]).shape == (M,)
     batched = p.dynamics.field(0.3, Xs, u)
@@ -227,6 +243,20 @@ def test_schedule_piecewise_lookup():
     assert sched.active_set(0.75)[0, 0] == 1.0
     with pytest.raises(ScheduleError):
         sched.active_index(-0.1)
+
+
+def test_hull_contains_is_exact_for_a_triangle():
+    tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    sched = ControlSchedule.constant(tri)
+    # inside the bounding box [0, 1]^2, outside the triangle
+    assert not sched.hull_contains(0.0, [0.9, 0.9])
+    assert not sched.hull_contains(0.0, [0.5, 0.5 + 1e-6])
+    for vertex in tri:
+        assert sched.hull_contains(0.0, vertex)
+    assert sched.hull_contains(0.0, tri.mean(axis=0))
+    # tol still applies, per coordinate
+    assert sched.hull_contains(0.0, [-5e-10, 0.5])
+    assert not sched.hull_contains(0.0, [-5e-10, 0.5], tol=0.0)
 
 
 # -- builtin library -------------------------------------------------------------
