@@ -15,12 +15,12 @@ from .problem import (ControlSchedule, DynamicsSpec, HamiltonianResult,
                       validate_growth, validate_lipschitz)
 from .library import (builtin, closed_form, cost_lipschitz_bound, load_problem,
                       problem_from_dict)
-from .ensemble import (ControlSignal, PropertyReport, TimeGrid, Trajectory,
+from .ensemble import (CheckReport, ControlSignal, TimeGrid, Trajectory,
                        integrate, trajectory_bound_suite, random_signal)
 from .value import (AdjointResult, Axis, DppResult, OracleResult, OracleTree,
                     QueryResult, ValueGrid, ValueQuery, build_oracle_tree,
                     compute_value, dpp_residual, greedy_rollout, reduced_cost,
                     stack_state, terminal_functional, unstack_state,
                     value_adjoint, value_dp, value_oracle)
-from .verify import (CheckReport, epigraph_invariance, hjb_residual,
-                     oscillation_diagnostic, terminal_limit)
+from .verify import (epigraph_invariance, hjb_residual, oscillation_diagnostic,
+                     terminal_limit)

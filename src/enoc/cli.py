@@ -25,7 +25,8 @@ from .errors import EnocError
 from .measure import EnsembleState
 from .problem import ProblemSpec
 from .library import builtin, cost_lipschitz_bound, load_problem
-from .ensemble import ControlSignal, TimeGrid, integrate, trajectory_bound_suite
+from .ensemble import (CheckReport, ControlSignal, TimeGrid, _instance_tag,
+                       integrate, trajectory_bound_suite)
 from .value import (Axis, ValueGrid, ValueQuery, compute_value, dpp_residual,
                     unstack_state, value_dp)
 from .verify import (epigraph_invariance, hjb_residual, oscillation_diagnostic,
@@ -106,6 +107,10 @@ def resolve_config(args) -> dict:
     if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
+        unknown = ((file_cfg.keys() - _DEFAULTS.keys())
+                   | (file_cfg.get("verify", {}).keys() - _VERIFY_DEFAULTS.keys()))
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
         for key, val in file_cfg.items():
             if key == "params":
                 cfg["params"].update(val)
@@ -228,6 +233,28 @@ def _default_radii(p: ProblemSpec):
     return [float(r) for r in pts]
 
 
+def _dpp_check(p: ProblemSpec, s, phis, steps, seed, budget, tol) -> CheckReport:
+    """Two-stage identity at every interior node of a ``steps``-interval grid,
+    from ``phis`` random initial states: the worst of |residual| and the
+    one-sided gap must stay within ``tol``, and at least one split must be
+    evaluated."""
+    rng = np.random.default_rng(seed)
+    grid = TimeGrid(s, p.horizon, steps)
+    worst, witness = 0.0, {}
+    for i in range(phis):
+        phi = EnsembleState(rng.uniform(-0.5, 0.5, (p.space.size, p.n)), p.space)
+        for j in range(1, grid.steps):
+            res = dpp_residual(p, s, grid.nodes[j], phi, grid, budget=budget)
+            gap = max(abs(res.residual), res.one_sided_max)
+            if gap > worst:
+                worst, witness = gap, {"sample": i, "s2": float(grid.nodes[j])}
+    evaluated = phis * (grid.steps - 1)
+    return CheckReport(
+        name="dpp_residual", instance=_instance_tag(p), tolerance=tol,
+        worst=worst, witness=witness, passed=evaluated > 0 and worst <= tol,
+        details={"evaluated": evaluated}, seed=seed)
+
+
 def cmd_verify(args) -> int:
     cfg = resolve_config(args)
     vcfg = dict(_VERIFY_DEFAULTS)
@@ -239,81 +266,50 @@ def cmd_verify(args) -> int:
     seed = int(cfg["seed"])
     budget = int(cfg["budget"])
     tol = cfg["tol"]
-    rows = []
-
-    suite = trajectory_bound_suite(
-        p, trials=int(vcfg["trials"]), steps=int(vcfg["bounds_steps"]),
-        seed=seed, slack=(1.0 + tol) if tol is not None else 1.05)
-    worst_ratio = max(suite.max_ratio.values())
-    rows.append(("trajectory_bounds", suite.slack, worst_ratio, suite.passed))
-    print(suite)
-
-    rng = np.random.default_rng(seed)
-    grid = TimeGrid(s, p.horizon, int(vcfg["dpp_steps"]))
-    dpp_tol = tol if tol is not None else 1e-10
-    worst_dpp = 0.0
-    dpp_pass = True
-    for _ in range(int(vcfg["dpp_phis"])):
-        phi_r = EnsembleState(rng.uniform(-0.5, 0.5, (p.space.size, p.n)), p.space)
-        for j in range(1, grid.steps):
-            res = dpp_residual(p, s, grid.nodes[j], phi_r, grid, budget=budget)
-            worst_dpp = max(worst_dpp, abs(res.residual), res.one_sided_max)
-    dpp_pass = worst_dpp <= dpp_tol
-    rows.append(("dpp_residual", dpp_tol, worst_dpp, dpp_pass))
-    print(f"[{'pass' if dpp_pass else 'FAIL'}] dpp_residual: worst={worst_dpp:.3g}")
-
-    epi = epigraph_invariance(
-        p, s, phi, TimeGrid(s, p.horizon, int(vcfg["epi_steps"])), budget=budget,
-        drift_tol=tol if tol is not None else 1e-8,
-        mono_tol=tol if tol is not None else 1e-10)
-    rows.append(("epigraph_invariance", epi.tolerance, epi.worst, epi.passed))
-    print(epi)
-
+    cost_lipschitz = cost_lipschitz_bound(p, radius=vcfg["hjb_extent"])
     axes = (
         [Axis(*trip) for trip in cfg["grid"]] if cfg["grid"] is not None
         else [Axis(-vcfg["hjb_extent"], vcfg["hjb_extent"], int(vcfg["hjb_counts"]))]
         * p.stacked_dim
     )
-    vg = value_dp(p, axes, TimeGrid(s, p.horizon, int(vcfg["hjb_steps"])),
-                  workers=int(cfg["workers"]))
-    hjb = hjb_residual(vg, p, kappa=float(vcfg["kappa"]))
-    if tol is not None:
-        hjb.tolerance = tol
-        # a tolerance never turns zero evidence into a pass
-        hjb.passed = bool(hjb.details["evaluated"]) and hjb.worst <= tol
-    rows.append(("hjb_residual", hjb.tolerance, hjb.worst, hjb.passed))
-    print(hjb)
 
-    lim = terminal_limit(
-        p, phi, vcfg["gaps"], steps=int(vcfg["terminal_steps"]), budget=budget,
-        cost_lipschitz=cost_lipschitz_bound(p, radius=vcfg["hjb_extent"]))
-    if tol is not None:
-        lim.tolerance = tol
-        lim.passed = lim.worst <= tol
-    rows.append(("terminal_limit", lim.tolerance, lim.worst, lim.passed))
-    print(lim)
-
-    radii = vcfg["radii"] or _default_radii(p)
-    osc = oscillation_diagnostic(p, s, phi, int(vcfg["osc_controls"]), radii,
-                                 steps=int(vcfg["osc_steps"]), seed=seed)
-    if tol is not None:
-        osc.tolerance = tol
-        osc.passed = osc.worst <= tol
-    rows.append(("oscillation", osc.tolerance, osc.worst, osc.passed))
-    print(osc)
-
-    with open(os.path.join(out, "checks.csv"), "w", newline="") as fh:
+    # the checks look their functions up in this module when they run, so a
+    # wrapper installed on these names (the benchmark tracer) sees the calls
+    checks = [
+        lambda: trajectory_bound_suite(
+            p, trials=int(vcfg["trials"]), steps=int(vcfg["bounds_steps"]),
+            seed=seed, slack=(1.0 + tol) if tol is not None else 1.05),
+        lambda: _dpp_check(p, s, int(vcfg["dpp_phis"]), int(vcfg["dpp_steps"]),
+                           seed, budget, tol if tol is not None else 1e-10),
+        lambda: epigraph_invariance(
+            p, s, phi, TimeGrid(s, p.horizon, int(vcfg["epi_steps"])),
+            budget=budget, drift_tol=tol if tol is not None else 1e-8,
+            mono_tol=tol if tol is not None else 1e-10),
+        lambda: hjb_residual(
+            value_dp(p, axes, TimeGrid(s, p.horizon, int(vcfg["hjb_steps"])),
+                     workers=int(cfg["workers"])),
+            p, kappa=float(vcfg["kappa"]), tol=tol),
+        lambda: terminal_limit(
+            p, phi, vcfg["gaps"], steps=int(vcfg["terminal_steps"]),
+            budget=budget, cost_lipschitz=cost_lipschitz, tol=tol),
+        lambda: oscillation_diagnostic(
+            p, s, phi, int(vcfg["osc_controls"]), vcfg["radii"] or _default_radii(p),
+            steps=int(vcfg["osc_steps"]), seed=seed, tol=tol),
+    ]
+    reports = [check() for check in checks]
+    n_pass = sum(rep.passed for rep in reports)
+    with open(os.path.join(out, "checks.csv"), "w", newline="") as fh, \
+            open(os.path.join(out, "summary.txt"), "w") as summary:
         wr = csv.writer(fh)
         wr.writerow(["check", "tolerance", "worst", "passed"])
-        for name, tolerance, worst, passed in rows:
-            wr.writerow([name, tolerance, _FMT % worst, passed])
-    n_fail = sum(1 for row in rows if not row[3])
-    with open(os.path.join(out, "summary.txt"), "w") as fh:
-        for name, tolerance, worst, passed in rows:
-            fh.write(f"{'pass' if passed else 'FAIL'} {name} worst={worst:.6g}\n")
-        fh.write(f"{len(rows) - n_fail}/{len(rows)} checks passed\n")
-    print(f"{len(rows) - n_fail}/{len(rows)} checks passed")
-    return 1 if n_fail else 0
+        for rep in reports:
+            print(rep)
+            wr.writerow([rep.name, rep.tolerance, _FMT % rep.worst, rep.passed])
+            summary.write(f"{'pass' if rep.passed else 'FAIL'} {rep.name} "
+                          f"worst={rep.worst:.6g}\n")
+        summary.write(f"{n_pass}/{len(reports)} checks passed\n")
+    print(f"{n_pass}/{len(reports)} checks passed")
+    return 0 if n_pass == len(reports) else 1
 
 
 def cmd_query(args) -> int:

@@ -1,4 +1,6 @@
-"""Trajectory integration for control-driven ensembles, plus the bound suite.
+"""Trajectory integration for control-driven ensembles, plus the bound suite
+and the :class:`CheckReport` that it and every other certification check
+return.
 
 For a fixed control the atoms decouple, so one classical 4th-order step
 advances the whole (M, n) state block at once.  Fixed-step integration only:
@@ -10,7 +12,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -250,21 +251,29 @@ def _check_start(p: ProblemSpec, s, phi: EnsembleState, u: ControlSignal):
 
 
 @dataclass
-class PropertyReport:
-    """Aggregate of a randomized inequality suite with re-runnable witnesses."""
+class CheckReport:
+    """One certification outcome; ``worst`` and ``witness`` stay re-evaluable."""
 
     name: str
-    trials: int
+    instance: dict
+    tolerance: object
+    worst: float
+    witness: dict
     passed: bool
-    max_ratio: dict
-    violations: list = field(default_factory=list)
-    slack: float = 1.05
-    seed: Optional[int] = None
+    details: dict = field(default_factory=dict)
+    seed: object = None
 
     def __str__(self):
         status = "pass" if self.passed else "FAIL"
-        ratios = ", ".join(f"{k}={v:.4f}" for k, v in self.max_ratio.items())
-        return f"[{status}] {self.name}: {self.trials} trials, max ratios {ratios}"
+        return (f"[{status}] {self.name}: worst={self.worst:.4g} "
+                f"(tol={self.tolerance})")
+
+
+def _instance_tag(p: ProblemSpec):
+    tag = {"M": p.space.size, "n": p.n, "m": p.m, "horizon": p.horizon}
+    if "builtin" in p.meta:
+        tag["builtin"] = p.meta["builtin"]
+    return tag
 
 
 def random_signal(p: ProblemSpec, grid: TimeGrid, rng) -> ControlSignal:
@@ -290,7 +299,7 @@ def _weighted_norm(w, d):
 
 
 def trajectory_bound_suite(p: ProblemSpec, trials: int, steps=200, seed=0,
-                  slack=1.05, phi_scale=1.0) -> PropertyReport:
+                           slack=1.05, phi_scale=1.0) -> CheckReport:
     """Randomized check of the four a-priori trajectory bounds.
 
     With c the growth certificate, k the Lipschitz certificate and
@@ -306,7 +315,10 @@ def trajectory_bound_suite(p: ProblemSpec, trials: int, steps=200, seed=0,
     The constants follow from the certificates by the usual comparison
     argument applied to 1 + |x|; each bound is allowed the multiplicative
     discretization slack.  Violations are recorded with witnesses, never
-    raised.
+    raised.  The report's ``worst`` is the largest ratio over all four
+    bounds, ``witness`` the first trial and bound reaching it, and
+    ``details`` holds ``trials``, the per-bound ``max_ratio`` and the
+    ``violations``; it passes iff there is no violation.
 
     The trials run as one batch, or as several when the held states would
     pass 16 MB.  A batch first draws every trial's s, tau, t, phi, phibar and
@@ -324,6 +336,7 @@ def trajectory_bound_suite(p: ProblemSpec, trials: int, steps=200, seed=0,
     w = p.space.weights
     max_ratio = {"growth": 0.0, "stability": 0.0, "shift": 0.0, "time": 0.0}
     violations = []
+    witness = {}
 
     def track(kind, lhs, rhs, trial):
         if rhs <= 0.0:
@@ -332,11 +345,14 @@ def trajectory_bound_suite(p: ProblemSpec, trials: int, steps=200, seed=0,
         else:
             ratio = lhs / rhs
             ok = ratio <= slack
+        row = {"bound": kind, "trial": trial, "lhs": lhs, "rhs": rhs,
+               "ratio": ratio}
+        if ratio > max(max_ratio.values()):
+            witness.update(row)
         if ratio > max_ratio[kind]:
             max_ratio[kind] = ratio
         if not ok:
-            violations.append({"bound": kind, "trial": trial,
-                               "lhs": lhs, "rhs": rhs, "ratio": ratio})
+            violations.append(row)
 
     # trials per batch: the held states stay near 2**21 floats (16 MB)
     per_batch = max(1, 2 ** 21 // (3 * (steps + 1) * M * n))
@@ -375,6 +391,8 @@ def trajectory_bound_suite(p: ProblemSpec, trials: int, steps=200, seed=0,
             track("time", _weighted_norm(w, x_t - states[j_tau, row]),
                   c * np.exp(c * (t - s)) * (mu + norm_phi) * (t - tau), trial)
 
-    return PropertyReport(name="trajectory_bounds", trials=trials,
-                          passed=not violations, max_ratio=max_ratio,
-                          violations=violations, slack=slack, seed=seed)
+    return CheckReport(
+        name="trajectory_bounds", instance=_instance_tag(p), tolerance=slack,
+        worst=max(max_ratio.values()), witness=witness, passed=not violations,
+        details={"trials": trials, "max_ratio": max_ratio,
+                 "violations": violations}, seed=seed)

@@ -20,6 +20,7 @@ import os
 import numpy as np
 from scipy.integrate import quad
 
+from .errors import CapabilityError
 from .expr import Expression
 from .measure import ParameterSpace
 from .problem import ControlSchedule, DynamicsSpec, ProblemSpec, TerminalCostSpec
@@ -293,6 +294,7 @@ def cost_lipschitz_bound(p: ProblemSpec, radius: float) -> float:
     For the linear cost it is the weighted norm of the coefficient profile
     (global); for the quadratic costs it is the pointwise gradient bound on
     the ball of the given radius, Cauchy-Schwarzed through the weights.
+    Any other problem raises :class:`CapabilityError`.
     """
     name = p.meta.get("builtin")
     par = p.meta.get("parameters", {})
@@ -306,7 +308,7 @@ def cost_lipschitz_bound(p: ProblemSpec, radius: float) -> float:
         return 2.0 * (radius + tmax) * float(np.sqrt(p.space.mass))
     if name == "bilinear":
         return 2.0 * radius * float(np.sqrt(p.space.mass))
-    raise KeyError(f"no cost Lipschitz certificate for {name!r}")
+    raise CapabilityError("no cost Lipschitz certificate: only builtin problems have one")
 
 
 # -- problem files ---------------------------------------------------------

@@ -39,9 +39,9 @@ def test_criterion_1_trajectory_bounds_1000_randomized():
         a = rng.uniform(-2.0, 2.0, M)        # |a| <= 2
         p = builtin("linear-ensemble", M=M, n=n, a=a, T=1.0)
         rep = trajectory_bound_suite(p, trials=40, steps=200, seed=k, slack=1.05)
-        trials_total += rep.trials
-        worst = max(worst, max(rep.max_ratio.values()))
-        assert rep.passed, rep.violations[:3]
+        trials_total += rep.details["trials"]
+        worst = max(worst, max(rep.details["max_ratio"].values()))
+        assert rep.passed, rep.details["violations"][:3]
     elapsed = time.perf_counter() - t0
     _report(1, trials_total == 1000 and worst <= 1.05 and elapsed < 60.0,
             f"{trials_total} randomized trials, worst bound ratio "

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import enoc.cli
 from enoc.cli import main
 
 
@@ -128,6 +129,83 @@ def test_verify_tolerance_override_keeps_zero_evidence_failing(tmp_path,
     passed = {row.split(",")[0]: row.split(",")[-1] for row in rows}
     assert passed.pop("hjb_residual") == "False"
     assert set(passed.values()) == {"True"}
+
+
+def test_verify_dpp_check_fails_without_a_split(tmp_path, small_verify_cfg):
+    # a one-interval grid has no interior node to split at: zero evidence
+    cfg = json.loads(open(small_verify_cfg).read())
+    cfg["verify"]["dpp_steps"] = 1
+    path = tmp_path / "one-step.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "v"
+    rc = run(["verify", "--problem", "linear-ensemble",
+              "--param", "a=[0.5,-0.3]", "--param", "c=[2.0,1.0]",
+              "--phi", "0.3,0.4", "--config", str(path), "--tol", "1e6",
+              "--out", str(out)])
+    assert rc == 1
+    rows = (out / "checks.csv").read_text().strip().splitlines()[1:]
+    passed = {row.split(",")[0]: row.split(",")[-1] for row in rows}
+    assert passed.pop("dpp_residual") == "False"
+    assert set(passed.values()) == {"True"}
+
+
+TRACED = ["trajectory_bound_suite", "dpp_residual", "epigraph_invariance",
+          "hjb_residual", "terminal_limit", "oscillation_diagnostic", "value_dp"]
+
+
+def test_verify_calls_every_check_through_the_cli_names(tmp_path, small_verify_cfg,
+                                                        monkeypatch):
+    # the benchmark tracer wraps these names in enoc.cli, so the battery
+    # must look them up there when it runs
+    calls = dict.fromkeys(TRACED, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in TRACED:
+        monkeypatch.setattr(enoc.cli, name, counting(name, getattr(enoc.cli, name)))
+    out = tmp_path / "v"
+    rc = run(["verify", "--problem", "linear-ensemble",
+              "--param", "a=[0.5,-0.3]", "--param", "c=[2.0,1.0]",
+              "--phi", "0.3,0.4", "--config", small_verify_cfg,
+              "--out", str(out)])
+    assert rc == 0
+    assert calls["dpp_residual"] == 2 * (3 - 1)        # dpp_phis x (dpp_steps - 1)
+    assert all(calls.values()), calls
+    rows = (out / "checks.csv").read_text().strip().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == [
+        "trajectory_bounds", "dpp_residual", "epigraph_invariance",
+        "hjb_residual", "terminal_limit", "oscillation"]
+
+
+def test_verify_without_cost_certificate_exits_2_before_any_check(
+        tmp_path, sine_drift_doc, capsys):
+    problem = tmp_path / "expr.json"
+    problem.write_text(json.dumps(sine_drift_doc))
+    out = tmp_path / "v"
+    rc = run(["verify", "--problem", str(problem), "--out", str(out)])
+    assert rc == 2
+    assert not (out / "checks.csv").exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: no cost Lipschitz certificate:" in captured.err
+
+
+@pytest.mark.parametrize("cfg, message", [
+    ({"stpes": 2}, "unknown config keys: stpes"),
+    ({"verify": {"trails": 3}}, "unknown config keys: trails"),
+], ids=["top-level", "verify"])
+def test_unknown_config_key_exits_2(tmp_path, capsys, cfg, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "v"
+    rc = run(["verify", "--config", str(path), "--out", str(out)])
+    assert rc == 2
+    assert not (out / "checks.csv").exists()
+    assert message in capsys.readouterr().err
 
 
 def test_query_round_trip(tmp_path):

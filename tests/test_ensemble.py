@@ -149,14 +149,14 @@ def test_bounds_hold_on_drift_free_problem():
     rep = trajectory_bound_suite(drift_free(), trials=40, steps=50, seed=3)
     assert rep.passed
     # with no drift the growth and time bounds are far from active
-    assert rep.max_ratio["time"] == 0.0
+    assert rep.details["max_ratio"]["time"] == 0.0
 
 
 def test_bounds_hold_on_linear_family():
     p = builtin("linear-ensemble", M=4, a=[-1.5, 0.4, 1.1, 2.0],
                 c=[1.0, 1.0, 1.0, 1.0])
     rep = trajectory_bound_suite(p, trials=60, steps=100, seed=7)
-    assert rep.passed, rep.violations[:3]
+    assert rep.passed, rep.details["violations"][:3]
 
 
 def test_stability_bound_zero_gap():
@@ -199,7 +199,18 @@ def test_suite_records_violations_instead_of_raising():
     p.dynamics.lipschitz_k = 0.5
     rep = trajectory_bound_suite(p, trials=30, steps=60, seed=11)
     assert not rep.passed
-    assert any(v["bound"] == "stability" for v in rep.violations)
+    assert any(v["bound"] == "stability" for v in rep.details["violations"])
+
+
+def test_suite_report_names_its_worst_ratio():
+    rep = trajectory_bound_suite(builtin("linear-ensemble", M=3, n=2), trials=30,
+                                 steps=40, seed=0)
+    ratios = rep.details["max_ratio"]
+    assert rep.name == "trajectory_bounds" and rep.tolerance == 1.05
+    assert rep.worst == max(ratios.values()) > 0.0
+    assert rep.witness["ratio"] == rep.worst
+    assert ratios[rep.witness["bound"]] == rep.worst
+    assert 0 <= rep.witness["trial"] < rep.details["trials"]
 
 
 # -- the batched suite against the trial-by-trial order ----------------------------
@@ -285,8 +296,8 @@ def test_suite_equals_trial_by_trial_order(make, trials, steps, seed):
     p = make()
     rep = trajectory_bound_suite(p, trials=trials, steps=steps, seed=seed)
     max_ratio, violations, passed = sequential_suite(p, trials, steps, seed)
-    assert rep.max_ratio == max_ratio
-    assert rep.violations == violations
+    assert rep.details["max_ratio"] == max_ratio
+    assert rep.details["violations"] == violations
     assert rep.passed == passed
 
 
@@ -295,8 +306,9 @@ def test_suite_close_to_trial_by_trial_order_for_time_dependent_field():
     rep = trajectory_bound_suite(p, trials=30, steps=40, seed=3)
     max_ratio, violations, passed = sequential_suite(p, 30, 40, 3)
     for kind, ratio in max_ratio.items():
-        assert np.allclose(rep.max_ratio[kind], ratio, rtol=1e-12, atol=0.0)
-    assert [v["trial"] for v in rep.violations] == [v["trial"] for v in violations]
+        assert np.allclose(rep.details["max_ratio"][kind], ratio, rtol=1e-12, atol=0.0)
+    assert ([v["trial"] for v in rep.details["violations"]]
+            == [v["trial"] for v in violations])
     assert rep.passed == passed
 
 

@@ -5,8 +5,8 @@ from enoc import (Axis, CapabilityError, ControlSchedule, ControlSignal,
                   DynamicsSpec, EnsembleState, ParameterSpace, ProblemSpec,
                   TerminalCostSpec, TimeGrid, builtin,
                   cost_lipschitz_bound, epigraph_invariance, hjb_residual,
-                  integrate, oscillation_diagnostic, terminal_limit,
-                  terminal_functional, value_dp, value_oracle)
+                  integrate, oscillation_diagnostic, problem_from_dict,
+                  terminal_limit, terminal_functional, value_dp, value_oracle)
 
 
 def drift_free_smooth():
@@ -149,6 +149,19 @@ def test_terminal_limit_linear_family(lin2):
     assert rep.details["empirical_slope"] <= rep.tolerance
     diffs = [row["difference"] for row in rep.details["table"]]
     assert all(a >= b for a, b in zip(diffs, diffs[1:]))
+
+
+def test_terminal_limit_tol_keeps_monotone_decay(sine_drift_doc):
+    # differences 0.036, 0.0045, 0.041, 0.014 over the gaps: a huge slope
+    # tolerance must not lift the monotone-decay condition
+    p = problem_from_dict(sine_drift_doc)
+    phibar = EnsembleState.zeros(p.space, 1)
+    rep = terminal_limit(p, phibar, [0.2, 0.1, 0.05, 0.025], steps=4,
+                         cost_lipschitz=1.0, tol=1e6)
+    assert rep.tolerance == 1e6
+    assert rep.worst <= rep.tolerance
+    assert rep.details["monotone_decay"] is False
+    assert rep.passed is False
 
 
 def test_terminal_limit_requires_certificate(lin2):
