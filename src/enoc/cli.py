@@ -107,6 +107,11 @@ def resolve_config(args) -> dict:
     if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
+        if not isinstance(file_cfg, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON object")
+        for key in ("params", "verify"):
+            if not isinstance(file_cfg.get(key, {}), dict):
+                raise ValueError(f"config key {key!r} must be a JSON object")
         unknown = ((file_cfg.keys() - _DEFAULTS.keys())
                    | (file_cfg.get("verify", {}).keys() - _VERIFY_DEFAULTS.keys()))
         if unknown:
@@ -268,7 +273,7 @@ def cmd_verify(args) -> int:
     tol = cfg["tol"]
     cost_lipschitz = cost_lipschitz_bound(p, radius=vcfg["hjb_extent"])
     axes = (
-        [Axis(*trip) for trip in cfg["grid"]] if cfg["grid"] is not None
+        _dp_axes(cfg, p) if cfg["grid"] is not None
         else [Axis(-vcfg["hjb_extent"], vcfg["hjb_extent"], int(vcfg["hjb_counts"]))]
         * p.stacked_dim
     )

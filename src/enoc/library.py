@@ -229,12 +229,11 @@ _BUILTINS = {
 
 
 def builtin(name, **parameters) -> ProblemSpec:
-    """Build a library problem by name; unknown names raise KeyError."""
-    try:
-        factory = _BUILTINS[name]
-    except KeyError:
+    """Build a library problem by name; unknown names raise ValueError."""
+    factory = _BUILTINS.get(name) if isinstance(name, str) else None
+    if factory is None:
         known = ", ".join(sorted(_BUILTINS))
-        raise KeyError(f"unknown builtin problem {name!r}; known: {known}") from None
+        raise ValueError(f"unknown builtin problem {name!r}; known: {known}")
     return factory(**parameters)
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import struct
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -24,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (CapabilityError, CapacityError, GridCoverageWarning,
-                     TerminalValueError)
+from .errors import (CapabilityError, CapacityError, DimensionMismatchError,
+                     GridCoverageWarning, TerminalValueError)
 from .measure import EnsembleState
 from .problem import ProblemSpec
 from .ensemble import ControlSignal, TimeGrid, _rk4_step, integrate
@@ -188,19 +189,31 @@ def _as_axes(axes):
     return [ax if isinstance(ax, Axis) else Axis(*ax) for ax in axes]
 
 
-def _interpolate(tensor, axes, Y, taint=None):
+def _node_mesh(coords):
+    """Cartesian product of per-axis node arrays as rows (Q, d), C order."""
+    mesh = np.meshgrid(*coords, indexing="ij")
+    return np.stack([m.reshape(-1) for m in mesh], axis=1)
+
+
+def _interpolate(tensor, taint, axes, Y):
     """Multilinear interpolation with boundary clamping.
 
-    Returns the interpolated values, the mask of clamped query points and,
-    when a boolean `taint` tensor is given, the mask of queries whose stencil
-    touches a tainted node with nonzero weight.
+    Returns the interpolated values at the query rows Y (Q, d), the mask of
+    clamped queries and the mask of queries whose stencil touches a node of
+    the boolean ``taint`` tensor with nonzero weight.  The stencil (base flat
+    index and one weight pair per axis) is formed once; corner c reads both
+    tables at base + a constant offset, and bit k of c picks axis k's upper
+    node.
     """
+    if np.isnan(Y).any():
+        raise ValueError("interpolation query has a NaN coordinate")
     d = len(axes)
-    Q = Y.shape[0]
-    idx0, fracs = [], []
-    clamped = np.zeros(Q, dtype=bool)
-    for ax_i, ax in enumerate(axes):
-        fi = (Y[:, ax_i] - ax.lo) / ax.spacing
+    strides = [int(np.prod(tensor.shape[k + 1:])) for k in range(d)]
+    clamped = np.zeros(Y.shape[0], dtype=bool)
+    base = np.zeros(Y.shape[0], dtype=np.intp)
+    pairs = []
+    for ax, y, stride in zip(axes, Y.T, strides):
+        fi = (y - ax.lo) / ax.spacing
         clamped |= (fi < 0.0) | (fi > ax.count - 1.0)
         fi = np.clip(fi, 0.0, ax.count - 1.0)
         i0 = np.minimum(np.floor(fi).astype(np.intp), ax.count - 2)
@@ -208,28 +221,19 @@ def _interpolate(tensor, axes, Y, taint=None):
         # snap float noise so queries at grid nodes reproduce node values
         frac[frac < 1e-12] = 0.0
         frac[frac > 1.0 - 1e-12] = 1.0
-        idx0.append(i0)
-        fracs.append(frac)
-    flat = tensor.reshape(-1)
-    taint_flat = None if taint is None else taint.reshape(-1)
-    out = np.zeros(Q)
-    touched = None if taint is None else np.zeros(Q, dtype=bool)
+        base += i0 * stride
+        pairs.append((1.0 - frac, frac))
+    flat, taint_flat = tensor.reshape(-1), taint.reshape(-1)
+    out = np.zeros(Y.shape[0])
+    touched = np.zeros(Y.shape[0], dtype=bool)
     for corner in range(1 << d):
-        wgt = np.ones(Q)
-        idx = []
-        for ax_i in range(d):
-            if corner >> ax_i & 1:
-                wgt = wgt * fracs[ax_i]
-                idx.append(idx0[ax_i] + 1)
-            else:
-                wgt = wgt * (1.0 - fracs[ax_i])
-                idx.append(idx0[ax_i])
-        flat_idx = np.ravel_multi_index(idx, tensor.shape)
-        out += wgt * flat[flat_idx]
-        if touched is not None:
-            touched |= (wgt > 0.0) & taint_flat[flat_idx]
-    if taint is None:
-        return out, clamped
+        bits = [corner >> k & 1 for k in range(d)]
+        wgt = pairs[0][bits[0]]
+        for k in range(1, d):
+            wgt = wgt * pairs[k][bits[k]]
+        idx = base + sum(b * stride for b, stride in zip(bits, strides))
+        out += wgt * flat[idx]
+        touched |= (wgt > 0.0) & taint_flat[idx]
     return out, clamped, touched
 
 
@@ -259,13 +263,15 @@ class ValueGrid:
 
     def node_matrix(self):
         """All grid nodes as stacked coordinates, shape (Q, d)."""
-        mesh = np.meshgrid(*[ax.nodes for ax in self.axes], indexing="ij")
-        return np.stack([m.reshape(-1) for m in mesh], axis=1)
+        return _node_mesh([ax.nodes for ax in self.axes])
 
     def evaluate(self, j, Z):
         """Interpolate slice j at stacked points Z (Q, d) -> (values, n_clamped)."""
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        vals, clamped = _interpolate(self.values[j], self.axes, Z)
+        if Z.shape[1] != len(self.axes):
+            raise DimensionMismatchError(f"state has {Z.shape[1]} coordinates, "
+                                         f"the grid has {len(self.axes)} axes")
+        vals, clamped, _ = _interpolate(self.values[j], self.tainted[j], self.axes, Z)
         return vals, int(clamped.sum())
 
     def value_at(self, t, z):
@@ -300,21 +306,32 @@ class ValueGrid:
 
     @classmethod
     def load(cls, path):
+        """Read exactly the bytes :meth:`save` writes; a short read or a
+        trailing byte raises ValueError naming the file."""
         with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+
+            def read(n):
+                if fh.tell() + n > size:
+                    raise ValueError(f"{path} is truncated at {size} bytes")
+                return fh.read(n)
+
             if fh.read(len(_MAGIC)) != _MAGIC:
                 raise ValueError(f"{path} is not a value-grid file")
-            (hlen,) = struct.unpack("<Q", fh.read(8))
-            header = json.loads(fh.read(hlen).decode())
+            (hlen,) = struct.unpack("<Q", read(8))
+            header = json.loads(read(hlen).decode())
             axes = [Axis(*trip) for trip in header["axes"]]
             shape = tuple(ax.count for ax in axes)
             nval = (header["steps"] + 1) * int(np.prod(shape))
             narg = header["steps"] * int(np.prod(shape))
-            values = np.frombuffer(fh.read(8 * nval), dtype="<f8").reshape(
+            values = np.frombuffer(read(8 * nval), dtype="<f8").reshape(
                 (header["steps"] + 1,) + shape).copy()
-            argmin = np.frombuffer(fh.read(4 * narg), dtype="<i4").reshape(
+            argmin = np.frombuffer(read(4 * narg), dtype="<i4").reshape(
                 (header["steps"],) + shape).copy()
-            tainted = np.frombuffer(fh.read(nval), dtype="u1").reshape(
+            tainted = np.frombuffer(read(nval), dtype="u1").reshape(
                 (header["steps"] + 1,) + shape).astype(bool)
+            if fh.tell() != size:
+                raise ValueError(f"{path} has {size - fh.tell()} trailing bytes")
         grid = TimeGrid(header["s"], header["T"], header["steps"])
         return cls(grid=grid, axes=axes, values=values, argmin=argmin,
                    tainted=tainted, clamp_count=header["clamp_count"],
@@ -368,9 +385,8 @@ def value_dp(p: ProblemSpec, axes, grid: TimeGrid, phi_radius=None,
                 f"axes do not cover the reachability radius {coverage_radius:.4g} "
                 f"from initial norms <= {phi_radius:.4g}", GridCoverageWarning)
 
-    mesh = np.meshgrid(*[ax.nodes for ax in axes], indexing="ij")
-    shape = mesh[0].shape
-    Z = np.stack([mm.reshape(-1) for mm in mesh], axis=1)
+    shape = tuple(ax.count for ax in axes)
+    Z = _node_mesh([ax.nodes for ax in axes])
     Q = Z.shape[0]
     X = Z.reshape(Q, M, n)
 
@@ -403,7 +419,7 @@ def value_dp(p: ProblemSpec, axes, grid: TimeGrid, phi_radius=None,
             nc = 0
             for k in range(K):
                 Y = Z[q0:q1] + h * fld(t, X[q0:q1], pts[k]).reshape(q1 - q0, d)
-                vals, clamped, touched = _interpolate(nxt, axes, Y, taint=nxt_taint)
+                vals, clamped, touched = _interpolate(nxt, nxt_taint, axes, Y)
                 cand[k, q0:q1] = vals
                 # a node is trustworthy only if every candidate branch is
                 bad[q0:q1] |= clamped | touched

@@ -7,7 +7,7 @@ instance description (including the seed) to reproduce the number exactly.
 Each check decides ``passed`` itself; a ``tol`` argument replaces only the
 derived tolerance, never a tolerance-free condition (evidence, monotone
 decay, ball mass).  Checks never raise on a violation; they raise only on
-misuse (boundary samples, missing capabilities).
+misuse (grids too small to difference, missing capabilities).
 """
 
 from __future__ import annotations
@@ -19,14 +19,14 @@ from .measure import EnsembleState, ball_average, ball_mass, l2_norm
 from .problem import ProblemSpec
 from .ensemble import (CheckReport, TimeGrid, _check_start, _instance_tag,
                        _integrate_batch, integrate, random_signal)
-from .value import (ValueGrid, build_oracle_tree, terminal_functional,
-                    value_oracle)
+from .value import (ValueGrid, _node_mesh, build_oracle_tree,
+                    terminal_functional, value_oracle)
 
 
 # -- finite-difference residual of the terminal-value recursion --------------
 
-def hjb_residual(vg: ValueGrid, p: ProblemSpec, samples=None,
-                 kappa=5.0, tol=None) -> CheckReport:
+def hjb_residual(vg: ValueGrid, p: ProblemSpec, kappa=5.0,
+                 tol=None) -> CheckReport:
     """Central-difference residual of the backward equation at interior nodes.
 
     At every interior (time, state) grid node the time slope and the stacked
@@ -46,17 +46,9 @@ def hjb_residual(vg: ValueGrid, p: ProblemSpec, samples=None,
     d = len(vg.axes)
     if N < 2 or min(counts) < 3:
         raise ValueError("need at least 3 time nodes and 3 nodes per axis")
-    if samples is not None:
-        for (j, idx) in samples:
-            if not (1 <= j <= N - 1):
-                raise ValueError(f"time index {j} is not strictly interior")
-            for ax_i, q in enumerate(idx):
-                if not (1 <= q <= counts[ax_i] - 2):
-                    raise ValueError(f"sample {idx} touches the boundary of axis {ax_i}")
 
     interior = tuple(slice(1, c - 1) for c in counts)
-    mesh = np.meshgrid(*[ax.nodes[1:-1] for ax in vg.axes], indexing="ij")
-    Z = np.stack([mm.reshape(-1) for mm in mesh], axis=1)
+    Z = _node_mesh([ax.nodes[1:-1] for ax in vg.axes])
     Qi = Z.shape[0]
     X = Z.reshape(Qi, p.space.size, p.n)
     dt = vg.grid.dt
@@ -64,12 +56,6 @@ def hjb_residual(vg: ValueGrid, p: ProblemSpec, samples=None,
         tol = kappa * (dt + max(ax.spacing for ax in vg.axes))
 
     inner_shape = tuple(c - 2 for c in counts)
-    selected = None
-    if samples is not None:
-        selected = {}
-        for (j, idx) in samples:
-            q = int(np.ravel_multi_index(tuple(v - 1 for v in idx), inner_shape))
-            selected.setdefault(j, []).append(q)
 
     def shifted(ax_i, lo):
         return tuple(slice(lo, c - 2 + lo) if a == ax_i else slice(1, c - 1)
@@ -84,8 +70,6 @@ def hjb_residual(vg: ValueGrid, p: ProblemSpec, samples=None,
     skipped_boundary = 0
     evaluated = 0
     for j in range(1, N):
-        if selected is not None and j not in selected:
-            continue
         xi_t = ((vg.values[j + 1] - vg.values[j - 1]) / (2.0 * dt))[interior].reshape(-1)
         grads = np.empty((Qi, d))
         arg = vg.argmin[j]
@@ -109,15 +93,8 @@ def hjb_residual(vg: ValueGrid, p: ProblemSpec, samples=None,
         res = np.abs(xi_t + ham)
 
         mask = ~kink & ~taint
-        if selected is not None:
-            sel = np.zeros(Qi, dtype=bool)
-            sel[selected[j]] = True
-            skipped += int((kink & sel).sum())
-            skipped_boundary += int((taint & ~kink & sel).sum())
-            mask &= sel
-        else:
-            skipped += int(kink.sum())
-            skipped_boundary += int((taint & ~kink).sum())
+        skipped += int(kink.sum())
+        skipped_boundary += int((taint & ~kink).sum())
         evaluated += int(mask.sum())
         if mask.any():
             masked = np.where(mask, res, -np.inf)

@@ -220,6 +220,69 @@ def test_query_round_trip(tmp_path):
     assert rc == 0
 
 
+@pytest.fixture
+def small_grid_file(tmp_path):
+    out = tmp_path / "small"
+    assert run(["solve", "--problem", "linear-ensemble", "--method", "dp",
+                "--steps", "3", "--grid=-4:4:5", "--out", str(out)]) == 0
+    return out / "value_grid.bin"
+
+
+@pytest.mark.parametrize("state", ["0,0,0", "0"])
+def test_query_rejects_a_state_of_the_wrong_width(small_grid_file, capsys, state):
+    rc = run(["query", "--grid-file", str(small_grid_file), "--time", "0",
+              "--state", state])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "the grid has 2 axes" in captured.err
+
+
+def test_query_rejects_truncated_and_padded_grid_files(small_grid_file, tmp_path,
+                                                        capsys):
+    blob = small_grid_file.read_bytes()
+    bad = tmp_path / "bad.bin"
+    for data in [blob[:cut] for cut in range(len(blob))] + [blob + b"\0"]:
+        bad.write_bytes(data)
+        rc = run(["query", "--grid-file", str(bad), "--time", "0",
+                  "--state", "0,0"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and str(bad) in captured.err
+
+
+def test_verify_single_grid_broadcasts_like_solve(tmp_path, small_verify_cfg):
+    rows = []
+    for grids in (["--grid=-5:5:15"], ["--grid=-5:5:15"] * 2):
+        out = tmp_path / str(len(grids))
+        assert run(["verify", "--config", small_verify_cfg, "--out", str(out)]
+                   + grids) == 0
+        rows.append((out / "checks.csv").read_bytes())
+    assert rows[0] == rows[1]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]", "must hold a JSON object"),
+    ('{"verify": [1]}', "config key 'verify' must be a JSON object"),
+    ('{"params": 3}', "config key 'params' must be a JSON object"),
+    ('{"problem": [1]}', "unknown builtin problem [1]; known: "),
+], ids=["list", "verify-list", "params-number", "problem-list"])
+def test_config_file_must_hold_objects(tmp_path, capsys, text, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    rc = run(["verify", "--config", str(path), "--out", str(tmp_path / "v")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_unknown_builtin_message_is_plain(tmp_path, capsys):
+    rc = run(["solve", "--problem", "nope", "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        "error: unknown builtin problem 'nope'; known: bilinear, ")
+
+
 def test_config_file_overrides_flags(tmp_path):
     out = tmp_path / "run"
     cfg = tmp_path / "cfg.json"

@@ -275,7 +275,7 @@ def test_builtins_pass_all_validators(name, kwargs):
 
 
 def test_builtin_unknown_name():
-    with pytest.raises(KeyError, match="unknown builtin"):
+    with pytest.raises(ValueError, match="unknown builtin"):
         builtin("no-such-problem")
 
 

@@ -1,14 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from enoc import (Axis, CapabilityError, CapacityError, ControlSchedule,
-                  ControlSignal, DynamicsSpec, EnsembleState, GridCoverageWarning,
-                  ParameterSpace, ProblemSpec, TerminalCostSpec,
-                  TerminalValueError, TimeGrid, builtin, build_oracle_tree,
+                  ControlSignal, DimensionMismatchError, DynamicsSpec,
+                  EnsembleState, GridCoverageWarning, ParameterSpace,
+                  ProblemSpec, TerminalCostSpec, TerminalValueError,
+                  TimeGrid, builtin, build_oracle_tree,
                   closed_form, dpp_residual, reduced_cost, stack_state,
                   terminal_functional, unstack_state, value_adjoint, value_dp,
                   value_oracle)
-from enoc.value import ValueGrid
+from enoc.value import ValueGrid, _interpolate
 
 
 def drift_free_quadratic(target=0.3):
@@ -225,6 +228,72 @@ def test_dp_workers_do_not_change_result(lin2):
     assert a.clamp_count == b.clamp_count
 
 
+def _corner_loop(taint, axes, Y):
+    """Per-point reference for the clamp and taint masks of _interpolate."""
+    clamped = np.zeros(len(Y), dtype=bool)
+    touched = np.zeros(len(Y), dtype=bool)
+    for q, y in enumerate(Y):
+        lower, fracs = [], []
+        for ax, coord in zip(axes, y):
+            fi = (coord - ax.lo) / ax.spacing
+            clamped[q] |= fi < 0.0 or fi > ax.count - 1.0
+            fi = min(max(fi, 0.0), ax.count - 1.0)
+            i0 = min(int(np.floor(fi)), ax.count - 2)
+            frac = fi - i0
+            frac = 0.0 if frac < 1e-12 else 1.0 if frac > 1.0 - 1e-12 else frac
+            lower.append(i0)
+            fracs.append(frac)
+        for corner in itertools.product((0, 1), repeat=len(axes)):
+            weight = np.prod([f if b else 1.0 - f for b, f in zip(corner, fracs)])
+            node = tuple(i + b for i, b in zip(lower, corner))
+            touched[q] |= weight > 0.0 and bool(taint[node])
+    return clamped, touched
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_interpolate_matches_scipy_and_a_corner_loop(d):
+    from scipy.interpolate import RegularGridInterpolator
+    rng = np.random.default_rng(d)
+    # node coordinates of these axes land a few ulps off the integer grid
+    # index, which the snap must absorb
+    axes = [Axis(-0.1, 0.7, 9), Axis(-0.5, 1.1, 9), Axis(-1.0, 2.0, 3),
+            Axis(-0.4, 0.9, 8)][:d]
+    table = rng.uniform(1.0, 2.0, tuple(ax.count for ax in axes))
+    taint = rng.random(table.shape) < 0.15
+    taint[(1,) * d] = True
+    Y = np.concatenate([
+        np.stack([rng.uniform(ax.lo, ax.hi, 60) for ax in axes], axis=1),
+        np.stack([rng.uniform(ax.lo - 1.0, ax.hi + 1.0, 60) for ax in axes], axis=1),
+        list(itertools.product(*[ax.nodes for ax in axes])),
+    ])
+    vals, clamped, touched = _interpolate(table, taint, axes, Y)
+
+    lo, hi = [ax.lo for ax in axes], [ax.hi for ax in axes]
+    ref = RegularGridInterpolator([ax.nodes for ax in axes], table,
+                                  method="linear")(np.clip(Y, lo, hi))
+    np.testing.assert_allclose(vals, ref, rtol=1e-12)
+    # queries on nodes, the last one included, reproduce node values exactly
+    assert np.array_equal(vals[120:], table.reshape(-1))
+    ref_clamped, ref_touched = _corner_loop(taint, axes, Y)
+    assert np.array_equal(clamped, ref_clamped)
+    assert np.array_equal(touched, ref_touched)
+    assert clamped.any() and touched.any() and not touched.all()
+
+
+def test_interpolate_rejects_nan_queries():
+    axes = [Axis(-1.0, 1.0, 5)] * 2
+    with pytest.raises(ValueError, match="NaN"):
+        _interpolate(np.zeros((5, 5)), np.zeros((5, 5), dtype=bool), axes,
+                     np.array([[0.0, np.nan]]))
+
+
+def test_value_grid_evaluate_rejects_wrong_width(lin2):
+    vg = value_dp(lin2, [Axis(-1.0, 1.0, 5)] * 2, TimeGrid(0.0, 1.0, 3))
+    for z in ([0.0], [0.0, 0.0, 0.0]):
+        with pytest.raises(DimensionMismatchError, match="2 axes"):
+            vg.evaluate(0, [z])
+
+
 def test_value_grid_round_trip(tmp_path, lin2):
     vg = value_dp(lin2, [Axis(-2.0, 2.0, 9)] * 2, TimeGrid(0.0, 1.0, 4))
     path = tmp_path / "grid.bin"
@@ -237,6 +306,21 @@ def test_value_grid_round_trip(tmp_path, lin2):
            [(ax.lo, ax.hi, ax.count) for ax in vg.axes]
     z = np.array([0.21, -0.4])
     assert back.value_at(0.5, z) == vg.value_at(0.5, z)
+
+
+def test_value_grid_load_reads_exactly_the_saved_bytes(tmp_path, lin2):
+    vg = value_dp(lin2, [Axis(-1.0, 1.0, 5)] * 2, TimeGrid(0.0, 1.0, 3))
+    path = tmp_path / "grid.bin"
+    vg.save(path)
+    blob = path.read_bytes()
+    bad = tmp_path / "bad.bin"
+    for cut in range(len(blob)):
+        bad.write_bytes(blob[:cut])
+        with pytest.raises(ValueError, match="bad.bin"):
+            ValueGrid.load(bad)
+    bad.write_bytes(blob + b"\0")
+    with pytest.raises(ValueError, match="bad.bin has 1 trailing bytes"):
+        ValueGrid.load(bad)
 
 
 def test_value_grid_slice_csv(tmp_path, lin2):

@@ -48,42 +48,30 @@ def test_hjb_zero_evidence_fails(lin2):
     assert "insufficient evidence" in rep.details["note"]
 
 
-def test_hjb_boundary_sample_rejected(lin2):
-    vg = value_dp(lin2, [Axis(-2.0, 2.0, 9)] * 2, TimeGrid(0.0, 1.0, 5))
-    with pytest.raises(ValueError, match="interior"):
-        hjb_residual(vg, lin2, samples=[(0, (3, 3))])
-    with pytest.raises(ValueError, match="boundary"):
-        hjb_residual(vg, lin2, samples=[(2, (0, 3))])
-
-
-def test_hjb_explicit_interior_samples(lin2):
-    vg = value_dp(lin2, [Axis(-2.0, 2.0, 9)] * 2, TimeGrid(0.0, 1.0, 5))
-    rep = hjb_residual(vg, lin2, samples=[(2, (4, 4)), (3, (2, 5))])
-    assert (rep.details["evaluated"] + rep.details["skipped_kinks"]
-            + rep.details["skipped_boundary"]) == 2
-
-
 def test_hjb_matches_pointwise_hamiltonian_operation(lin2):
-    # the vectorized sweep must agree with the costate-pairing operation
+    # the vectorized sweep's worst residual, re-derived at its witness node
+    # with the costate-pairing operation
     from enoc import hamiltonian
     vg = value_dp(lin2, [Axis(-3.0, 3.0, 25)] * 2, TimeGrid(0.0, 1.0, 20))
-    j = 10
-    idx = (12, 12)
-    dz = vg.axes[0].spacing
-    grad = np.array([
-        (vg.values[j][idx[0] + 1, idx[1]] - vg.values[j][idx[0] - 1, idx[1]])
-        / (2 * dz),
-        (vg.values[j][idx[0], idx[1] + 1] - vg.values[j][idx[0], idx[1] - 1])
-        / (2 * dz),
-    ])
+    rep = hjb_residual(vg, lin2)
+    assert rep.details["evaluated"] > 0
+    j = rep.witness["time_index"]
+    idx = tuple(int(round((z - ax.lo) / ax.spacing))
+                for z, ax in zip(rep.witness["z"], vg.axes))
+    assert [ax.nodes[i] for ax, i in zip(vg.axes, idx)] == rep.witness["z"]
+    grad = np.empty(2)
+    for ax_i, ax in enumerate(vg.axes):
+        up, dn = list(idx), list(idx)
+        up[ax_i] += 1
+        dn[ax_i] -= 1
+        grad[ax_i] = ((vg.values[j][tuple(up)] - vg.values[j][tuple(dn)])
+                      / (2 * ax.spacing))
     xi_t = (vg.values[j + 1][idx] - vg.values[j - 1][idx]) / (2 * vg.grid.dt)
-    z = np.array([vg.axes[0].nodes[idx[0]], vg.axes[1].nodes[idx[1]]])
-    phi = EnsembleState(z.reshape(2, 1), lin2.space)
+    phi = EnsembleState(np.array(rep.witness["z"]).reshape(2, 1), lin2.space)
     costate = EnsembleState((grad / lin2.space.weights).reshape(2, 1), lin2.space)
     h = hamiltonian(lin2, vg.grid.nodes[j], phi, costate)
-    rep = hjb_residual(vg, lin2, samples=[(j, idx)])
-    if rep.details["evaluated"]:
-        assert rep.worst == pytest.approx(abs(xi_t + h.value), abs=1e-12)
+    assert rep.worst > 0.0
+    assert rep.worst == pytest.approx(abs(xi_t + h.value), abs=1e-12)
 
 
 # -- invariance ---------------------------------------------------------------
