@@ -9,14 +9,14 @@ from .errors import (CapabilityError, CapacityError, DimensionMismatchError,
                      ScheduleError, TerminalValueError)
 from .measure import (EnsembleState, ParameterSpace, ball_average,
                       ball_average_norm_bound, ball_mass, l2_inner, l2_norm)
-from .problem import (ControlSchedule, DynamicsSpec, HamiltonianResult,
-                      ProblemSpec, TerminalCostSpec, ValidationReport,
+from .problem import (CheckReport, ControlSchedule, DynamicsSpec,
+                      HamiltonianResult, ProblemSpec, TerminalCostSpec,
                       hamiltonian, modulus_check, validate_cost_bound,
                       validate_growth, validate_lipschitz)
 from .library import (builtin, closed_form, cost_lipschitz_bound, load_problem,
                       problem_from_dict)
-from .ensemble import (CheckReport, ControlSignal, TimeGrid, Trajectory,
-                       integrate, trajectory_bound_suite, random_signal)
+from .ensemble import (ControlSignal, TimeGrid, Trajectory, integrate,
+                       trajectory_bound_suite, random_signal)
 from .value import (AdjointResult, Axis, DppResult, OracleResult, OracleTree,
                     QueryResult, ValueGrid, ValueQuery, build_oracle_tree,
                     compute_value, dpp_residual, greedy_rollout, reduced_cost,

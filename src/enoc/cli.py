@@ -23,10 +23,9 @@ import numpy as np
 from . import __version__
 from .errors import EnocError
 from .measure import EnsembleState
-from .problem import ProblemSpec
+from .problem import CheckReport, ProblemSpec, _instance_tag
 from .library import builtin, cost_lipschitz_bound, load_problem
-from .ensemble import (CheckReport, ControlSignal, TimeGrid, _instance_tag,
-                       integrate, trajectory_bound_suite)
+from .ensemble import ControlSignal, TimeGrid, integrate, trajectory_bound_suite
 from .value import (Axis, ValueGrid, ValueQuery, compute_value, dpp_residual,
                     unstack_state, value_dp)
 from .verify import (epigraph_invariance, hjb_residual, oscillation_diagnostic,

@@ -1,6 +1,5 @@
-"""Trajectory integration for control-driven ensembles, plus the bound suite
-and the :class:`CheckReport` that it and every other certification check
-return.
+"""Trajectory integration for control-driven ensembles, plus the trajectory
+bound suite.
 
 For a fixed control the atoms decouple, so one classical 4th-order step
 advances the whole (M, n) state block at once.  Fixed-step integration only:
@@ -11,13 +10,13 @@ stepping would confound their slack factors.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DivergenceError
 from .measure import EnsembleState
-from .problem import ProblemSpec
+from .problem import CheckReport, ProblemSpec, _instance_tag
 
 _FLOAT_FMT = "%.17g"
 
@@ -87,10 +86,6 @@ class ControlSignal:
     def m(self):
         return self.values.shape[1]
 
-    def restrict(self, j):
-        """Tail of the signal from node j onward."""
-        return ControlSignal(self.grid.suffix(j), self.values[j:])
-
     def check_admissible(self, p: ProblemSpec, tol=1e-9):
         """Verify each value lies in the convex hull of the set active then.
 
@@ -115,26 +110,9 @@ class Trajectory:
     control: ControlSignal
     space: object = None
 
-    def state_at(self, j) -> EnsembleState:
-        return EnsembleState(self.states[j], self.space)
-
     @property
     def terminal(self) -> EnsembleState:
         return EnsembleState(self.states[-1], self.space)
-
-    def verify_consistency(self, p) -> bool:
-        """Re-evaluate every step and compare bit-for-bit.
-
-        The integrator is deterministic, so a stored trajectory must
-        reproduce exactly under re-evaluation; anything else means the
-        states array was tampered with or belongs to another problem.
-        """
-        try:
-            redo = _integrate_batch(p, self.grid.nodes[None], self.states[None, 0],
-                                    self.control.values[None])
-        except DivergenceError:
-            return False
-        return np.array_equal(redo[:, 0], self.states)
 
     def to_csv(self, path):
         """Write rows (t, atom, x_0.., u_0..); the control column of the last
@@ -250,48 +228,10 @@ def _check_start(p: ProblemSpec, s, phi: EnsembleState, u: ControlSignal):
         )
 
 
-@dataclass
-class CheckReport:
-    """One certification outcome; ``worst`` and ``witness`` stay re-evaluable."""
-
-    name: str
-    instance: dict
-    tolerance: object
-    worst: float
-    witness: dict
-    passed: bool
-    details: dict = field(default_factory=dict)
-    seed: object = None
-
-    def __str__(self):
-        status = "pass" if self.passed else "FAIL"
-        return (f"[{status}] {self.name}: worst={self.worst:.4g} "
-                f"(tol={self.tolerance})")
-
-
-def _instance_tag(p: ProblemSpec):
-    tag = {"M": p.space.size, "n": p.n, "m": p.m, "horizon": p.horizon}
-    if "builtin" in p.meta:
-        tag["builtin"] = p.meta["builtin"]
-    return tag
-
-
 def random_signal(p: ProblemSpec, grid: TimeGrid, rng) -> ControlSignal:
-    """Uniformly random admissible signal on the grid.
-
-    One vector draw per run of intervals that share an active set; the
-    Generator yields the same stream as one scalar draw per interval.
-    """
-    sched = p.controls
-    idx = np.searchsorted(sched.breakpoints, grid.nodes[:-1], side="right") - 1
-    if idx[0] < 0:
-        sched.active_index(grid.nodes[0])        # raises ScheduleError
-    vals = np.empty((grid.steps, p.m))
-    cuts = np.flatnonzero(np.diff(idx)) + 1
-    for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, grid.steps]):
-        pts = sched.sets[idx[lo]]
-        vals[lo:hi] = pts[rng.integers(pts.shape[0], size=hi - lo)]
-    return ControlSignal(grid, vals)
+    """Uniformly random admissible signal on the grid: one
+    :meth:`ControlSchedule.sample` draw at the interval starts."""
+    return ControlSignal(grid, p.controls.sample(grid.nodes[:-1], rng))
 
 
 def _weighted_norm(w, d):

@@ -10,7 +10,8 @@ batches of states.  Allowed syntax:
   (``min``/``max`` take two or more arguments and apply elementwise).
 
 Nothing else is accepted; in particular no attribute access, subscripts,
-comparisons or names outside the declared variable set.
+comparisons or names outside the declared variable set.  Expressions nest at
+most ``MAX_DEPTH`` levels, so evaluation stays far from the recursion limit.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import ast
 import numpy as np
 
 GRAMMAR_VERSION = "1"
+MAX_DEPTH = 200
 
 _FUNCS = {
     "exp": np.exp,
@@ -45,31 +47,38 @@ class Expression:
     """A compiled expression; call with keyword arrays for each variable."""
 
     def __init__(self, source: str, variables):
+        if not isinstance(source, str):
+            raise ExpressionError(f"an expression must be a string, got {source!r:.80}")
         self.source = source
         self.variables = tuple(variables)
         try:
             tree = ast.parse(source, mode="eval")
-        except SyntaxError as exc:
-            raise ExpressionError(f"cannot parse {source!r}: {exc}") from None
+        except (SyntaxError, ValueError, RecursionError) as exc:
+            raise ExpressionError(f"cannot parse {source!r:.80}: {exc}") from None
         self._tree = tree.body
-        self._check(self._tree)
+        self._check(self._tree, 0)
 
-    def _check(self, node):
+    def _check(self, node, depth):
+        if depth >= MAX_DEPTH:
+            raise ExpressionError(f"expression nests deeper than {MAX_DEPTH} levels")
         if isinstance(node, ast.Constant):
             if not isinstance(node.value, (int, float)):
                 raise ExpressionError(f"literal {node.value!r} is not a number")
             # literals are floats, so 2**-1 is 0.5 and 3**40 cannot wrap an int64
-            node.value = float(node.value)
+            try:
+                node.value = float(node.value)
+            except OverflowError:
+                raise ExpressionError("integer literal too large for a float") from None
         elif isinstance(node, ast.Name):
             if node.id not in self.variables:
                 raise ExpressionError(
                     f"unknown variable {node.id!r}; allowed: {', '.join(self.variables)}"
                 )
         elif isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
-            self._check(node.left)
-            self._check(node.right)
+            self._check(node.left, depth + 1)
+            self._check(node.right, depth + 1)
         elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-            self._check(node.operand)
+            self._check(node.operand, depth + 1)
         elif isinstance(node, ast.Call):
             if not isinstance(node.func, ast.Name) or node.keywords:
                 raise ExpressionError("only plain calls to named functions are allowed")
@@ -83,7 +92,7 @@ class Expression:
             else:
                 raise ExpressionError(f"unknown function {name!r}")
             for arg in node.args:
-                self._check(arg)
+                self._check(arg, depth + 1)
         else:
             raise ExpressionError(
                 f"disallowed syntax {type(node).__name__} in {self.source!r}"

@@ -13,8 +13,10 @@ atom coordinates ``w1..wd``; grammar documented there).
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import json
+import operator
 import os
 
 import numpy as np
@@ -234,6 +236,11 @@ def builtin(name, **parameters) -> ProblemSpec:
     if factory is None:
         known = ", ".join(sorted(_BUILTINS))
         raise ValueError(f"unknown builtin problem {name!r}; known: {known}")
+    accepted = inspect.signature(factory).parameters
+    unknown = sorted(set(parameters) - set(accepted))
+    if unknown:
+        raise ValueError(f"unknown parameter(s) {', '.join(unknown)} for builtin "
+                         f"{name!r}; accepted: {', '.join(accepted)}")
     return factory(**parameters)
 
 
@@ -274,13 +281,6 @@ class LinearEnsembleClosedForm:
                       limit=200)
         return affine - self.rho * mod
 
-    def optimal_signal(self, grid):
-        """Piecewise-constant realization sampled at interval midpoints."""
-        from .ensemble import ControlSignal
-        mids = 0.5 * (grid.nodes[:-1] + grid.nodes[1:])
-        vals = np.stack([self.optimal_control(t) for t in mids])
-        return ControlSignal(grid, vals)
-
 
 def closed_form(p: ProblemSpec) -> LinearEnsembleClosedForm:
     """Closed-form reference for problems that export one."""
@@ -312,13 +312,43 @@ def cost_lipschitz_bound(p: ProblemSpec, radius: float) -> float:
 
 # -- problem files ---------------------------------------------------------
 
+_REQUIRED = object()
+
+
+def _get(doc, path, convert, default=_REQUIRED):
+    """``convert(doc[a][b]...)`` for the dotted key ``path`` (or ``default``
+    if given and the last key is absent); any failure is a ValueError naming
+    the key."""
+    try:
+        *parents, last = path.split(".")
+        for key in parents:
+            doc = doc[key]
+        return convert(doc[last] if default is _REQUIRED or last in doc else default)
+    except (KeyError, TypeError, ValueError, OverflowError, OSError) as exc:
+        detail = f"missing {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"problem key {path!r}: {detail}") from None
+
+
+def _list(val):
+    if not isinstance(val, list):
+        raise TypeError(f"expected a JSON list, got {val!r:.60}")
+    return val
+
+
 def problem_from_dict(doc, base_dir=".") -> ProblemSpec:
+    """Build a problem from an ``enoc-problem/1`` document; ValueError names a bad key."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a problem document must be a JSON object, got {doc!r:.60}")
     if doc.get("format") != PROBLEM_FORMAT:
         raise ValueError(
             f"unsupported problem format {doc.get('format')!r}, expected {PROBLEM_FORMAT!r}"
         )
     if "builtin" in doc:
-        return builtin(doc["builtin"], **doc.get("parameters", {}))
+        params = doc.get("parameters", {})
+        if not isinstance(params, dict):
+            raise ValueError(f"problem key 'parameters' must be a JSON object, "
+                             f"got {params!r:.60}")
+        return builtin(doc["builtin"], **params)
     return _expression_problem(doc, base_dir)
 
 
@@ -329,73 +359,65 @@ def load_problem(path) -> ProblemSpec:
 
 
 def _expression_problem(doc, base_dir) -> ProblemSpec:
-    space_ref = doc["space"]
-    if isinstance(space_ref, str):
-        space = ParameterSpace.load(os.path.join(base_dir, space_ref))
-    else:
-        space = ParameterSpace.from_dict(space_ref)
-    n = int(doc["n"])
-    m = int(doc["m"])
-    T = float(doc["horizon"])
+    space = _get(doc, "space", lambda ref: (
+        ParameterSpace.load(os.path.join(base_dir, ref)) if isinstance(ref, str)
+        else ParameterSpace.from_dict(ref)))
+    n = _get(doc, "n", operator.index)
+    sets = _get(doc, "controls.sets", _list)
+    controls = _get(doc, "controls", lambda ctl: ControlSchedule(
+        ctl["breakpoints"], sets, ctl.get("box")))
+    m = _get(doc, "m", operator.index)
+    if m != controls.m:
+        raise ValueError(f"problem key 'm': {m} != control set dimension {controls.m}")
+    T = _get(doc, "horizon", float)
     d = 0 if space.coords is None else space.coords.shape[1]
-    variables = (["t"] + [f"x{k+1}" for k in range(n)]
-                 + [f"u{k+1}" for k in range(m)] + [f"w{k+1}" for k in range(d)])
 
-    dyn_doc = doc["dynamics"]
-    exprs = [Expression(src, variables) for src in dyn_doc["expressions"]]
-    if len(exprs) != n:
-        raise ValueError(f"need {n} dynamics expressions, got {len(exprs)}")
+    def compile_dynamics(sources):
+        # the count is checked before the x1..xn names are built
+        if len(_list(sources)) != n:
+            raise ValueError(f"need {n} dynamics expressions, got {len(sources)}")
+        variables = (["t"] + [f"x{k+1}" for k in range(n)]
+                     + [f"u{k+1}" for k in range(m)] + [f"w{k+1}" for k in range(d)])
+        return [Expression(src, variables) for src in sources]
+
+    exprs = _get(doc, "dynamics.expressions", compile_dynamics)
     coords = space.coords if d else np.zeros((space.size, 0))
 
-    def env_for(t, X, u):
-        # t and u carry the batch dims of X without the atom axis; the
-        # trailing axis lets them broadcast against the (..., M) state columns
-        env = {"t": t if np.ndim(t) == 0 else np.asarray(t)[..., None]}
-        for k in range(n):
-            env[f"x{k+1}"] = X[..., k]
-        uu = np.asarray(u, dtype=float)
-        for k in range(m):
-            env[f"u{k+1}"] = uu[..., k, None]
-        for k in range(d):
-            env[f"w{k+1}"] = coords[:, k]
+    def env_for(X):
+        X = np.asarray(X, dtype=float)
+        env = {f"x{k+1}": X[..., k] for k in range(n)}
+        env.update({f"w{k+1}": coords[:, k] for k in range(d)})
         return env
 
     def f_ens(t, X, u):
-        env = env_for(t, np.asarray(X, dtype=float), u)
+        # t and u carry the batch dims of X without the atom axis; the
+        # trailing axis lets them broadcast against the (..., M) state columns
+        env = env_for(X)
+        env["t"] = t if np.ndim(t) == 0 else np.asarray(t)[..., None]
+        uu = np.asarray(u, dtype=float)
+        env.update({f"u{k+1}": uu[..., k, None] for k in range(m)})
         comps = [np.broadcast_to(e(**env), np.shape(X)[:-1]) for e in exprs]
         return np.stack(comps, axis=-1).astype(float)
 
-    theta = None
-    if "omega_modulus" in dyn_doc:
-        texpr = Expression(dyn_doc["omega_modulus"], ["r"])
-        theta = lambda r: float(texpr(r=r))
-
+    texpr = _get(doc, "dynamics.omega_modulus",
+                 lambda src: None if src is None else Expression(src, ["r"]), None)
+    theta = None if texpr is None else lambda r: float(texpr(r=r))
     dyn = DynamicsSpec(eval_ens=f_ens,
-                       growth_c=float(dyn_doc["growth_c"]),
-                       lipschitz_k=float(dyn_doc["lipschitz_k"]),
+                       growth_c=_get(doc, "dynamics.growth_c", float),
+                       lipschitz_k=_get(doc, "dynamics.lipschitz_k", float),
                        omega_modulus=theta)
 
-    cost_doc = doc["cost"]
     cost_vars = ([f"x{k+1}" for k in range(n)] + [f"w{k+1}" for k in range(d)])
-    gexpr = Expression(cost_doc["expression"], cost_vars)
+    gexpr = _get(doc, "cost.expression", lambda src: Expression(src, cost_vars))
 
     def g_ens(X):
-        X = np.asarray(X, dtype=float)
-        env = {}
-        for k in range(n):
-            env[f"x{k+1}"] = X[..., k]
-        for k in range(d):
-            env[f"w{k+1}"] = coords[:, k]
-        return np.broadcast_to(gexpr(**env), np.shape(X)[:-1]).astype(float)
+        return np.broadcast_to(gexpr(**env_for(X)), np.shape(X)[:-1]).astype(float)
 
-    lb_a = cost_doc.get("lower_bound_a", 0.0)
-    lb_a = (np.full(space.size, float(lb_a)) if np.isscalar(lb_a)
-            else np.asarray(lb_a, dtype=float))
+    lb_a = _get(doc, "cost.lower_bound_a", lambda v: (
+        np.full(space.size, float(v)) if np.isscalar(v) else np.asarray(v, dtype=float)),
+        0.0)
     cost = TerminalCostSpec(eval_ens=g_ens, lower_bound_a=lb_a,
-                            lower_bound_b=float(cost_doc.get("lower_bound_b", 0.0)))
-
-    ctl = doc["controls"]
-    controls = ControlSchedule(ctl["breakpoints"], ctl["sets"], ctl.get("box"))
+                            lower_bound_b=_get(doc, "cost.lower_bound_b", float, 0.0))
     meta = {"doc": doc}
     return ProblemSpec(space=space, n=n, m=m, dynamics=dyn, cost=cost,
                        controls=controls, horizon=T, meta=meta)

@@ -145,10 +145,6 @@ class ParameterSpace:
         """Total mass of the space (sum of weights)."""
         return float(self._weights.sum())
 
-    @property
-    def diameter(self):
-        return float(self._metric.max())
-
     def __repr__(self):
         return f"ParameterSpace(M={self.size}, mass={self.mass:.6g})"
 
@@ -170,11 +166,16 @@ class ParameterSpace:
 
     @classmethod
     def from_dict(cls, doc):
+        if not isinstance(doc, dict):
+            raise ValueError(f"a space must be a JSON object, got {doc!r:.60}")
         if doc.get("format") != SPACE_FORMAT:
             raise ValueError(
                 f"unsupported space format {doc.get('format')!r}, expected {SPACE_FORMAT!r}"
             )
         atoms = doc["atoms"]
+        if not (isinstance(atoms, list) and all(isinstance(a, dict) for a in atoms)):
+            raise ValueError(
+                f"space key 'atoms' must be a list of objects, got {atoms!r:.60}")
         labels = [a["id"] for a in atoms]
         coords = None
         if atoms and "coords" in atoms[0]:

@@ -191,6 +191,19 @@ class ControlSchedule:
                       options={"primal_feasibility_tolerance": 1e-10})
         return res.status == 0
 
+    def sample(self, times, rng):
+        """One uniformly drawn point of the active set per time, (len(times), m):
+        one vector draw per run of consecutive times sharing an active set, the
+        same stream as one scalar draw per time in the given (any) order."""
+        times = np.asarray(times, dtype=float)
+        idx = np.searchsorted(self.breakpoints, times, side="right") - 1
+        out = np.empty((times.size, self.m))
+        starts = np.flatnonzero(np.diff(idx, prepend=-2))
+        for lo, hi in zip(starts, np.r_[starts[1:], times.size]):
+            pts = self.active_set(times[lo])     # ScheduleError before the first set
+            out[lo:hi] = pts[rng.integers(pts.shape[0], size=hi - lo)]
+        return out
+
 
 @dataclass
 class ProblemSpec:
@@ -264,148 +277,151 @@ def hamiltonian(p: ProblemSpec, t, phi: EnsembleState,
 
 
 @dataclass
-class ValidationReport:
-    """Outcome of a sampled certificate check.
-
-    A pass is Monte Carlo evidence on the stated domain, not a proof; the
-    domain box is part of the report so every 'pass' stays qualified.
-    """
+class CheckReport:
+    """One certification outcome; ``worst`` and ``witness`` stay re-evaluable.
+    The four certificate validators below and the six verify checks return it."""
 
     name: str
-    passed: bool
+    instance: dict
+    tolerance: object
     worst: float
-    samples: int
-    domain: dict
-    witness: Optional[dict] = None
-    note: str = "sampled evidence on the stated domain, not a proof"
+    witness: dict
+    passed: bool
+    details: dict = field(default_factory=dict)
+    seed: object = None
 
     def __str__(self):
         status = "pass" if self.passed else "FAIL"
-        return f"[{status}] {self.name}: worst={self.worst:.6g} over {self.samples} samples"
+        return (f"[{status}] {self.name}: worst={self.worst:.4g} "
+                f"(tol={self.tolerance})")
 
 
-def _sample_controls(p: ProblemSpec, rng, count):
-    """Random admissible control points with their times."""
-    ts = rng.uniform(0.0, p.horizon, size=count)
-    us = np.empty((count, p.m))
-    for q, t in enumerate(ts):
-        pts = p.controls.active_set(t)
-        us[q] = pts[rng.integers(pts.shape[0])]
-    return ts, us
+def _instance_tag(p: ProblemSpec):
+    tag = {"M": p.space.size, "n": p.n, "m": p.m, "horizon": p.horizon}
+    if "builtin" in p.meta:
+        tag["builtin"] = p.meta["builtin"]
+    return tag
 
 
-def _atom_rows(p: ProblemSpec, t, x, u):
-    """Field at every atom for the ensemble whose atoms all sit at x: (M, n)."""
-    return p.dynamics.field(t, np.broadcast_to(x, (p.space.size, p.n)), u)
+# -- certificate validators ---------------------------------------------------
+#
+# Each validator scores random samples and reports under one rule: the
+# witness is the worst evaluated sample, and
+# ``passed = evaluated > 0 and worst <= tolerance``.  A NaN score is the
+# worst there is, so it fails the check.
+
+def _sampled_report(p, name, tolerance, scores, witness_at, seed,
+                    evaluated=None, **details) -> CheckReport:
+    mask = np.ones(scores.shape, dtype=bool) if evaluated is None else evaluated
+    count = int(mask.sum())
+    worst, witness = 0.0, {}
+    if count:
+        q = int(np.argmax(np.where(mask, scores, -np.inf)))
+        worst, witness = float(scores[q]), witness_at(q)
+    else:
+        details["note"] = "insufficient evidence: every sample was skipped"
+    return CheckReport(name=name, instance=_instance_tag(p), tolerance=tolerance,
+                       worst=worst, witness=witness,
+                       passed=count > 0 and worst <= tolerance,
+                       details=dict(details, evaluated=count), seed=seed)
 
 
-def validate_growth(p: ProblemSpec, samples: int, seed=0, x_radius=10.0) -> ValidationReport:
-    """Check |f(t,x,u,w)| <= c (1 + |x|) on random samples."""
+def _norms(v):
+    """Row norms of (S, n), bitwise equal to ``np.linalg.norm`` of each row."""
+    return np.sqrt(np.vecdot(v, v))
+
+
+def _field_samples(p: ProblemSpec, samples, seed, x_radius, states):
+    """Draw times, admissible controls, ``states`` state arrays and atoms, in
+    that order from one Generator, and return them with the sampled atom's
+    velocity at each state array: one batched field call per array, on
+    ensembles whose atoms all sit at the sampled state."""
     if samples <= 0:
         raise ValueError("sampler budget must be positive")
     rng = np.random.default_rng(seed)
-    ts, us = _sample_controls(p, rng, samples)
-    xs = rng.uniform(-x_radius, x_radius, size=(samples, p.n))
+    ts = rng.uniform(0.0, p.horizon, size=samples)
+    us = p.controls.sample(ts, rng)
+    xs = [rng.uniform(-x_radius, x_radius, size=(samples, p.n)) for _ in range(states)]
     idx = rng.integers(p.space.size, size=samples)
-    c = p.dynamics.growth_c
-    worst = 0.0
-    witness = None
-    for q in range(samples):
-        v = _atom_rows(p, ts[q], xs[q], us[q])[idx[q]]
-        ratio = float(np.linalg.norm(v) / (c * (1.0 + np.linalg.norm(xs[q]))))
-        if ratio > worst:
-            worst = ratio
-            witness = {"t": float(ts[q]), "x": xs[q].tolist(), "u": us[q].tolist(),
-                       "atom": int(idx[q]), "ratio": ratio}
-    return ValidationReport(
-        name="growth",
-        passed=worst <= 1.0 + 1e-12,
-        worst=worst,
-        samples=samples,
-        domain={"t": [0.0, p.horizon], "x_radius": x_radius},
-        witness=witness if worst > 1.0 + 1e-12 else None,
-    )
+    shape = (samples, p.space.size, p.n)
+    vs = [p.dynamics.field(ts, np.broadcast_to(x[:, None, :], shape), us)
+          [np.arange(samples), idx] for x in xs]
+    return ts, us, xs, idx, vs
 
 
-def validate_lipschitz(p: ProblemSpec, samples: int, seed=0, x_radius=10.0) -> ValidationReport:
-    """Check |f(t,x,u,w) - f(t,x',u,w)| <= k |x - x'| on random state pairs."""
-    if samples <= 0:
-        raise ValueError("sampler budget must be positive")
-    rng = np.random.default_rng(seed)
-    ts, us = _sample_controls(p, rng, samples)
-    xs = rng.uniform(-x_radius, x_radius, size=(samples, p.n))
-    ys = rng.uniform(-x_radius, x_radius, size=(samples, p.n))
-    idx = rng.integers(p.space.size, size=samples)
-    k = p.dynamics.lipschitz_k
-    worst = 0.0
-    witness = None
-    for q in range(samples):
-        gap = np.linalg.norm(xs[q] - ys[q])
-        if gap < 1e-9:
-            continue
-        vx = _atom_rows(p, ts[q], xs[q], us[q])[idx[q]]
-        vy = _atom_rows(p, ts[q], ys[q], us[q])[idx[q]]
-        ratio = float(np.linalg.norm(vx - vy) / (k * gap))
-        if ratio > worst:
-            worst = ratio
-            witness = {"t": float(ts[q]), "x": xs[q].tolist(), "x2": ys[q].tolist(),
-                       "u": us[q].tolist(), "atom": int(idx[q]), "ratio": ratio}
-    return ValidationReport(
-        name="lipschitz",
-        passed=worst <= 1.0 + 1e-12,
-        worst=worst,
-        samples=samples,
-        domain={"t": [0.0, p.horizon], "x_radius": x_radius},
-        witness=witness if worst > 1.0 + 1e-12 else None,
-    )
+def validate_growth(p: ProblemSpec, samples: int, seed=0, x_radius=10.0) -> CheckReport:
+    """Check |f(t,x,u,w)| <= c (1 + |x|) on random samples; worst = largest ratio."""
+    ts, us, (xs,), idx, (v,) = _field_samples(p, samples, seed, x_radius, 1)
+    ratio = _norms(v) / (p.dynamics.growth_c * (1.0 + _norms(xs)))
+    return _sampled_report(
+        p, "growth", 1.0 + 1e-12, ratio,
+        lambda q: {"t": float(ts[q]), "x": xs[q].tolist(), "u": us[q].tolist(),
+                   "atom": int(idx[q]), "ratio": float(ratio[q])},
+        seed, samples=samples, domain={"t": [0.0, p.horizon], "x_radius": x_radius})
 
 
-def validate_cost_bound(p: ProblemSpec, samples: int, seed=0, x_radius=10.0) -> ValidationReport:
-    """Check g(x, w_i) >= a_i - b |x|^2 on random samples; worst = most negative slack."""
+def validate_lipschitz(p: ProblemSpec, samples: int, seed=0, x_radius=10.0) -> CheckReport:
+    """Check |f(t,x,u,w) - f(t,x',u,w)| <= k |x - x'| on random state pairs.
+
+    Pairs closer than 1e-9 are skipped; with every pair skipped the check
+    fails for lack of evidence.
+    """
+    ts, us, (xs, ys), idx, (vx, vy) = _field_samples(p, samples, seed, x_radius, 2)
+    gap = _norms(xs - ys)
+    ratio = _norms(vx - vy) / (p.dynamics.lipschitz_k * np.maximum(gap, 1e-9))
+    return _sampled_report(
+        p, "lipschitz", 1.0 + 1e-12, ratio,
+        lambda q: {"t": float(ts[q]), "x": xs[q].tolist(), "x2": ys[q].tolist(),
+                   "u": us[q].tolist(), "atom": int(idx[q]), "ratio": float(ratio[q])},
+        seed, evaluated=gap >= 1e-9, samples=samples,
+        domain={"t": [0.0, p.horizon], "x_radius": x_radius})
+
+
+def validate_cost_bound(p: ProblemSpec, samples: int, seed=0, x_radius=10.0) -> CheckReport:
+    """Check g(x, w_i) >= a_i - b |x|^2 on random samples; worst = largest
+    deficit a_i - b |x|^2 - g(x, w_i)."""
     if samples <= 0:
         raise ValueError("sampler budget must be positive")
     rng = np.random.default_rng(seed)
     xs = rng.uniform(-x_radius, x_radius, size=(samples, p.n))
     idx = rng.integers(p.space.size, size=samples)
-    a = p.cost.lower_bound_a
-    b = p.cost.lower_bound_b
     X = np.broadcast_to(xs[:, None, :], (samples, p.space.size, p.n))
     g = p.cost.values(X)[np.arange(samples), idx]
-    slack = g - (a[idx] - b * (xs * xs).sum(axis=1))
-    q = int(np.argmin(slack))
-    worst = float(slack[q])
-    return ValidationReport(
-        name="cost_bound",
-        passed=worst >= -1e-12,
-        worst=worst,
-        samples=samples,
-        domain={"x_radius": x_radius},
-        witness=({"x": xs[q].tolist(), "atom": int(idx[q]), "slack": worst}
-                 if worst < -1e-12 else None),
-    )
+    deficit = (p.cost.lower_bound_a[idx]
+               - p.cost.lower_bound_b * (xs * xs).sum(axis=1)) - g
+    return _sampled_report(
+        p, "cost_bound", 1e-12, deficit,
+        lambda q: {"x": xs[q].tolist(), "atom": int(idx[q]),
+                   "deficit": float(deficit[q])},
+        seed, samples=samples, domain={"x_radius": x_radius})
 
 
 def modulus_check(p: ProblemSpec, pairs: int, seed=0, x_radius=5.0,
-                  state_samples=32, t_nodes=33) -> ValidationReport:
+                  state_samples=32, t_nodes=33) -> CheckReport:
     """Check the declared parameter modulus against a sampled oscillation estimate.
 
     For sampled atom pairs (i, j) the quantity
     integral over [0,T] of max over sampled (x, u) of |f(t,x,u,w_i) - f(t,x,u,w_j)|
     is estimated by composite trapezoid in t, and must not exceed
-    theta(d(w_i, w_j)).  The two dynamics are compared at the same state
-    point: that is the oscillation the trajectory-based compactness
-    diagnostic needs, and the one a state-linear field keeps finite on a box.
+    theta(d(w_i, w_j)); worst = the largest excess.  The two dynamics are
+    compared at the same state point: that is the oscillation the
+    trajectory-based compactness diagnostic needs, and the one a
+    state-linear field keeps finite on a box.  A single atom passes
+    vacuously.
     """
     if p.dynamics.omega_modulus is None:
         raise CapabilityError("dynamics declares no parameter modulus")
     if pairs <= 0:
         raise ValueError("pair budget must be positive")
     M = p.space.size
+    domain = {"t": [0.0, p.horizon], "x_radius": x_radius,
+              "state_samples": state_samples}
     if M == 1:
-        return ValidationReport(
-            name="modulus", passed=True, worst=0.0, samples=0,
-            domain={"x_radius": x_radius}, note="single atom: vacuously true",
-        )
+        return CheckReport(
+            name="modulus", instance=_instance_tag(p), tolerance=1e-12, worst=0.0,
+            witness={}, passed=True, seed=seed,
+            details={"samples": 0, "domain": domain, "evaluated": 0,
+                     "note": "single atom: vacuously true"})
     rng = np.random.default_rng(seed)
     all_pairs = [(i, j) for i in range(M) for j in range(i + 1, M)]
     if pairs >= len(all_pairs):
@@ -424,23 +440,11 @@ def modulus_check(p: ProblemSpec, pairs: int, seed=0, x_radius=5.0,
             V = p.dynamics.field(t, X, u)
             gaps = np.linalg.norm(V[:, I] - V[:, J], axis=-1).max(axis=0)
             vals[:, q] = np.maximum(vals[:, q], gaps)
-    theta = p.dynamics.omega_modulus
-    worst = -np.inf
-    witness = None
-    for (i, j), row in zip(chosen, vals):
-        est = float(np.trapezoid(row, ts))
-        bound = float(theta(p.space.metric[i, j]))
-        excess = est - bound
-        if excess > worst:
-            worst = excess
-            witness = {"atoms": [i, j], "estimate": est, "bound": bound,
-                       "distance": float(p.space.metric[i, j])}
-    return ValidationReport(
-        name="modulus",
-        passed=worst <= 1e-12,
-        worst=float(worst),
-        samples=len(chosen),
-        domain={"t": [0.0, p.horizon], "x_radius": x_radius,
-                "state_samples": state_samples},
-        witness=witness if worst > 1e-12 else None,
-    )
+    est = np.array([float(np.trapezoid(row, ts)) for row in vals])
+    dist = p.space.metric[I, J]
+    bound = np.array([float(p.dynamics.omega_modulus(d)) for d in dist])
+    return _sampled_report(
+        p, "modulus", 1e-12, est - bound,
+        lambda q: {"atoms": list(chosen[q]), "estimate": float(est[q]),
+                   "bound": float(bound[q]), "distance": float(dist[q])},
+        seed, samples=len(chosen), domain=domain)

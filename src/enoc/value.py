@@ -15,7 +15,6 @@ extrapolated.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 import struct
@@ -337,19 +336,6 @@ class ValueGrid:
                    tainted=tainted, clamp_count=header["clamp_count"],
                    coverage_radius=header["coverage_radius"],
                    coverage_ok=header["coverage_ok"], meta=header.get("meta", {}))
-
-    def slice_to_csv(self, path, j):
-        """One time slice as CSV rows (axis coords..., value, argmin)."""
-        Z = self.node_matrix()
-        vals = self.values[j].reshape(-1)
-        arg = self.argmin[min(j, self.grid.steps - 1)].reshape(-1)
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow([f"z{k}" for k in range(len(self.axes))]
-                        + ["value", "argmin"])
-            for q in range(Z.shape[0]):
-                wr.writerow(["%.17g" % v for v in Z[q]]
-                            + ["%.17g" % vals[q], int(arg[q])])
 
 
 def value_dp(p: ProblemSpec, axes, grid: TimeGrid, phi_radius=None,

@@ -16,9 +16,9 @@ import numpy as np
 
 from .errors import CapabilityError
 from .measure import EnsembleState, ball_average, ball_mass, l2_norm
-from .problem import ProblemSpec
-from .ensemble import (CheckReport, TimeGrid, _check_start, _instance_tag,
-                       _integrate_batch, integrate, random_signal)
+from .problem import CheckReport, ProblemSpec, _instance_tag
+from .ensemble import (TimeGrid, _check_start, _integrate_batch, integrate,
+                       random_signal)
 from .value import (ValueGrid, _node_mesh, build_oracle_tree,
                     terminal_functional, value_oracle)
 

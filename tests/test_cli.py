@@ -283,6 +283,44 @@ def test_unknown_builtin_message_is_plain(tmp_path, capsys):
         "error: unknown builtin problem 'nope'; known: bilinear, ")
 
 
+@pytest.mark.parametrize("edit, key", [
+    (lambda d: d.update(n=[1]), "'n'"),
+    # 10**12: the counts are checked before any x1..xn / u1..um name is built
+    (lambda d: d.update(n=10 ** 12), "'dynamics.expressions'"),
+    (lambda d: d.update(m=10 ** 12), "'m'"),
+    (lambda d: d.update(horizon=10 ** 400), "'horizon'"),
+    (lambda d: [1, 2], "JSON object"),
+    (lambda d: d.update(space=[1]), "'space'"),
+    (lambda d: d["space"].update(atoms=3), "'atoms'"),
+    (lambda d: d["dynamics"].update(expressions=[3]), "'dynamics.expressions'"),
+    (lambda d: d["dynamics"].update(growth_c=None), "'dynamics.growth_c'"),
+    (lambda d: d["controls"].update(sets=3), "'controls.sets'"),
+    (lambda d: {"format": "enoc-problem/1", "builtin": "bilinear",
+                "parameters": [1]}, "'parameters'"),
+    (lambda d: {"format": "enoc-problem/1", "builtin": "bilinear",
+                "parameters": {"zzz": 1}}, "accepted: M, n, a"),
+], ids=["n-list", "n-huge", "m-huge", "horizon-huge", "top-level-list", "space-list",
+        "atoms-number", "expression-number", "growth-null", "sets-number",
+        "builtin-parameters-list", "builtin-unknown-param"])
+def test_malformed_problem_file_exits_2_naming_the_key(tmp_path, capsys, sine_drift_doc,
+                                                       edit, key):
+    doc = edit(sine_drift_doc)
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(sine_drift_doc if doc is None else doc))
+    rc = run(["solve", "--problem", str(path), "--method", "oracle", "--steps", "2",
+              "--phi", "0.1,0.2", "--out", str(tmp_path / "x")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+
+
+def test_unknown_builtin_parameter_flag_exits_2(tmp_path, capsys):
+    rc = run(["solve", "--param", "zzz=1", "--method", "oracle", "--steps", "2",
+              "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert "unknown parameter(s) zzz" in capsys.readouterr().err
+
+
 def test_config_file_overrides_flags(tmp_path):
     out = tmp_path / "run"
     cfg = tmp_path / "cfg.json"

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from enoc import (ControlSchedule, ControlSignal, DivergenceError, DynamicsSpec,
-                  EnsembleState, ParameterSpace, ProblemSpec, TerminalCostSpec,
-                  TimeGrid, Trajectory, ball_average, builtin, integrate,
-                  oscillation_diagnostic, problem_from_dict, random_signal,
-                  trajectory_bound_suite)
+                  EnsembleState, ParameterSpace, ProblemSpec, ScheduleError,
+                  TerminalCostSpec, TimeGrid, Trajectory, ball_average, builtin,
+                  integrate, oscillation_diagnostic, problem_from_dict,
+                  random_signal, trajectory_bound_suite)
 
 
 def drift_free(M=2):
@@ -252,7 +252,8 @@ def sequential_suite(p, trials, steps, seed, slack=1.05, phi_scale=1.0):
         track("stability", norm(x[j_t] - xbar[j_t]),
               np.exp(k * (t - s)) * norm(phi.values - phibar.values), trial)
         if j_tau > 0:
-            x_shift = integrate(p, tau, phi, sig.restrict(j_tau)).states
+            x_shift = integrate(p, tau, phi, ControlSignal(
+                grid.suffix(j_tau), sig.values[j_tau:])).states
             track("shift", norm(x_shift[j_t - j_tau] - x[j_t]),
                   c * np.exp(k * (t - tau)) * np.exp(c * (tau - s))
                   * (mu + nphi) * (tau - s), trial)
@@ -346,6 +347,17 @@ def test_random_signal_draws_match_one_draw_per_interval():
         p.controls.active_set(t).shape[0])] for t in grid.nodes[:-1]])
     np.testing.assert_array_equal(sig.values, ref)
     assert rng.integers(2 ** 31) == ref_rng.integers(2 ** 31)
+    # the schedule's sampler keeps that stream on unsorted times too
+    times = np.random.default_rng(1).uniform(0.0, 1.0, 60)
+    times[10:20] = 0.5                                # a longer run of one set
+    got = p.controls.sample(times, rng)
+    ref = np.array([p.controls.active_set(t)[ref_rng.integers(
+        p.controls.active_set(t).shape[0])] for t in times])
+    np.testing.assert_array_equal(got, ref)
+    assert rng.integers(2 ** 31) == ref_rng.integers(2 ** 31)
+    assert p.controls.sample([], rng).shape == (0, 1)
+    with pytest.raises(ScheduleError):
+        p.controls.sample([0.5, -0.1], rng)
 
 
 def test_oscillation_batch_matches_per_signal_integration(lin2):

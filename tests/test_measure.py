@@ -40,7 +40,7 @@ def test_rejects_nonzero_diagonal():
 def test_euclidean_embedding_metric():
     sp = _space([1.0, 1.0, 1.0], coords=[[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]])
     assert sp.metric[1, 2] == pytest.approx(5.0)
-    assert sp.diameter == pytest.approx(5.0)
+    assert sp.metric.max() == pytest.approx(5.0)
 
 
 def test_weights_need_not_be_normalized():
@@ -127,7 +127,7 @@ def test_ball_mass_rejects_nonpositive_radius(two_atom_space):
 def test_ball_mass_nondecreasing_in_radius():
     rng = np.random.default_rng(3)
     sp = _space(rng.uniform(0.1, 1.0, 5), coords=rng.standard_normal((5, 2)))
-    radii = np.linspace(0.05, 2 * sp.diameter, 25)
+    radii = np.linspace(0.05, 2 * sp.metric.max(), 25)
     masses = [ball_mass(sp, r) for r in radii]
     assert all(a <= b + 1e-15 for a, b in zip(masses, masses[1:]))
     assert masses[-1] == pytest.approx(sp.mass)
@@ -183,7 +183,7 @@ def test_ball_average_contracts_when_balls_are_uniform():
     # full-space balls: averaging is the weighted-mean projection
     rng = np.random.default_rng(13)
     sp = _space(rng.uniform(0.1, 1.0, 6), coords=rng.standard_normal((6, 1)))
-    r = 2 * sp.diameter
+    r = 2 * sp.metric.max()
     assert ball_average_norm_bound(sp, r) <= 1 + 1e-12
     for _ in range(25):
         F = EnsembleState(rng.standard_normal((6, 2)), sp)

@@ -2,12 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from enoc import (CapabilityError, ControlSchedule, DynamicsSpec, EnsembleState,
-                  ParameterSpace, ProblemSpec, ScheduleError, TerminalCostSpec,
-                  builtin, closed_form, load_problem, modulus_check,
-                  problem_from_dict, validate_cost_bound, validate_growth,
-                  validate_lipschitz)
+from enoc import (CapabilityError, CheckReport, ControlSchedule, DynamicsSpec,
+                  EnocError, EnsembleState, ParameterSpace, ProblemSpec,
+                  ScheduleError, TerminalCostSpec, builtin, closed_form,
+                  load_problem, modulus_check, problem_from_dict,
+                  validate_cost_bound, validate_growth, validate_lipschitz)
 from enoc.expr import Expression, ExpressionError
 
 
@@ -52,9 +54,13 @@ EXPR_DOC = {
 }
 
 
-def _expr_doc_with(expressions):
+def _expr_doc_replacing(path, value):
+    """A copy of EXPR_DOC whose key at ``path`` holds ``value``."""
     doc = json.loads(json.dumps(EXPR_DOC))
-    doc["dynamics"]["expressions"] = expressions
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
     return doc
 
 
@@ -65,7 +71,8 @@ def _expr_doc_with(expressions):
     lambda: builtin("decoupled-quadratic", M=2, n=2, tau=[[0.3, 0.1], [-0.4, 0.2]]),
     lambda: builtin("bilinear", M=2, n=2, a=[0.5, 1.0]),
     lambda: problem_from_dict(EXPR_DOC),
-    lambda: problem_from_dict(_expr_doc_with(["w1 * x1 * (1 + t * t) - t * u1"])),
+    lambda: problem_from_dict(_expr_doc_replacing(
+        ("dynamics", "expressions"), ["w1 * x1 * (1 + t * t) - t * u1"])),
 ], ids=["linear-ensemble", "decoupled-quadratic", "bilinear", "expression",
         "expression-t"])
 def test_ensemble_evaluator_contract(make):
@@ -149,6 +156,15 @@ def test_lipschitz_sine_passes():
     assert validate_lipschitz(p, samples=500).passed
 
 
+def test_lipschitz_fails_without_evidence():
+    # every pair is closer than 1e-9, so nothing is evaluated: no pass
+    p = toy_problem(lambda t, X, u: 100.0 * X, growth_c=200.0, lipschitz_k=1.0)
+    rep = validate_lipschitz(p, samples=50, x_radius=1e-12)
+    assert not rep.passed
+    assert rep.details["evaluated"] == 0 and rep.witness == {}
+    assert "insufficient evidence" in rep.details["note"]
+
+
 # -- cost lower bound ----------------------------------------------------------
 
 def test_cost_bound_zero_cost():
@@ -171,6 +187,9 @@ def test_cost_bound_quartic_violates():
     rep = validate_cost_bound(p, samples=300, x_radius=2.0)
     assert not rep.passed
     assert abs(rep.witness["x"][0]) > 1.0
+    # worst is the largest deficit a - b|x|^2 - g = x^4 - x^2 > 0
+    x = rep.witness["x"][0]
+    assert rep.worst == rep.witness["deficit"] == pytest.approx(x ** 4 - x ** 2)
 
 
 # -- parameter modulus ----------------------------------------------------------
@@ -218,6 +237,41 @@ def test_modulus_missing_is_capability_error():
     p = toy_problem(zero_field, growth_c=1.0, lipschitz_k=1.0)
     with pytest.raises(CapabilityError):
         modulus_check(p, pairs=1)
+
+
+# -- one report for every validator ----------------------------------------------
+
+_GAINS = np.array([[0.0], [1.0]])
+
+
+@pytest.mark.parametrize("validate, budget, good, bad", [
+    (validate_growth, {"samples": 200},
+     lambda: toy_problem(lambda t, X, u: 0.5 * X, growth_c=1.0, lipschitz_k=1.0),
+     lambda: toy_problem(lambda t, X, u: X * X, growth_c=1.0, lipschitz_k=1.0)),
+    (validate_lipschitz, {"samples": 200},
+     lambda: toy_problem(lambda t, X, u: np.sin(X), growth_c=1.0, lipschitz_k=1.0),
+     lambda: toy_problem(lambda t, X, u: 2.0 * X, growth_c=3.0, lipschitz_k=1.0)),
+    (validate_cost_bound, {"samples": 200},
+     lambda: toy_problem(zero_field, growth_c=1.0, lipschitz_k=1.0,
+                         g=lambda X: (X * X).sum(axis=-1)),
+     lambda: toy_problem(zero_field, growth_c=1.0, lipschitz_k=1.0,
+                         g=lambda X: -(X * X).sum(axis=-1) ** 2, b=1.0)),
+    (modulus_check, {"pairs": 1},
+     lambda: toy_problem(lambda t, X, u: np.broadcast_to(u, np.shape(X)),
+                         growth_c=1.0, lipschitz_k=1.0, theta=lambda r: 0.0),
+     lambda: toy_problem(lambda t, X, u: _GAINS * X, growth_c=1.0,
+                         lipschitz_k=1.0, theta=lambda r: 0.0)),
+], ids=["growth", "lipschitz", "cost_bound", "modulus"])
+def test_validators_report_under_one_rule(validate, budget, good, bad):
+    for make, expected in ((good, True), (bad, False)):
+        rep = validate(make(), seed=3, **budget)
+        assert isinstance(rep, CheckReport)
+        assert rep.passed is expected
+        assert rep.passed == (rep.details["evaluated"] > 0
+                              and rep.worst <= rep.tolerance)
+        # the witness is the worst sample, on a pass too
+        assert rep.witness
+        assert {"samples", "domain"} <= set(rep.details)
 
 
 # -- control schedule -----------------------------------------------------------
@@ -327,6 +381,56 @@ def test_expression_evaluates_elementwise():
 def test_expression_literals_are_floats():
     assert Expression("2**-1", [])() == 0.5
     assert Expression("3**40", [])() == 3.0 ** 40
+
+
+@pytest.mark.parametrize("source", [3, None, ["x1"], "1" * 400, "-" * 5000 + "x1",
+                                    "-" * 250 + "x1"],
+                         ids=["int", "none", "list", "huge-literal", "deep-parse",
+                              "deep-check"])
+def test_expression_rejects_malformed_source(source):
+    with pytest.raises(ExpressionError):
+        Expression(source, ["x1"])
+
+
+def test_expression_nesting_limit_allows_moderate_depth():
+    assert Expression("-" * 150 + "x1", ["x1"])(x1=2.0) == 2.0
+    assert Expression(" + ".join(["x1"] * 150), ["x1"])(x1=1.0) == 150.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(max_size=40) | st.text(alphabet="x1t0.5e+-*/(), minaxsocp", max_size=40))
+def test_arbitrary_text_parses_or_raises_expression_error(source):
+    try:
+        Expression(source, ["t", "x1"])
+    except ExpressionError:
+        pass
+
+
+# integers stay modest so that no example asks for 10**12 variable names even
+# on a loader that builds them first; test_cli's malformed-file test pins the
+# huge ones
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-10 ** 4, 10 ** 4) | st.text(max_size=8)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12)
+
+
+def _key_paths(doc, prefix=()):
+    for key, val in doc.items():
+        yield prefix + (key,)
+        if isinstance(val, dict):
+            yield from _key_paths(val, prefix + (key,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(list(_key_paths(EXPR_DOC))), _JSON)
+def test_document_with_one_key_replaced_loads_or_raises_typed_error(path, value):
+    try:
+        problem_from_dict(_expr_doc_replacing(path, value))
+    except (ValueError, EnocError):
+        pass
 
 
 def test_problem_file_with_expressions(tmp_path):

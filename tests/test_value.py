@@ -323,15 +323,6 @@ def test_value_grid_load_reads_exactly_the_saved_bytes(tmp_path, lin2):
         ValueGrid.load(bad)
 
 
-def test_value_grid_slice_csv(tmp_path, lin2):
-    vg = value_dp(lin2, [Axis(-1.0, 1.0, 5)] * 2, TimeGrid(0.0, 1.0, 3))
-    path = tmp_path / "slice.csv"
-    vg.slice_to_csv(path, 0)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "z0,z1,value,argmin"
-    assert len(rows) == 1 + 25
-
-
 # -- adjoint descent ---------------------------------------------------------------
 
 def test_adjoint_zero_gradient_converges_immediately():
@@ -462,16 +453,3 @@ def test_compute_value_dispatch(lin2):
     with pytest.raises(ValueError, match="axes"):
         compute_value(lin2, ValueQuery(s=0.0, phi=phi, method="dp"))
 
-
-def test_trajectory_verify_consistency(lin2):
-    from enoc import integrate, random_signal
-    rng = np.random.default_rng(21)
-    phi = EnsembleState([[0.3], [0.4]], lin2.space)
-    traj = integrate(lin2, 0.0, phi, random_signal(lin2, TimeGrid(0.0, 1.0, 9), rng))
-    assert traj.verify_consistency(lin2)
-    tampered = traj.states.copy()
-    tampered[3, 0, 0] += 1e-9
-    from enoc import Trajectory
-    fake = Trajectory(grid=traj.grid, states=tampered, control=traj.control,
-                      space=lin2.space)
-    assert not fake.verify_consistency(lin2)
