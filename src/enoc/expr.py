@@ -17,6 +17,7 @@ most ``MAX_DEPTH`` levels, so evaluation stays far from the recursion limit.
 from __future__ import annotations
 
 import ast
+import warnings
 
 import numpy as np
 
@@ -52,7 +53,10 @@ class Expression:
         self.source = source
         self.variables = tuple(variables)
         try:
-            tree = ast.parse(source, mode="eval")
+            # sources such as "1if x1 else 2" warn before the grammar rejects them
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", SyntaxWarning)
+                tree = ast.parse(source, mode="eval")
         except (SyntaxError, ValueError, RecursionError) as exc:
             raise ExpressionError(f"cannot parse {source!r:.80}: {exc}") from None
         self._tree = tree.body

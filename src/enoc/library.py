@@ -16,11 +16,11 @@ from __future__ import annotations
 import inspect
 import itertools
 import json
+import numbers
 import operator
 import os
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import CapabilityError
 from .expr import Expression
@@ -241,7 +241,26 @@ def builtin(name, **parameters) -> ProblemSpec:
     if unknown:
         raise ValueError(f"unknown parameter(s) {', '.join(unknown)} for builtin "
                          f"{name!r}; accepted: {', '.join(accepted)}")
+    for key, val in parameters.items():
+        _check_parameter(key, val, accepted[key].default)
     return factory(**parameters)
+
+
+def _check_parameter(key, val, default):
+    """ValueError naming ``key`` unless ``val`` has the type its default
+    implies: an integer, a number, or (default None) numbers in nested lists."""
+    if isinstance(default, int):
+        want, ok = "an integer", isinstance(val, numbers.Integral)
+    elif isinstance(default, float):
+        want, ok = "a number", isinstance(val, numbers.Real)
+    else:
+        want, ok = "a number or a nested list of numbers", True
+        try:
+            np.asarray(val, dtype=float)
+        except (TypeError, ValueError):
+            ok = False
+    if not ok or isinstance(val, bool):
+        raise ValueError(f"builtin parameter {key!r} must be {want}, got {val!r:.60}")
 
 
 class LinearEnsembleClosedForm:
@@ -277,6 +296,7 @@ class LinearEnsembleClosedForm:
         """Exact infimal cost from (s, phi) over measurable box controls."""
         e = np.exp(self.a * (self.T - s))
         affine = float((self.w[:, None] * self.c * e[:, None] * phi.values).sum())
+        from scipy.integrate import quad
         mod, _ = quad(lambda sig: float(np.abs(self.psi(sig)).sum()), s, self.T,
                       limit=200)
         return affine - self.rho * mod

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import CapabilityError, DimensionMismatchError, ScheduleError
 from .measure import EnsembleState, ParameterSpace
@@ -107,7 +106,9 @@ class ControlSchedule:
     admissible control points on [breakpoints[j], breakpoints[j+1]) (the last
     interval is unbounded to the right).  All points must lie in the global
     box ``box`` of shape (m, 2).  This stepwise model is the single
-    discretization of the admissible control map used everywhere downstream.
+    discretization of the admissible control map used everywhere downstream,
+    and owns its hull geometry: ``hull_lo``/``hull_hi`` (J, m) bound each
+    set, and ``is_box[j]`` says every corner of that box is a point of set j.
     """
 
     def __init__(self, breakpoints, sets, box=None):
@@ -125,17 +126,18 @@ class ControlSchedule:
             arr = np.asarray(pts, dtype=float)
             if arr.ndim == 1:
                 arr = arr[:, None]
-            if arr.ndim != 2 or arr.shape[0] == 0:
-                raise ValueError(f"control set {j} must be a nonempty (K, m) array")
+            if arr.ndim != 2 or arr.shape[0] == 0 or not np.isfinite(arr).all():
+                raise ValueError(f"control set {j} must be a nonempty, finite (K, m) "
+                                 "array")
             parsed.append(arr)
         m = parsed[0].shape[1]
         for j, arr in enumerate(parsed):
             if arr.shape[1] != m:
                 raise ValueError(f"control set {j} has dimension {arr.shape[1]} != {m}")
+        hull_lo = np.array([arr.min(axis=0) for arr in parsed])
+        hull_hi = np.array([arr.max(axis=0) for arr in parsed])
         if box is None:
-            lo = np.min([arr.min(axis=0) for arr in parsed], axis=0)
-            hi = np.max([arr.max(axis=0) for arr in parsed], axis=0)
-            box = np.stack([lo, hi], axis=1)
+            box = np.stack([hull_lo.min(axis=0), hull_hi.max(axis=0)], axis=1)
         else:
             box = np.asarray(box, dtype=float)
             if box.shape != (m, 2):
@@ -153,6 +155,9 @@ class ControlSchedule:
         self.sets = parsed
         self.box = box
         self.m = m
+        self.hull_lo, self.hull_hi = hull_lo, hull_hi
+        self.is_box = np.array([_corners_present(arr, lo, hi) for arr, lo, hi
+                                in zip(parsed, hull_lo, hull_hi)])
 
     @classmethod
     def constant(cls, points, box=None):
@@ -172,17 +177,20 @@ class ControlSchedule:
         """Whether u lies within ``tol`` (per coordinate) of the convex hull
         of the active set.
 
-        Scalar controls compare against the set's interval; for m >= 2 a
-        linear program looks for convex weights lam >= 0, sum lam = 1, with
-        |pts^T lam - u| <= tol, so the test is exact (up to the solver's
-        1e-10 feasibility tolerance), not a bounding box.
+        On a box hull this is an exact bounds test.  Otherwise a linear
+        program looks for convex weights lam >= 0, sum lam = 1, with
+        |pts^T lam - u| <= tol, exact up to the solver's 1e-10 feasibility
+        tolerance.
         """
-        pts = self.active_set(t)
+        j = self.active_index(t)
         u = np.asarray(u, dtype=float).reshape(-1)
         if u.size != self.m:
             return False
-        if self.m == 1:
-            return pts.min() - tol <= u[0] <= pts.max() + tol
+        if self.is_box[j]:
+            return bool(np.all(self.hull_lo[j] - tol <= u)
+                        and np.all(u <= self.hull_hi[j] + tol))
+        from scipy.optimize import linprog
+        pts = self.sets[j]
         K = pts.shape[0]
         res = linprog(np.zeros(K), A_ub=np.vstack([pts.T, -pts.T]),
                       b_ub=np.concatenate([u + tol, tol - u]),
@@ -190,6 +198,18 @@ class ControlSchedule:
                       method="highs",
                       options={"primal_feasibility_tolerance": 1e-10})
         return res.status == 0
+
+    def project(self, times, U):
+        """Exact nearest hull point to each row of U (len(times), m): one clip
+        on box hulls; any other hull raises CapabilityError."""
+        idx = np.searchsorted(self.breakpoints, times, side="right") - 1
+        if np.any(idx < 0):
+            raise ScheduleError(f"no control set active before t={self.breakpoints[0]}")
+        if np.shape(U) != (idx.size, self.m):
+            raise DimensionMismatchError(f"controls {np.shape(U)} for {idx.size} times")
+        if not self.is_box[idx].all():
+            raise CapabilityError("projection needs box control hulls")
+        return np.clip(U, self.hull_lo[idx], self.hull_hi[idx])
 
     def sample(self, times, rng):
         """One uniformly drawn point of the active set per time, (len(times), m):
@@ -203,6 +223,16 @@ class ControlSchedule:
             pts = self.active_set(times[lo])     # ScheduleError before the first set
             out[lo:hi] = pts[rng.integers(pts.shape[0], size=hi - lo)]
         return out
+
+
+def _corners_present(pts, lo, hi):
+    """Whether every corner of the box [lo, hi] is a row of pts (K, m); with
+    fewer rows than the 2^d corners of its d open axes, no corner is built."""
+    d = int(np.count_nonzero(lo < hi))
+    if pts.shape[0] < 2 ** d:
+        return False
+    corners = pts[np.all((pts == lo) | (pts == hi), axis=1)]
+    return np.unique(corners, axis=0).shape[0] == 2 ** d
 
 
 @dataclass

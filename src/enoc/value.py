@@ -442,38 +442,6 @@ class AdjointResult:
     gradient_norm: float
 
 
-def _project_interval(u, pts):
-    return np.clip(u, pts.min(axis=0), pts.max(axis=0))
-
-
-def _project_hull(q, pts, iters=64):
-    """Nearest point of the convex hull of `pts` to q (Frank-Wolfe)."""
-    x = pts.mean(axis=0)
-    for _ in range(iters):
-        grad = x - q
-        k = int(np.argmin(pts @ grad))
-        dvec = pts[k] - x
-        denom = float(dvec @ dvec)
-        if denom <= 1e-30:
-            break
-        gamma = float(np.clip(-(grad @ dvec) / denom, 0.0, 1.0))
-        if gamma <= 0.0:
-            break
-        x = x + gamma * dvec
-    return x
-
-
-def _project_signal(p, grid, U):
-    out = np.empty_like(U)
-    for j in range(grid.steps):
-        pts = p.controls.active_set(grid.nodes[j])
-        if p.m == 1:
-            out[j] = _project_interval(U[j], pts)
-        else:
-            out[j] = _project_hull(U[j], pts)
-    return out
-
-
 def _objective_and_gradient(p, grid, phi, U, need_grad=True):
     """Discrete cost and its exact gradient via the reverse of each step."""
     fld = p.dynamics.field
@@ -527,9 +495,9 @@ def value_adjoint(p: ProblemSpec, s, phi: EnsembleState, grid: TimeGrid,
     """Projected descent on the discretized control; an upper bound on the value.
 
     Requires the differentiability capability (ensemble Jacobians and cost
-    gradient).  Controls are projected onto the convex hull of the active
-    set; accepted iterations are strictly improving, so the recorded history
-    is monotone nonincreasing.
+    gradient) and box control hulls, onto which controls are projected
+    exactly; accepted iterations are strictly improving, so the recorded
+    history is monotone nonincreasing.
     """
     if not (p.dynamics.differentiable and p.cost.differentiable):
         raise CapabilityError(
@@ -543,7 +511,7 @@ def value_adjoint(p: ProblemSpec, s, phi: EnsembleState, grid: TimeGrid,
     else:
         U = np.array(init.values if isinstance(init, ControlSignal) else init,
                      dtype=float)
-    U = _project_signal(p, grid, U)
+    U = p.controls.project(grid.nodes[:-1], U)
     J, G, _ = _objective_and_gradient(p, grid, phi, U)
     history = [J]
     alpha = step0
@@ -554,7 +522,7 @@ def value_adjoint(p: ProblemSpec, s, phi: EnsembleState, grid: TimeGrid,
             break
         improved = False
         while alpha >= 1e-14:
-            trial = _project_signal(p, grid, U - alpha * G)
+            trial = p.controls.project(grid.nodes[:-1], U - alpha * G)
             if np.max(np.abs(trial - U)) <= xtol:
                 break
             Jt, _, _ = _objective_and_gradient(p, grid, phi, trial,

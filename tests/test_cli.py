@@ -321,6 +321,30 @@ def test_unknown_builtin_parameter_flag_exits_2(tmp_path, capsys):
     assert "unknown parameter(s) zzz" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("param, key", [("M=[1]", "'M'"), ('rho="x"', "'rho'")])
+def test_builtin_parameter_of_the_wrong_type_exits_2(tmp_path, capsys, param, key):
+    rc = run(["solve", "--param", param, "--method", "oracle", "--steps", "2",
+              "--out", str(tmp_path / "x")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: builtin parameter " + key)
+    assert "Traceback" not in err
+
+
+def test_cli_import_loads_no_scipy():
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(enoc.cli.__file__)))
+    code = ("import sys, enoc.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == "[]"
+
+
 def test_config_file_overrides_flags(tmp_path):
     out = tmp_path / "run"
     cfg = tmp_path / "cfg.json"

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enoc import (CapabilityError, CheckReport, ControlSchedule, DynamicsSpec,
-                  EnocError, EnsembleState, ParameterSpace, ProblemSpec,
-                  ScheduleError, TerminalCostSpec, builtin, closed_form,
-                  load_problem, modulus_check, problem_from_dict,
-                  validate_cost_bound, validate_growth, validate_lipschitz)
+from enoc import (CapabilityError, CheckReport, ControlSchedule,
+                  DimensionMismatchError, DynamicsSpec, EnocError,
+                  EnsembleState, ParameterSpace, ProblemSpec, ScheduleError,
+                  TerminalCostSpec, builtin, closed_form, load_problem,
+                  modulus_check, problem_from_dict, validate_cost_bound,
+                  validate_growth, validate_lipschitz)
 from enoc.expr import Expression, ExpressionError
 
 
@@ -281,6 +282,11 @@ def test_schedule_rejects_empty_set():
         ControlSchedule([0.0], [np.zeros((0, 1))])
 
 
+def test_schedule_rejects_nonfinite_points():
+    with pytest.raises(ValueError, match="finite"):
+        ControlSchedule([0.0], [np.array([[np.nan], [1.0]])], box=[[-1.0, 1.0]])
+
+
 def test_schedule_rejects_point_outside_box():
     with pytest.raises(ValueError, match="outside"):
         ControlSchedule([0.0], [np.array([[2.0]])], box=np.array([[-1.0, 1.0]]))
@@ -312,6 +318,60 @@ def test_hull_contains_is_exact_for_a_triangle():
     assert sched.hull_contains(0.0, [-5e-10, 0.5])
     assert not sched.hull_contains(0.0, [-5e-10, 0.5], tol=0.0)
 
+
+def test_project_is_the_exact_clip_on_the_builtin_box():
+    sched = builtin("linear-ensemble", M=2, n=2).controls
+    U = np.random.default_rng(4).uniform(-3.0, 3.0, (2000, 2))
+    times = np.linspace(0.0, 1.0, 2000)
+    np.testing.assert_array_equal(sched.project(times, U), np.clip(U, -1.0, 1.0))
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_builtin_control_sets_are_box_hulls(levels, m):
+    sched = builtin("linear-ensemble", M=1, n=m, levels=levels).controls
+    assert sched.is_box.tolist() == [True]
+    hi = 1.0 if levels > 1 else -1.0          # levels=1 is the one point -rho
+    np.testing.assert_array_equal(sched.hull_lo, [[-1.0] * m])
+    np.testing.assert_array_equal(sched.hull_hi, [[hi] * m])
+
+
+def test_box_detection_needs_every_corner():
+    tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.2]])
+    segment = np.array([[0.0, 2.0], [1.0, 2.0]])          # one degenerate axis
+    sched = ControlSchedule([0.0, 0.5, 0.7], [tri, square, segment])
+    assert sched.is_box.tolist() == [False, True, True]
+    with pytest.raises(CapabilityError):
+        sched.project([0.1], np.array([[0.9, 0.9]]))
+    np.testing.assert_array_equal(
+        sched.project([0.6, 0.8], np.array([[2.0, -1.0], [0.5, 5.0]])),
+        [[1.0, 0.0], [0.5, 2.0]])
+
+
+def test_project_rejects_early_times_and_misshapen_controls():
+    sched = ControlSchedule([0.5], [np.array([[-1.0], [1.0]])])
+    with pytest.raises(ScheduleError):
+        sched.project([0.0, 0.6], np.zeros((2, 1)))
+    with pytest.raises(DimensionMismatchError):
+        sched.project([0.6], np.zeros((3, 1)))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_box_admissibility_solves_no_linear_program(n, monkeypatch):
+    import scipy.optimize
+
+    from enoc import ControlSignal, TimeGrid
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("linprog called on a box hull")
+
+    monkeypatch.setattr(scipy.optimize, "linprog", no_lp)
+    p = builtin("linear-ensemble", M=2, n=n, a=[0.5, -0.3])
+    grid = TimeGrid(0.0, 1.0, 4)
+    assert ControlSignal.constant(grid, [0.5] * n).check_admissible(p)
+    with pytest.raises(ValueError, match="hull"):
+        ControlSignal.constant(grid, [2.0] * n).check_admissible(p)
 
 # -- builtin library -------------------------------------------------------------
 
@@ -371,6 +431,18 @@ def test_expression_grammar_rejects_imports_and_names():
     with pytest.raises(ExpressionError):
         Expression("t.real", ["t"])
 
+
+
+@pytest.mark.parametrize("source", ["1if x1 else 2", "3in x1"])
+def test_expression_rejects_warned_sources_silently(source, capsys):
+    import warnings
+
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(ExpressionError):
+            Expression(source, ["x1"])
+    assert seen == []
+    assert capsys.readouterr().err == ""
 
 def test_expression_evaluates_elementwise():
     e = Expression("max(x1, 0) + exp(-t) * min(u1, 1, 2)", ["t", "x1", "u1"])

@@ -371,6 +371,17 @@ def test_adjoint_requires_derivative_capability():
         value_adjoint(p, 0.0, EnsembleState.zeros(space, 1), TimeGrid(0.0, 1.0, 2))
 
 
+
+def test_adjoint_needs_a_box_control_hull():
+    import dataclasses
+
+    tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    p = dataclasses.replace(builtin("linear-ensemble", M=2, n=2),
+                            controls=ControlSchedule.constant(tri))
+    phi = EnsembleState.zeros(p.space, 2)
+    with pytest.raises(CapabilityError, match="box"):
+        value_adjoint(p, 0.0, phi, TimeGrid(0.0, 1.0, 2))
+
 # -- two-stage identity ---------------------------------------------------------
 
 def test_dpp_zero_split_is_exactly_zero(lin2):
