@@ -84,6 +84,34 @@ def _parse_axis(text):
     return [float(parts[0]), float(parts[1]), int(parts[2])]
 
 
+def _number(val, integer=False):
+    return (isinstance(val, int if integer else (int, float))
+            and not isinstance(val, bool))
+
+
+def _numbers(val):
+    return isinstance(val, list) and all(_number(v) for v in val)
+
+
+def _type_ok(key, val, default):
+    """Whether a config value has its default's JSON type: an int default
+    takes an integer, a float default any number (``phi`` also a list of
+    numbers), a list default a list of numbers.  ``grid`` takes null or
+    [lo, hi, count] triples, ``tol`` null or a number, ``radii`` null or a
+    list of numbers."""
+    if key == "grid":
+        return val is None or isinstance(val, list) and all(
+            _numbers(ax) and len(ax) == 3 and _number(ax[2], integer=True)
+            for ax in val)
+    if default is None:
+        return val is None or _type_ok(key, val, {"tol": 0.0, "radii": []}[key])
+    if isinstance(default, list) or key == "phi" and isinstance(val, list):
+        return _numbers(val)
+    if isinstance(default, (int, float)):
+        return _number(val, integer=isinstance(default, int))
+    return isinstance(val, type(default))
+
+
 def resolve_config(args) -> dict:
     """defaults <- flags <- config file (the file wins, as documented)."""
     cfg = json.loads(json.dumps(_DEFAULTS))
@@ -122,6 +150,14 @@ def resolve_config(args) -> dict:
                 cfg[key].update(val)
             else:
                 cfg[key] = val
+    # the builtin lookup checks `problem`; `params` and `verify` are checked above
+    checks = [(key, cfg[key], _DEFAULTS[key]) for key in _DEFAULTS
+              if key not in ("problem", "params", "verify")]
+    checks += [(key, val, _VERIFY_DEFAULTS[key]) for key, val in cfg["verify"].items()]
+    for key, val, default in checks:
+        if not _type_ok(key, val, default):
+            where = key if key in _DEFAULTS else f"verify.{key}"
+            raise ValueError(f"config key {where!r} has the wrong type: {val!r}")
     return cfg
 
 
@@ -237,11 +273,12 @@ def _default_radii(p: ProblemSpec):
     return [float(r) for r in pts]
 
 
-def _dpp_check(p: ProblemSpec, s, phis, steps, seed, budget, tol) -> CheckReport:
+def _dpp_check(p: ProblemSpec, s, phis, steps, seed, budget, tol=None) -> CheckReport:
     """Two-stage identity at every interior node of a ``steps``-interval grid,
-    from ``phis`` random initial states: the worst of |residual| and the
-    one-sided gap must stay within ``tol``, and at least one split must be
-    evaluated."""
+    from ``phis`` random initial states: the worst |residual| must stay within
+    ``tol`` (1e-10 unless given), and at least one split must be evaluated."""
+    if tol is None:
+        tol = 1e-10
     rng = np.random.default_rng(seed)
     grid = TimeGrid(s, p.horizon, steps)
     worst, witness = 0.0, {}
@@ -249,7 +286,7 @@ def _dpp_check(p: ProblemSpec, s, phis, steps, seed, budget, tol) -> CheckReport
         phi = EnsembleState(rng.uniform(-0.5, 0.5, (p.space.size, p.n)), p.space)
         for j in range(1, grid.steps):
             res = dpp_residual(p, s, grid.nodes[j], phi, grid, budget=budget)
-            gap = max(abs(res.residual), res.one_sided_max)
+            gap = abs(res.residual)
             if gap > worst:
                 worst, witness = gap, {"sample": i, "s2": float(grid.nodes[j])}
     evaluated = phis * (grid.steps - 1)
@@ -284,11 +321,10 @@ def cmd_verify(args) -> int:
             p, trials=int(vcfg["trials"]), steps=int(vcfg["bounds_steps"]),
             seed=seed, slack=(1.0 + tol) if tol is not None else 1.05),
         lambda: _dpp_check(p, s, int(vcfg["dpp_phis"]), int(vcfg["dpp_steps"]),
-                           seed, budget, tol if tol is not None else 1e-10),
+                           seed, budget, tol),
         lambda: epigraph_invariance(
             p, s, phi, TimeGrid(s, p.horizon, int(vcfg["epi_steps"])),
-            budget=budget, drift_tol=tol if tol is not None else 1e-8,
-            mono_tol=tol if tol is not None else 1e-10),
+            budget=budget, tol=tol),
         lambda: hjb_residual(
             value_dp(p, axes, TimeGrid(s, p.horizon, int(vcfg["hjb_steps"])),
                      workers=int(cfg["workers"])),

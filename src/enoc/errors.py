@@ -36,8 +36,9 @@ class ScheduleError(EnocError, ValueError):
 class TerminalValueError(EnocError, ValueError):
     """Terminal cost is NaN, or infinite where the caller needs it finite.
 
-    NaN is rejected everywhere; ``terminal_functional`` also rejects -inf,
-    and ``value_dp`` rejects any infinite cost on its grid nodes.
+    NaN and -inf are rejected everywhere (``terminal_functional`` and every
+    enumerated leaf of the oracle tree); +inf propagates, except that
+    ``value_dp`` rejects any infinite cost on its grid nodes.
     """
 
 

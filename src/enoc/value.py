@@ -69,29 +69,44 @@ def reduced_cost(p: ProblemSpec, s, phi: EnsembleState, u: ControlSignal) -> flo
 class OracleTree:
     """All states reachable by signals on the grid, level by level.
 
-    ``states[j]`` has shape (prod of set sizes up to j, M, n), ordered so
-    that index q at level j+1 corresponds to prefix q // K_j with control
-    q % K_j appended: flat order is lexicographic in the control indices.
-    ``values[j][q]`` is the exact minimum over all continuations.
+    ``states[j]`` has shape (B starts x prod of set sizes up to j, M, n),
+    ordered so that index q at level j+1 corresponds to node q // K_j with
+    control q % K_j appended: flat order is lexicographic in (start, control
+    indices).  ``values[j][q]`` is the exact minimum over all continuations.
     """
 
     grid: TimeGrid
-    set_sizes: list
+    controls: list              # active set (K_j, m) of each step
     states: list
     values: list
 
     def decode(self, leaf_index):
         """Control indices of the signal that reaches a given leaf."""
-        return self.decode_level(len(self.set_sizes), leaf_index)
+        return self.decode_level(len(self.controls), leaf_index)
 
     def decode_level(self, level, index):
         """Control indices of the prefix that reaches node `index` at `level`."""
         digits = []
         q = int(index)
-        for K in reversed(self.set_sizes[:level]):
-            digits.append(q % K)
-            q //= K
+        for pts in reversed(self.controls[:level]):
+            digits.append(q % len(pts))
+            q //= len(pts)
         return tuple(reversed(digits))
+
+    def optimum(self):
+        """(start index, OracleResult) of the smallest leaf.
+
+        Ties break to the first start, then to the lexicographically first
+        control-index sequence.
+        """
+        leaf = self.values[-1]
+        best = int(np.argmin(leaf))
+        indices = self.decode(best)
+        vals = np.stack([pts[k] for pts, k in zip(self.controls, indices)])
+        return (best // (leaf.size // self.values[0].size),
+                OracleResult(value=float(leaf[best]),
+                             best=ControlSignal(self.grid, vals),
+                             best_indices=indices))
 
 
 def enumeration_count(p: ProblemSpec, grid: TimeGrid) -> int:
@@ -101,9 +116,17 @@ def enumeration_count(p: ProblemSpec, grid: TimeGrid) -> int:
     return total
 
 
-def build_oracle_tree(p: ProblemSpec, s, phi: EnsembleState, grid: TimeGrid,
+def build_oracle_tree(p: ProblemSpec, s, phi, grid: TimeGrid,
                       budget=1_000_000) -> OracleTree:
-    total = enumeration_count(p, grid)
+    """Enumerate every signal from phi, one EnsembleState or B stacked start
+    states (B, M, n); the budget counts B x signals.  A NaN or -inf leaf cost
+    raises TerminalValueError, +inf is kept."""
+    starts = (phi.values[None] if isinstance(phi, EnsembleState)
+              else np.asarray(phi, dtype=float))
+    if starts.ndim != 3 or starts.shape[1:] != (p.space.size, p.n):
+        raise DimensionMismatchError(f"start states of shape {starts.shape}, "
+                                     f"need (B, {p.space.size}, {p.n})")
+    total = starts.shape[0] * enumeration_count(p, grid)
     if total > budget:
         raise CapacityError(
             f"enumeration needs {total} signals, budget is {budget}; shrink the grid"
@@ -111,28 +134,29 @@ def build_oracle_tree(p: ProblemSpec, s, phi: EnsembleState, grid: TimeGrid,
     if abs(grid.s - s) > 1e-12:
         raise ValueError(f"grid starts at {grid.s}, expected {s}")
     fld = p.dynamics.field
-    set_sizes = []
-    states = [phi.values[None, :, :]]
+    controls = []
+    states = [starts]
     for j in range(grid.steps):
         t = grid.nodes[j]
         h = grid.nodes[j + 1] - grid.nodes[j]
         pts = p.controls.active_set(t)
         K = pts.shape[0]
-        set_sizes.append(K)
+        controls.append(pts)
         cur = states[-1]
         nxt = np.empty((cur.shape[0], K) + cur.shape[1:])
         for k in range(K):
             nxt[:, k] = _rk4_step(fld, t, h, cur, pts[k])
         states.append(nxt.reshape((-1,) + cur.shape[1:]))
     per_atom = p.cost.values(states[-1])
-    if np.any(np.isnan(per_atom)):
-        raise TerminalValueError("terminal cost is NaN on an enumerated endpoint")
     leaf = per_atom @ p.space.weights
+    if np.isnan(leaf).any() or np.isneginf(leaf).any():
+        word = "NaN" if np.isnan(per_atom).any() else "-inf"
+        raise TerminalValueError(f"terminal cost is {word} on an enumerated endpoint")
     values = [None] * (grid.steps + 1)
     values[grid.steps] = leaf
     for j in range(grid.steps - 1, -1, -1):
-        values[j] = values[j + 1].reshape(-1, set_sizes[j]).min(axis=1)
-    return OracleTree(grid=grid, set_sizes=set_sizes, states=states, values=values)
+        values[j] = values[j + 1].reshape(-1, len(controls[j])).min(axis=1)
+    return OracleTree(grid=grid, controls=controls, states=states, values=values)
 
 
 @dataclass
@@ -148,17 +172,7 @@ def value_oracle(p: ProblemSpec, s, phi: EnsembleState, grid: TimeGrid,
 
     Ties break to the lexicographically first control-index sequence.
     """
-    tree = build_oracle_tree(p, s, phi, grid, budget)
-    leaf = tree.values[grid.steps]
-    best_leaf = int(np.argmin(leaf))
-    indices = tree.decode(best_leaf)
-    vals = np.stack([
-        p.controls.active_set(grid.nodes[j])[indices[j]]
-        for j in range(grid.steps)
-    ])
-    return OracleResult(value=float(leaf[best_leaf]),
-                        best=ControlSignal(grid, vals),
-                        best_indices=indices)
+    return build_oracle_tree(p, s, phi, grid, budget).optimum()[1]
 
 
 # -- grid recursion -----------------------------------------------------------
@@ -629,7 +643,6 @@ class DppResult:
     residual: float
     value_direct: float
     value_two_stage: float
-    one_sided_max: float
     witness_prefix: tuple
     witness_suffix: tuple
 
@@ -638,40 +651,24 @@ def dpp_residual(p: ProblemSpec, s1, s2, phi: EnsembleState, grid: TimeGrid,
                  budget=1_000_000) -> DppResult:
     """Compare the direct value with the two-stage minimization split at s2.
 
-    Both sides enumerate the same class of signals, so the residual is zero
-    up to float noise.  ``one_sided_max`` is the largest violation of the
-    monotonicity direction (direct value minus the value reached through an
-    arbitrary admissible prefix); it should never exceed float noise either.
+    The direct tree enumerates every signal from phi.  The suffix tree
+    enumerates afresh from every state the direct tree reaches at s2, one
+    start per prefix, and its best start gives the two-stage value.  Both
+    sides enumerate the same class of signals, so the residual is zero up to
+    float noise.  A split at s2 = s1 compares the direct value with itself.
     """
     if abs(grid.s - s1) > 1e-12:
         raise ValueError(f"grid starts at {grid.s}, expected s1={s1}")
-    if abs(s2 - s1) <= 1e-15:
-        direct = value_oracle(p, s1, phi, grid, budget)
-        return DppResult(residual=0.0, value_direct=direct.value,
-                         value_two_stage=direct.value, one_sided_max=0.0,
-                         witness_prefix=(), witness_suffix=direct.best_indices)
     offsets = np.abs(grid.nodes - s2)
     j = int(np.argmin(offsets))
-    if offsets[j] > 1e-9 or j == 0 or j == grid.steps:
+    if abs(s2 - s1) > 1e-15 and (offsets[j] > 1e-9 or j == 0 or j == grid.steps):
         raise ValueError(f"s2={s2} must be an interior node of {grid}")
-    direct = value_oracle(p, s1, phi, grid, budget)
-    prefix_tree = build_oracle_tree(p, s1, phi, grid.prefix(j), budget)
-    mids = prefix_tree.states[j]
-    suffix_grid = grid.suffix(j)
-    best_val = np.inf
-    best_q = 0
-    best_suffix = ()
-    worst_gap = -np.inf
-    for q in range(mids.shape[0]):
-        state = EnsembleState(mids[q], p.space)
-        res = value_oracle(p, grid.nodes[j], state, suffix_grid, budget)
-        worst_gap = max(worst_gap, direct.value - res.value)
-        if res.value < best_val:
-            best_val = res.value
-            best_q = q
-            best_suffix = res.best_indices
-    return DppResult(residual=direct.value - best_val,
-                     value_direct=direct.value, value_two_stage=float(best_val),
-                     one_sided_max=float(worst_gap),
-                     witness_prefix=prefix_tree.decode(best_q),
-                     witness_suffix=best_suffix)
+    tree = build_oracle_tree(p, s1, phi, grid, budget)
+    direct = tree.optimum()[1]
+    suffix = build_oracle_tree(p, grid.nodes[j], tree.states[j], grid.suffix(j),
+                               budget)
+    q, two_stage = suffix.optimum()
+    return DppResult(residual=direct.value - two_stage.value,
+                     value_direct=direct.value, value_two_stage=two_stage.value,
+                     witness_prefix=tree.decode_level(j, q),
+                     witness_suffix=two_stage.best_indices)

@@ -181,6 +181,22 @@ def test_verify_calls_every_check_through_the_cli_names(tmp_path, small_verify_c
         "hjb_residual", "terminal_limit", "oscillation"]
 
 
+def test_benchmark_tracer_names_resolve():
+    # perfbench/spans.py wraps these (owner, attribute) pairs; a dropped
+    # import would break every traced benchmark run
+    import importlib.util
+    import pathlib
+
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    targets = spans.targets()
+    assert targets
+    for owner, attr, *_ in targets:
+        assert callable(getattr(owner, attr)), (owner, attr)
+
+
 def test_verify_without_cost_certificate_exits_2_before_any_check(
         tmp_path, sine_drift_doc, capsys):
     problem = tmp_path / "expr.json"
@@ -206,6 +222,41 @@ def test_unknown_config_key_exits_2(tmp_path, capsys, cfg, message):
     assert rc == 2
     assert not (out / "checks.csv").exists()
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cfg, key", [
+    ({"budget": None}, "'budget'"),
+    ({"grid": [[1, 2]]}, "'grid'"),
+    ({"grid": [["a", 1, 3]]}, "'grid'"),
+    ({"tol": "x"}, "'tol'"),
+    ({"verify": {"trials": None}}, "'verify.trials'"),
+    ({"verify": {"gaps": 0.1}}, "'verify.gaps'"),
+], ids=["budget-null", "grid-pair", "grid-string", "tol-string", "trials-null",
+        "gaps-number"])
+def test_config_value_of_the_wrong_type_exits_2_naming_the_key(tmp_path, capsys,
+                                                                cfg, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "v"
+    rc = run(["verify", "--config", str(path), "--out", str(out)])
+    assert rc == 2
+    assert not (out / "checks.csv").exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config key {key} has the wrong type")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_oracle_minus_infinity_cost_exits_2(tmp_path, capsys, sine_drift_doc):
+    sine_drift_doc["dynamics"]["expressions"] = ["u1"]
+    sine_drift_doc["cost"]["expression"] = "-exp(exp(exp(x1*3)))"
+    problem = tmp_path / "neginf.json"
+    problem.write_text(json.dumps(sine_drift_doc))
+    out = tmp_path / "x"
+    rc = run(["solve", "--problem", str(problem), "--method", "oracle",
+              "--phi", "0.9", "--steps", "4", "--out", str(out)])
+    assert rc == 2
+    assert not (out / "value.csv").exists()
+    assert "terminal cost is -inf" in capsys.readouterr().err
 
 
 def test_query_round_trip(tmp_path):

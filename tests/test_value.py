@@ -58,6 +58,8 @@ def test_terminal_allows_plus_infinity():
     p = ProblemSpec(space=space, n=1, m=1, dynamics=dyn, cost=cost,
                     controls=ControlSchedule.constant([[0.0]]), horizon=1.0)
     assert terminal_functional(p, EnsembleState.zeros(space, 1)) == np.inf
+    assert value_oracle(p, 0.0, EnsembleState.zeros(space, 1),
+                        TimeGrid(0.0, 1.0, 2)).value == np.inf
 
 
 def test_nan_and_minus_infinity_terminal_costs_raise_typed_error():
@@ -73,9 +75,8 @@ def test_nan_and_minus_infinity_terminal_costs_raise_typed_error():
                         controls=ControlSchedule.constant([[0.0]]), horizon=1.0)
         with pytest.raises(TerminalValueError, match=f"{word} at atom 1"):
             terminal_functional(p, phi)
-        if word == "NaN":
-            with pytest.raises(TerminalValueError, match="NaN"):
-                build_oracle_tree(p, 0.0, phi, TimeGrid(0.0, 1.0, 2))
+        with pytest.raises(TerminalValueError, match=f"{word} on an enumerated"):
+            build_oracle_tree(p, 0.0, phi, TimeGrid(0.0, 1.0, 2))
 
 
 # -- reduced cost ---------------------------------------------------------------
@@ -157,6 +158,23 @@ def test_oracle_tree_levels_and_decode(lin2):
     # backward values dominate their children
     child = tree.values[1].reshape(1, 3)
     assert tree.values[0][0] == pytest.approx(child.min())
+
+
+def test_batched_tree_starts_match_one_oracle_each(lin2):
+    grid = TimeGrid(0.0, 1.0, 3)
+    starts = np.random.default_rng(11).uniform(-0.5, 0.5, (5, 2, 1))
+    tree = build_oracle_tree(lin2, 0.0, starts, grid)
+    assert [s.shape[0] for s in tree.states] == [5, 15, 45, 135]
+    for b in range(5):
+        res = value_oracle(lin2, 0.0, EnsembleState(starts[b], lin2.space), grid)
+        assert tree.values[0][b] == res.value
+    start, best = tree.optimum()
+    assert best.value == tree.values[0].min()
+    assert start == int(np.argmin(tree.values[0]))
+    with pytest.raises(CapacityError, match="135 signals"):
+        build_oracle_tree(lin2, 0.0, starts, grid, budget=134)
+    with pytest.raises(DimensionMismatchError, match="start states"):
+        build_oracle_tree(lin2, 0.0, starts[:, :, 0], grid)
 
 
 # -- grid recursion ---------------------------------------------------------------
@@ -396,7 +414,6 @@ def test_dpp_drift_free_exact():
     grid = TimeGrid(0.0, 1.0, 4)
     res = dpp_residual(p, 0.0, grid.nodes[2], phi, grid)
     assert res.residual == 0.0
-    assert res.one_sided_max <= 0.0
 
 
 def test_dpp_linear_family_all_splits(lin2):
@@ -407,7 +424,40 @@ def test_dpp_linear_family_all_splits(lin2):
         for j in (1, 2, 3):
             res = dpp_residual(lin2, 0.0, grid.nodes[j], phi, grid)
             assert abs(res.residual) <= 1e-10
-            assert res.one_sided_max <= 1e-10
+
+
+def _sequential_dpp(p, phi, grid, j):
+    """The two-stage minimum by a prefix tree and one oracle per mid state."""
+    direct = value_oracle(p, grid.s, phi, grid)
+    prefix = build_oracle_tree(p, grid.s, phi, grid.prefix(j))
+    best, best_q, best_suffix = np.inf, 0, ()
+    for q, mid in enumerate(prefix.states[j]):
+        res = value_oracle(p, grid.nodes[j], EnsembleState(mid, p.space),
+                           grid.suffix(j))
+        if res.value < best:
+            best, best_q, best_suffix = res.value, q, res.best_indices
+    return (direct.value - best, direct.value, best, prefix.decode(best_q),
+            best_suffix)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("linear-ensemble", {"a": [0.5, -0.3], "c": [2.0, 1.0]}),
+    ("linear-ensemble", {"M": 2, "n": 2}),
+    ("bilinear", {}),
+    ("decoupled-quadratic", {"M": 3}),
+], ids=["lin2", "linear-M2-n2", "bilinear", "quadratic-M3"])
+def test_dpp_matches_sequential_reference_bitwise(name, params):
+    p = builtin(name, **params)
+    grid = TimeGrid(0.0, 1.0, 4)
+    rng = np.random.default_rng(12)
+    for _ in range(3):
+        phi = EnsembleState(rng.uniform(-0.5, 0.5, (p.space.size, p.n)), p.space)
+        for j in (1, 2, 3):
+            res = dpp_residual(p, 0.0, grid.nodes[j], phi, grid)
+            got = (res.residual, res.value_direct, res.value_two_stage,
+                   res.witness_prefix, res.witness_suffix)
+            # repr round-trips every float exactly, signed zeros included
+            assert repr(got) == repr(_sequential_dpp(p, phi, grid, j))
 
 
 def test_dpp_requires_interior_node(lin2):
