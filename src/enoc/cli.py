@@ -158,6 +158,8 @@ def resolve_config(args) -> dict:
         if not _type_ok(key, val, default):
             where = key if key in _DEFAULTS else f"verify.{key}"
             raise ValueError(f"config key {where!r} has the wrong type: {val!r}")
+    if cfg["workers"] < 1:
+        raise ValueError(f"config key 'workers' must be at least 1, got {cfg['workers']}")
     return cfg
 
 
@@ -287,7 +289,8 @@ def _dpp_check(p: ProblemSpec, s, phis, steps, seed, budget, tol=None) -> CheckR
         for j in range(1, grid.steps):
             res = dpp_residual(p, s, grid.nodes[j], phi, grid, budget=budget)
             gap = abs(res.residual)
-            if gap > worst:
+            # a NaN gap (every leaf +inf) is the worst there is and fails
+            if not (gap <= worst or np.isnan(worst)):
                 worst, witness = gap, {"sample": i, "s2": float(grid.nodes[j])}
     evaluated = phis * (grid.steps - 1)
     return CheckReport(
@@ -373,7 +376,8 @@ def _add_common(sub):
     sub.add_argument("--tol", type=float, help="override check tolerances")
     sub.add_argument("--seed", type=int, help="random seed")
     sub.add_argument("--out", help="output directory (or $ENOC_OUT)")
-    sub.add_argument("--workers", type=int, help="worker threads")
+    sub.add_argument("--workers", type=int,
+                     help="threads sharing each dp step's control candidates")
     sub.add_argument("--budget", type=int, help="enumeration budget")
     sub.add_argument("--config", help="JSON config file; overrides flags")
 

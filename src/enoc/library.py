@@ -22,7 +22,7 @@ import os
 
 import numpy as np
 
-from .errors import CapabilityError
+from .errors import CapabilityError, CapacityError
 from .expr import Expression
 from .measure import ParameterSpace
 from .problem import ControlSchedule, DynamicsSpec, ProblemSpec, TerminalCostSpec
@@ -223,6 +223,8 @@ def bilinear(M=2, n=1, a=None, weights=None, coords=None,
                        controls=_control_grid(rho, 1, levels), horizon=T, meta=meta)
 
 
+_MAX_ENTRIES = 10 ** 6         # largest array a builtin may build
+
 _BUILTINS = {
     "linear-ensemble": linear_ensemble,
     "decoupled-quadratic": decoupled_quadratic,
@@ -243,22 +245,31 @@ def builtin(name, **parameters) -> ProblemSpec:
                          f"{name!r}; accepted: {', '.join(accepted)}")
     for key, val in parameters.items():
         _check_parameter(key, val, accepted[key].default)
+    M, n, levels = (parameters.get(key, accepted[key].default)
+                    for key in ("M", "n", "levels"))
+    # the M x M atom metric, the (M, n, n) Jacobians and the levels^n x n
+    # control grid; past n = 20 a grid of two levels or more is too large
+    if levels > 1 and n > 20 or max(M * M, M * n * n, levels ** n * n) > _MAX_ENTRIES:
+        raise CapacityError(f"builtin {name!r} with M={M}, n={n}, levels={levels} "
+                            f"builds an array of more than {_MAX_ENTRIES} entries")
     return factory(**parameters)
 
 
 def _check_parameter(key, val, default):
     """ValueError naming ``key`` unless ``val`` has the type its default
-    implies: an integer, a number, or (default None) numbers in nested lists."""
+    implies: a positive integer, a finite number, or (default None) finite
+    numbers in nested lists."""
     if isinstance(default, int):
-        want, ok = "an integer", isinstance(val, numbers.Integral)
-    elif isinstance(default, float):
-        want, ok = "a number", isinstance(val, numbers.Real)
+        want = "a positive integer"
+        ok = isinstance(val, numbers.Integral) and val >= 1
     else:
-        want, ok = "a number or a nested list of numbers", True
+        want = ("a finite number" if isinstance(default, float)
+                else "a number or a nested list of finite numbers")
         try:
-            np.asarray(val, dtype=float)
-        except (TypeError, ValueError):
+            ok = bool(np.isfinite(np.asarray(val, dtype=float)).all())
+        except (TypeError, ValueError, OverflowError):
             ok = False
+        ok = ok and (default is None or isinstance(val, numbers.Real))
     if not ok or isinstance(val, bool):
         raise ValueError(f"builtin parameter {key!r} must be {want}, got {val!r:.60}")
 

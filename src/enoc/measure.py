@@ -58,6 +58,8 @@ class ParameterSpace:
             coords = np.asarray(coords, dtype=float)
             if coords.ndim == 1:
                 coords = coords[:, None]
+            if coords.ndim != 2:
+                raise ValueError(f"coords must be an (M, d) array, got {coords.ndim} axes")
             if coords.shape[0] != m:
                 raise ValueError(
                     f"coords has {coords.shape[0]} rows for {m} atoms"

@@ -30,6 +30,14 @@ class DynamicsSpec:
     row i alone.  ``jac_x_ens``/``jac_u_ens`` (shapes (..., M, n, n) and
     (..., M, n, m), for one control (m,)) enable the adjoint solver.
     Evaluators must be pure; parallel callers rely on that.
+
+    The field must be atom-wise: atom i's velocity depends on t, u, its own
+    parameter and its own state X[..., i, :] alone, as in the paper's
+    average problem, where the shared control is the only coupling.  Every
+    builtin is, and so is every expression problem, whose grammar binds only
+    its own atom's variables.  ``value_dp`` factors its interpolation per
+    atom on this contract and raises CapabilityError when a probe finds a
+    field that couples atoms.
     """
 
     eval_ens: Callable

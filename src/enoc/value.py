@@ -20,6 +20,7 @@ import os
 import struct
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -208,20 +209,19 @@ def _node_mesh(coords):
     return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
 
-def _interpolate(tensor, taint, axes, Y):
-    """Multilinear interpolation with boundary clamping.
+def _stencil(axes, Y):
+    """Multilinear stencil of the query rows Y (Q, d) in a C-order table over
+    ``axes``, with boundary clamping.
 
-    Returns the interpolated values at the query rows Y (Q, d), the mask of
-    clamped queries and the mask of queries whose stencil touches a node of
-    the boolean ``taint`` tensor with nonzero weight.  The stencil (base flat
-    index and one weight pair per axis) is formed once; corner c reads both
-    tables at base + a constant offset, and bit k of c picks axis k's upper
-    node.
+    Returns the 2^d corners as (flat index, weight) pairs, bit k of corner c
+    picking axis k's upper node, and the mask of clamped queries.  Fractions
+    within 1e-12 of a node snap to it, so queries at grid nodes reproduce
+    node values and every per-axis weight is 0 or at least about 1e-12.
     """
     if np.isnan(Y).any():
         raise ValueError("interpolation query has a NaN coordinate")
     d = len(axes)
-    strides = [int(np.prod(tensor.shape[k + 1:])) for k in range(d)]
+    strides = [int(np.prod([ax.count for ax in axes[k + 1:]])) for k in range(d)]
     clamped = np.zeros(Y.shape[0], dtype=bool)
     base = np.zeros(Y.shape[0], dtype=np.intp)
     pairs = []
@@ -231,23 +231,63 @@ def _interpolate(tensor, taint, axes, Y):
         fi = np.clip(fi, 0.0, ax.count - 1.0)
         i0 = np.minimum(np.floor(fi).astype(np.intp), ax.count - 2)
         frac = fi - i0
-        # snap float noise so queries at grid nodes reproduce node values
         frac[frac < 1e-12] = 0.0
         frac[frac > 1.0 - 1e-12] = 1.0
         base += i0 * stride
         pairs.append((1.0 - frac, frac))
-    flat, taint_flat = tensor.reshape(-1), taint.reshape(-1)
-    out = np.zeros(Y.shape[0])
-    touched = np.zeros(Y.shape[0], dtype=bool)
+    corners = []
     for corner in range(1 << d):
         bits = [corner >> k & 1 for k in range(d)]
         wgt = pairs[0][bits[0]]
         for k in range(1, d):
             wgt = wgt * pairs[k][bits[k]]
-        idx = base + sum(b * stride for b, stride in zip(bits, strides))
+        corners.append((base + sum(b * stride for b, stride in zip(bits, strides)),
+                        wgt))
+    return corners, clamped
+
+
+def _interpolate(tensor, taint, axes, Y):
+    """Multilinear interpolation with boundary clamping.
+
+    Returns the interpolated values at the query rows Y (Q, d), the mask of
+    clamped queries and the mask of queries whose stencil touches a node of
+    the boolean ``taint`` tensor with nonzero weight.
+    """
+    corners, clamped = _stencil(axes, Y)
+    flat, taint_flat = tensor.reshape(-1), taint.reshape(-1)
+    out = np.zeros(Y.shape[0])
+    touched = np.zeros(Y.shape[0], dtype=bool)
+    for idx, wgt in corners:
         out += wgt * flat[idx]
         touched |= (wgt > 0.0) & taint_flat[idx]
     return out, clamped, touched
+
+
+def _kron_apply(table, ops, out, scratch, mul=np.multiply, add=np.add):
+    """Apply one block operator per mode of ``table`` (N_0, ..., N_{M-1}).
+
+    ``ops[i]`` is block i's stencil, a list of (index, weight) corner pairs
+    of shape (N_i,) each: mode i of the result at r reads the table at
+    ``index[r]`` along axis i with ``weight[r]``.  The modes apply one after
+    the other, so the whole is the Kronecker product of the block operators.
+    ``mul`` and ``add`` pick the semiring (logical_and and logical_or apply
+    the operator's support to a boolean table).  The result is written to
+    ``out``; ``scratch`` holds three arrays of the table's shape and dtype,
+    so no call allocates.
+    """
+    buf, *pingpong = scratch
+    src = table
+    for i, corners in enumerate(ops):
+        dst = out if i == len(ops) - 1 else pingpong[i % 2]
+        lead = (-1,) + (1,) * (table.ndim - 1 - i)
+        dst.fill(0)
+        for idx, wgt in corners:
+            # indices are in range; mode="raise" would copy through a buffer
+            np.take(src, idx, axis=i, out=buf, mode="clip")
+            mul(buf, wgt.reshape(lead), out=buf)
+            add(dst, buf, out=dst)
+        src = dst
+    return out
 
 
 @dataclass
@@ -352,6 +392,23 @@ class ValueGrid:
                    coverage_ok=header["coverage_ok"], meta=header.get("meta", {}))
 
 
+def _check_atomwise(fld, t, Xb, u):
+    """CapabilityError unless each atom's velocity at the block rows Xb
+    (rows, M, n) stays put when the other atoms' rows are rolled."""
+    F = fld(t, Xb, u)
+    if F.shape != Xb.shape:
+        raise DimensionMismatchError(f"field returned shape {F.shape} for states "
+                                     f"of shape {Xb.shape}")
+    scale = 1e-12 * max(1.0, float(np.abs(F).max()))
+    for i in range(Xb.shape[1]):
+        rolled = np.roll(Xb, 1, axis=0)
+        rolled[:, i] = Xb[:, i]
+        if np.abs(fld(t, rolled, u)[:, i] - F[:, i]).max() > scale:
+            raise CapabilityError(
+                f"value_dp needs an atom-wise field: atom {i}'s velocity at "
+                f"t={t:.6g}, u={np.asarray(u).tolist()} depends on other atoms")
+
+
 def value_dp(p: ProblemSpec, axes, grid: TimeGrid, phi_radius=None,
              workers=1) -> ValueGrid:
     """Backward one-step recursion over the stacked-coordinate tensor grid.
@@ -361,6 +418,18 @@ def value_dp(p: ProblemSpec, axes, grid: TimeGrid, phi_radius=None,
     turns it into a reachability radius, and a warning is raised if the axes
     do not contain it.  The recursion itself uses one explicit Euler substep
     and multilinear interpolation; out-of-grid lookups clamp and count.
+
+    The field must be atom-wise (see :class:`DynamicsSpec`), so the foot map
+    of one step is a product of per-atom maps and the interpolation at the
+    feet is the Kronecker product of one block operator per atom, built from
+    the field on that atom's block of axes alone.  A probe at the last
+    step's time and controls raises CapabilityError for a field that couples
+    atoms.  The clamp mask is the outer OR of the per-block masks, and the
+    taint is the operator's support applied to the taint table over the
+    boolean semiring: a corner's weight is a product of per-axis weights that
+    are 0 or at least about 1e-12, so it is > 0 exactly when every block's
+    factor is.  ``workers`` threads share the control candidates of each
+    step; the result does not depend on their number.
     """
     axes = _as_axes(axes)
     M, n = p.space.size, p.n
@@ -369,6 +438,8 @@ def value_dp(p: ProblemSpec, axes, grid: TimeGrid, phi_radius=None,
         raise ValueError(f"need one axis per stacked coordinate ({d}), got {len(axes)}")
     if d > 4:
         raise ValueError(f"stacked dimension {d} exceeds the feasibility guard (4)")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
 
     coverage_radius = np.nan
     coverage_ok = True
@@ -402,42 +473,65 @@ def value_dp(p: ProblemSpec, axes, grid: TimeGrid, phi_radius=None,
     tainted = np.zeros((N + 1,) + shape, dtype=bool)
     values[N] = (per_atom @ p.space.weights).reshape(shape)
 
-    clamp_total = 0
+    # block i lists the node mesh of atom i's n axes; shorter blocks repeat
+    # their nodes cyclically up to the longest
+    blk_axes = [axes[i * n:(i + 1) * n] for i in range(M)]
+    meshes = [_node_mesh([ax.nodes for ax in blk]) for blk in blk_axes]
+    sizes = tuple(mesh.shape[0] for mesh in meshes)
+    rows = max(sizes)
+    Xb = np.stack([mesh[np.arange(rows) % mesh.shape[0]] for mesh in meshes], axis=1)
     fld = p.dynamics.field
+    for u in p.controls.active_set(grid.nodes[N - 1]):
+        _check_atomwise(fld, grid.nodes[N - 1], Xb, u)
 
-    for j in range(N - 1, -1, -1):
-        t = grid.nodes[j]
-        h = grid.nodes[j + 1] - grid.nodes[j]
-        pts = p.controls.active_set(t)
-        K = pts.shape[0]
-        cand = np.empty((K, Q))
-        bad = np.zeros(Q, dtype=bool)
-        nxt = values[j + 1]
-        nxt_taint = tainted[j + 1]
+    K = max(p.controls.active_set(t).shape[0] for t in grid.nodes[:-1])
+    threads = min(workers, K)
+    # every candidate writes its own rows; each thread owns one scratch set
+    cand = np.empty((K, Q))
+    masks = np.empty((K, Q), dtype=bool)
+    counts = np.zeros(K, dtype=np.int64)
+    better = np.empty(Q, dtype=bool)
+    scratch = [(np.empty((3,) + sizes), np.empty((3,) + sizes, dtype=bool))
+               for _ in range(threads)]
 
-        def fill(q0, q1):
-            nc = 0
-            for k in range(K):
-                Y = Z[q0:q1] + h * fld(t, X[q0:q1], pts[k]).reshape(q1 - q0, d)
-                vals, clamped, touched = _interpolate(nxt, nxt_taint, axes, Y)
-                cand[k, q0:q1] = vals
-                # a node is trustworthy only if every candidate branch is
-                bad[q0:q1] |= clamped | touched
-                nc += int(clamped.sum())
-            return nc
+    def fill(g, t, h, pts, nxt, nxt_taint):
+        """Candidates g, g + threads, ... of one step, on scratch set g."""
+        for k in range(g, pts.shape[0], threads):
+            F = fld(t, Xb, pts[k])
+            stencils = [_stencil(blk, Xb[:size, i] + h * F[:size, i])
+                        for i, (blk, size) in enumerate(zip(blk_axes, sizes))]
+            ops = [corners for corners, _ in stencils]
+            _kron_apply(nxt, ops, cand[k].reshape(sizes), scratch[g][0])
+            mask = _kron_apply(nxt_taint, [[(idx, wgt > 0.0) for idx, wgt in corners]
+                                           for corners in ops],
+                               masks[k].reshape(sizes), scratch[g][1],
+                               np.logical_and, np.logical_or)
+            inside = 1
+            for i, (_, clamped) in enumerate(stencils):
+                mask |= clamped.reshape((-1,) + (1,) * (M - 1 - i))
+                inside *= clamped.size - int(clamped.sum())
+            counts[k] = Q - inside
 
-        if workers > 1:
-            bounds = np.linspace(0, Q, workers + 1).astype(int)
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                counts = list(pool.map(lambda b: fill(b[0], b[1]),
-                                       zip(bounds[:-1], bounds[1:])))
-            clamp_total += sum(counts)
-        else:
-            clamp_total += fill(0, Q)
-
-        values[j] = cand.min(axis=0).reshape(shape)
-        argmin[j] = cand.argmin(axis=0).astype(np.int32).reshape(shape)
-        tainted[j] = bad.reshape(shape)
+    clamp_total = 0
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+        for j in range(N - 1, -1, -1):
+            t = grid.nodes[j]
+            h = grid.nodes[j + 1] - grid.nodes[j]
+            pts = p.controls.active_set(t)
+            args = (t, h, pts, values[j + 1].reshape(sizes), tainted[j + 1].reshape(sizes))
+            list((pool.map if pool else map)(lambda g: fill(g, *args),
+                                             range(min(threads, pts.shape[0]))))
+            clamp_total += int(counts[:pts.shape[0]].sum())
+            # cand.min and cand.argmin over axis 0, one candidate row at a
+            # time: argmin across rows is several times slower
+            vals, arg = values[j].reshape(-1), argmin[j].reshape(-1)
+            vals[:], arg[:] = cand[0], 0
+            for k in range(1, pts.shape[0]):
+                np.less(cand[k], vals, out=better)
+                np.copyto(arg, k, where=better)
+                np.minimum(vals, cand[k], out=vals)
+            # a node is trustworthy only if every candidate branch is
+            np.any(masks[:pts.shape[0]], axis=0, out=tainted[j].reshape(-1))
 
     return ValueGrid(grid=grid, axes=axes, values=values, argmin=argmin,
                      tainted=tainted, clamp_count=clamp_total,

@@ -1,9 +1,18 @@
+import contextlib
+import inspect
+import io
 import json
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import enoc.cli
-from enoc.cli import main
+from enoc import (ControlSchedule, DynamicsSpec, ParameterSpace, ProblemSpec,
+                  TerminalCostSpec)
+from enoc.cli import _dpp_check, main
+from enoc.library import _BUILTINS
 
 
 def run(args):
@@ -147,6 +156,29 @@ def test_verify_dpp_check_fails_without_a_split(tmp_path, small_verify_cfg):
     passed = {row.split(",")[0]: row.split(",")[-1] for row in rows}
     assert passed.pop("dpp_residual") == "False"
     assert set(passed.values()) == {"True"}
+
+
+def test_dpp_check_fails_on_a_nan_residual():
+    # every leaf costs +inf, so each residual is inf - inf = NaN
+    space = ParameterSpace(weights=[0.5, 0.5], coords=[[0.0], [1.0]])
+    cost = TerminalCostSpec(
+        eval_ens=lambda X: np.broadcast_to([0.0, np.inf], np.shape(X)[:-1]),
+        lower_bound_a=np.zeros(2), lower_bound_b=0.0)
+    dyn = DynamicsSpec(eval_ens=lambda t, X, u: np.zeros_like(X),
+                       growth_c=1.0, lipschitz_k=1.0)
+    p = ProblemSpec(space=space, n=1, m=1, dynamics=dyn, cost=cost,
+                    controls=ControlSchedule.constant([[0.0]]), horizon=1.0)
+    rep = _dpp_check(p, 0.0, 2, 3, 0, 10 ** 6)
+    assert np.isnan(rep.worst) and not rep.passed
+    assert rep.witness == {"sample": 0, "s2": pytest.approx(1.0 / 3.0)}
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_workers_below_one_exit_2_naming_the_key(tmp_path, capsys, workers):
+    rc = run(["solve", "--problem", "decoupled-quadratic", "--method", "oracle",
+              "--steps", "2", "--workers", workers, "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: config key 'workers'")
 
 
 TRACED = ["trajectory_bound_suite", "dpp_residual", "epigraph_invariance",
@@ -372,7 +404,9 @@ def test_unknown_builtin_parameter_flag_exits_2(tmp_path, capsys):
     assert "unknown parameter(s) zzz" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("param, key", [("M=[1]", "'M'"), ('rho="x"', "'rho'")])
+@pytest.mark.parametrize("param, key", [
+    ("M=[1]", "'M'"), ('rho="x"', "'rho'"), ("M=0", "'M'"),
+    (f"rho={10 ** 400}", "'rho'"), ("a=[1e999, 0]", "'a'")])
 def test_builtin_parameter_of_the_wrong_type_exits_2(tmp_path, capsys, param, key):
     rc = run(["solve", "--param", param, "--method", "oracle", "--steps", "2",
               "--out", str(tmp_path / "x")])
@@ -380,6 +414,19 @@ def test_builtin_parameter_of_the_wrong_type_exits_2(tmp_path, capsys, param, ke
     err = capsys.readouterr().err
     assert err.startswith("error: builtin parameter " + key)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("param, message", [
+    (f"levels={10 ** 9}", "more than 1000000 entries"),
+    (f"n={10 ** 30}", "more than 1000000 entries"),
+    ("M=1001", "more than 1000000 entries"),
+    ("coords=5", "coords must be an (M, d) array"),
+])
+def test_builtin_sizes_and_shapes_exit_2(tmp_path, capsys, param, message):
+    rc = run(["solve", "--param", param, "--method", "oracle", "--steps", "2",
+              "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
 
 
 def test_cli_import_loads_no_scipy():
@@ -415,3 +462,26 @@ def test_env_var_default_out(tmp_path, monkeypatch):
               "--steps", "3"])
     assert rc == 0
     assert (target / "manifest.json").exists()
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=8)
+_BUILTIN_PARAMS = [(name, key) for name, factory in sorted(_BUILTINS.items())
+                   for key in inspect.signature(factory).parameters]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(param=st.sampled_from(_BUILTIN_PARAMS), value=_JSON)
+def test_any_json_builtin_parameter_exits_0_or_2(tmp_path, param, value):
+    name, key = param
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = run(["solve", "--problem", name, f"--param={key}={json.dumps(value)}",
+                  "--method", "oracle", "--steps", "2", "--out", str(tmp_path / "x")])
+    assert rc in (0, 2)
+    assert "Traceback" not in err.getvalue()

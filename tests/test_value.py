@@ -3,12 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
+import enoc.value
 from enoc import (Axis, CapabilityError, CapacityError, ControlSchedule,
                   ControlSignal, DimensionMismatchError, DynamicsSpec,
                   EnsembleState, GridCoverageWarning, ParameterSpace,
                   ProblemSpec, TerminalCostSpec, TerminalValueError,
                   TimeGrid, builtin, build_oracle_tree,
-                  closed_form, dpp_residual, reduced_cost, stack_state,
+                  closed_form, dpp_residual, problem_from_dict, reduced_cost,
+                  stack_state,
                   terminal_functional, unstack_state, value_adjoint, value_dp,
                   value_oracle)
 from enoc.value import ValueGrid, _interpolate
@@ -244,6 +246,149 @@ def test_dp_workers_do_not_change_result(lin2):
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.argmin, b.argmin)
     assert a.clamp_count == b.clamp_count
+
+
+def test_dp_asks_for_at_most_one_thread_per_candidate(lin2, monkeypatch):
+    asked = []
+
+    class Serial:
+        """Stands in for the thread pool: records its size, maps in order."""
+
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(enoc.value, "ThreadPoolExecutor", Serial)
+    grid = TimeGrid(0.0, 1.0, 4)
+    axes = [Axis(-3.0, 3.0, 9)] * 2
+    wide = value_dp(lin2, axes, grid, workers=64)
+    assert asked == [3]                     # K = 3 control points
+    one = value_dp(lin2, axes, grid, workers=1)
+    assert asked == [3]
+    assert np.array_equal(wide.values, one.values)
+    with pytest.raises(ValueError, match="workers"):
+        value_dp(lin2, axes, grid, workers=0)
+
+
+def reference_value_dp(p, axes, grid):
+    """The per-node corner-gather recursion that value_dp factors per atom:
+    each candidate moves all Q nodes by one Euler step and interpolates the
+    whole table at the feet through _interpolate.  Returns values, argmin,
+    tainted, clamp count and, per step and node, the gap between the two
+    best candidates."""
+    M, n = p.space.size, p.n
+    shape = tuple(ax.count for ax in axes)
+    mesh = np.meshgrid(*[ax.nodes for ax in axes], indexing="ij")
+    Z = np.stack([m.reshape(-1) for m in mesh], axis=1)
+    Q, d = Z.shape
+    X = Z.reshape(Q, M, n)
+    N = grid.steps
+    values = np.empty((N + 1,) + shape)
+    argmin = np.empty((N,) + shape, dtype=np.int32)
+    tainted = np.zeros((N + 1,) + shape, dtype=bool)
+    gaps = np.full((N,) + shape, np.inf)
+    values[N] = (p.cost.values(X) @ p.space.weights).reshape(shape)
+    clamp_count = 0
+    for j in range(N - 1, -1, -1):
+        t, h = grid.nodes[j], grid.nodes[j + 1] - grid.nodes[j]
+        pts = p.controls.active_set(t)
+        cand = np.empty((len(pts), Q))
+        bad = np.zeros(Q, dtype=bool)
+        for k, u in enumerate(pts):
+            Y = Z + h * p.dynamics.field(t, X, u).reshape(Q, d)
+            cand[k], clamped, touched = _interpolate(values[j + 1], tainted[j + 1],
+                                                     axes, Y)
+            bad |= clamped | touched
+            clamp_count += int(clamped.sum())
+        values[j] = cand.min(axis=0).reshape(shape)
+        argmin[j] = cand.argmin(axis=0).reshape(shape)
+        tainted[j] = bad.reshape(shape)
+        if len(pts) > 1:
+            best_two = np.sort(cand, axis=0)[:2]
+            gaps[j] = (best_two[1] - best_two[0]).reshape(shape)
+    return values, argmin, tainted, clamp_count, gaps
+
+
+_EXPR_T_DEPENDENT = {
+    "format": "enoc-problem/1",
+    "space": {"format": "enoc-space/1",
+              "atoms": [{"id": "w0", "coords": [0.5]}, {"id": "w1", "coords": [1.0]}],
+              "weights": [0.5, 0.5]},
+    "n": 1, "m": 1, "horizon": 1.0,
+    "dynamics": {"expressions": ["w1 * x1 * cos(3 * t) + u1"],
+                 "growth_c": 1.0, "lipschitz_k": 1.0},
+    "cost": {"expression": "(x1 - w1) ** 2", "lower_bound_a": 0.0,
+             "lower_bound_b": 0.0},
+    "controls": {"breakpoints": [0.0], "sets": [[[-1.0], [0.0], [1.0]]],
+                 "box": [[-1.0, 1.0]]},
+}
+
+
+@pytest.mark.parametrize("make, axes, steps", [
+    (lambda: builtin("linear-ensemble", M=2, n=2, a=[0.5, -0.3], c=[2.0, 1.0]),
+     [Axis(-2.0, 2.0, 7)] * 4, 4),
+    (lambda: builtin("decoupled-quadratic", M=3, tau=[0.3, -0.2, 0.5]),
+     [Axis(-1.0, 1.0, 9)] * 3, 5),
+    (lambda: builtin("bilinear"), [Axis(-2.0, 2.0, 21)] * 2, 8),
+    (lambda: problem_from_dict(_EXPR_T_DEPENDENT), [Axis(-2.0, 2.0, 41)] * 2, 20),
+    (lambda: builtin("linear-ensemble", M=2, a=[1.0, -0.5], c=[1.0, -2.0]),
+     [Axis(-2.0, 2.0, 11), Axis(-1.5, 1.5, 17)], 10),
+    # h * u is one spacing, so every foot is a node and most corner weights
+    # are zero: the taint must follow the nonzero ones only
+    (lambda: builtin("decoupled-quadratic", M=2, tau=[0.3, -0.2]),
+     [Axis(-1.0, 1.0, 9), Axis(-1.5, 1.5, 13)], 4),
+], ids=["linear-M2-n2", "quadratic-M3", "bilinear", "expr-t-dependent", "unequal-blocks",
+        "feet-on-nodes"])
+def test_dp_matches_the_corner_gather_recursion(make, axes, steps):
+    p = make()
+    grid = TimeGrid(0.0, 1.0, steps)
+    vg = value_dp(p, axes, grid)
+    values, argmin, tainted, clamp_count, gaps = reference_value_dp(p, axes, grid)
+    # the reference must see clamps and a partial taint, or the masks prove nothing
+    assert clamp_count > 0 and 0.0 < tainted[:-1].mean() < 1.0
+    np.testing.assert_allclose(vg.values, values, rtol=1e-12, atol=1e-12)
+    assert np.array_equal(vg.tainted, tainted)
+    assert vg.clamp_count == clamp_count
+    moved = vg.argmin != argmin
+    assert np.all(gaps[moved] <= 1e-12 * np.maximum(1.0, np.abs(values[:-1][moved])))
+
+
+@pytest.mark.parametrize("p, axes", [
+    (builtin("bilinear", M=1, n=2, a=[1.2]), [Axis(-1.0, 1.0, 9), Axis(-1.5, 1.5, 13)]),
+    (builtin("linear-ensemble", M=1, a=[0.7], c=[1.5]), [Axis(-2.0, 2.0, 21)]),
+], ids=["bilinear-n2", "linear-n1"])
+def test_one_atom_dp_is_the_corner_gather_recursion_bitwise(p, axes):
+    # with one atom the block operator is the whole operator, summed in the
+    # same corner order
+    grid = TimeGrid(0.0, 1.0, 8)
+    vg = value_dp(p, axes, grid)
+    values, argmin, tainted, clamp_count, gaps = reference_value_dp(p, axes, grid)
+    assert np.any(gaps == 0.0)              # exact ties, broken to the first
+    assert vg.values.tobytes() == values.tobytes()
+    assert np.array_equal(vg.argmin, argmin)
+    assert np.array_equal(vg.tainted, tainted)
+    assert vg.clamp_count == clamp_count
+
+
+def test_dp_rejects_a_field_that_couples_atoms():
+    space = ParameterSpace(weights=[0.5, 0.5], coords=[[0.0], [1.0]])
+    # each atom is pulled towards the ensemble mean: atom-wise only in name
+    dyn = DynamicsSpec(eval_ens=lambda t, X, u: X.mean(axis=-2, keepdims=True) - X + u,
+                       growth_c=2.0, lipschitz_k=2.0)
+    cost = TerminalCostSpec(eval_ens=lambda X: X[..., 0] ** 2,
+                            lower_bound_a=np.zeros(2), lower_bound_b=0.0)
+    p = ProblemSpec(space=space, n=1, m=1, dynamics=dyn, cost=cost,
+                    controls=ControlSchedule.constant([[-1.0], [1.0]]), horizon=1.0)
+    with pytest.raises(CapabilityError, match="atom-wise"):
+        value_dp(p, [Axis(-1.0, 1.0, 5)] * 2, TimeGrid(0.0, 1.0, 2))
 
 
 def _corner_loop(taint, axes, Y):
