@@ -377,7 +377,7 @@ def _add_common(sub):
     sub.add_argument("--seed", type=int, help="random seed")
     sub.add_argument("--out", help="output directory (or $ENOC_OUT)")
     sub.add_argument("--workers", type=int,
-                     help="threads sharing each dp step's control candidates")
+                     help="at least 1; accepted for compatibility, runs use one thread")
     sub.add_argument("--budget", type=int, help="enumeration budget")
     sub.add_argument("--config", help="JSON config file; overrides flags")
 

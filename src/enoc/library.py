@@ -247,10 +247,16 @@ def builtin(name, **parameters) -> ProblemSpec:
         _check_parameter(key, val, accepted[key].default)
     M, n, levels = (parameters.get(key, accepted[key].default)
                     for key in ("M", "n", "levels"))
-    # the M x M atom metric, the (M, n, n) Jacobians and the levels^n x n
-    # control grid; past n = 20 a grid of two levels or more is too large
-    if levels > 1 and n > 20 or max(M * M, M * n * n, levels ** n * n) > _MAX_ENTRIES:
-        raise CapacityError(f"builtin {name!r} with M={M}, n={n}, levels={levels} "
+    # given weights or coords set the atom count (the factories take M from
+    # them); the atom metric comes from M x M x width coordinate differences
+    w_shape, c_shape = (np.shape(parameters.get(key)) for key in ("weights", "coords"))
+    M = max([M, *w_shape[:1], *c_shape[:1]])
+    width = int(np.prod(c_shape[1:]))
+    # the atom metric, the (M, n, n) Jacobians and the levels^n x n control
+    # grid; past n = 20 a grid of two levels or more is too large
+    if levels > 1 and n > 20 or max(M * M * width, M * n * n,
+                                    levels ** n * n) > _MAX_ENTRIES:
+        raise CapacityError(f"builtin {name!r} with {M} atoms, n={n}, levels={levels} "
                             f"builds an array of more than {_MAX_ENTRIES} entries")
     return factory(**parameters)
 

@@ -19,8 +19,6 @@ import json
 import os
 import struct
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -428,8 +426,8 @@ def value_dp(p: ProblemSpec, axes, grid: TimeGrid, phi_radius=None,
     taint is the operator's support applied to the taint table over the
     boolean semiring: a corner's weight is a product of per-axis weights that
     are 0 or at least about 1e-12, so it is > 0 exactly when every block's
-    factor is.  ``workers`` threads share the control candidates of each
-    step; the result does not depend on their number.
+    factor is.  ``workers`` is accepted for the command line's ``--workers``
+    and must be at least 1; the sweep runs on the calling thread.
     """
     axes = _as_axes(axes)
     M, n = p.space.size, p.n
@@ -484,54 +482,40 @@ def value_dp(p: ProblemSpec, axes, grid: TimeGrid, phi_radius=None,
     for u in p.controls.active_set(grid.nodes[N - 1]):
         _check_atomwise(fld, grid.nodes[N - 1], Xb, u)
 
-    K = max(p.controls.active_set(t).shape[0] for t in grid.nodes[:-1])
-    threads = min(workers, K)
-    # every candidate writes its own rows; each thread owns one scratch set
-    cand = np.empty((K, Q))
-    masks = np.empty((K, Q), dtype=bool)
-    counts = np.zeros(K, dtype=np.int64)
+    cand, mask = np.empty(sizes), np.empty(sizes, dtype=bool)
+    cand_flat, mask_flat = cand.reshape(-1), mask.reshape(-1)
     better = np.empty(Q, dtype=bool)
-    scratch = [(np.empty((3,) + sizes), np.empty((3,) + sizes, dtype=bool))
-               for _ in range(threads)]
-
-    def fill(g, t, h, pts, nxt, nxt_taint):
-        """Candidates g, g + threads, ... of one step, on scratch set g."""
-        for k in range(g, pts.shape[0], threads):
-            F = fld(t, Xb, pts[k])
+    scratch = np.empty((3,) + sizes), np.empty((3,) + sizes, dtype=bool)
+    clamp_total = 0
+    for j in range(N - 1, -1, -1):
+        t = grid.nodes[j]
+        h = grid.nodes[j + 1] - grid.nodes[j]
+        nxt, nxt_taint = values[j + 1].reshape(sizes), tainted[j + 1].reshape(sizes)
+        vals, arg = values[j].reshape(-1), argmin[j].reshape(-1)
+        taint = tainted[j].reshape(-1)
+        for k, u in enumerate(p.controls.active_set(t)):
+            F = fld(t, Xb, u)
             stencils = [_stencil(blk, Xb[:size, i] + h * F[:size, i])
                         for i, (blk, size) in enumerate(zip(blk_axes, sizes))]
             ops = [corners for corners, _ in stencils]
-            _kron_apply(nxt, ops, cand[k].reshape(sizes), scratch[g][0])
-            mask = _kron_apply(nxt_taint, [[(idx, wgt > 0.0) for idx, wgt in corners]
-                                           for corners in ops],
-                               masks[k].reshape(sizes), scratch[g][1],
-                               np.logical_and, np.logical_or)
+            _kron_apply(nxt, ops, cand, scratch[0])
+            _kron_apply(nxt_taint, [[(idx, wgt > 0.0) for idx, wgt in corners]
+                                    for corners in ops],
+                        mask, scratch[1], np.logical_and, np.logical_or)
             inside = 1
             for i, (_, clamped) in enumerate(stencils):
                 mask |= clamped.reshape((-1,) + (1,) * (M - 1 - i))
                 inside *= clamped.size - int(clamped.sum())
-            counts[k] = Q - inside
-
-    clamp_total = 0
-    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
-        for j in range(N - 1, -1, -1):
-            t = grid.nodes[j]
-            h = grid.nodes[j + 1] - grid.nodes[j]
-            pts = p.controls.active_set(t)
-            args = (t, h, pts, values[j + 1].reshape(sizes), tainted[j + 1].reshape(sizes))
-            list((pool.map if pool else map)(lambda g: fill(g, *args),
-                                             range(min(threads, pts.shape[0]))))
-            clamp_total += int(counts[:pts.shape[0]].sum())
-            # cand.min and cand.argmin over axis 0, one candidate row at a
-            # time: argmin across rows is several times slower
-            vals, arg = values[j].reshape(-1), argmin[j].reshape(-1)
-            vals[:], arg[:] = cand[0], 0
-            for k in range(1, pts.shape[0]):
-                np.less(cand[k], vals, out=better)
-                np.copyto(arg, k, where=better)
-                np.minimum(vals, cand[k], out=vals)
-            # a node is trustworthy only if every candidate branch is
-            np.any(masks[:pts.shape[0]], axis=0, out=tainted[j].reshape(-1))
+            clamp_total += Q - inside
+            # running min and first argmin over the candidates; a node is
+            # trustworthy only if every candidate branch is
+            if k == 0:
+                vals[:], arg[:], taint[:] = cand_flat, 0, mask_flat
+                continue
+            np.less(cand_flat, vals, out=better)
+            np.copyto(arg, k, where=better)
+            np.minimum(vals, cand_flat, out=vals)
+            taint |= mask_flat
 
     return ValueGrid(grid=grid, axes=axes, values=values, argmin=argmin,
                      tainted=tainted, clamp_count=clamp_total,

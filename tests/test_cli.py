@@ -416,15 +416,22 @@ def test_builtin_parameter_of_the_wrong_type_exits_2(tmp_path, capsys, param, ke
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("param, message", [
-    (f"levels={10 ** 9}", "more than 1000000 entries"),
-    (f"n={10 ** 30}", "more than 1000000 entries"),
-    ("M=1001", "more than 1000000 entries"),
-    ("coords=5", "coords must be an (M, d) array"),
+_LONG = json.dumps([1.0] * 1001)
+
+
+@pytest.mark.parametrize("params, message", [
+    ([f"levels={10 ** 9}"], "more than 1000000 entries"),
+    ([f"n={10 ** 30}"], "more than 1000000 entries"),
+    (["M=1001"], "more than 1000000 entries"),
+    ([f"weights={_LONG}", f"coords={_LONG}"], "with 1001 atoms"),
+    (["weights=[1, 1]", f"coords={json.dumps([[0.0] * 250001] * 2)}"],
+     "more than 1000000 entries"),
+    (["coords=5"], "coords must be an (M, d) array"),
 ])
-def test_builtin_sizes_and_shapes_exit_2(tmp_path, capsys, param, message):
-    rc = run(["solve", "--param", param, "--method", "oracle", "--steps", "2",
-              "--out", str(tmp_path / "x")])
+def test_builtin_sizes_and_shapes_exit_2(tmp_path, capsys, params, message):
+    rc = run(["solve", "--method", "oracle", "--steps", "2",
+              "--out", str(tmp_path / "x")]
+             + [arg for param in params for arg in ("--param", param)])
     assert rc == 2
     assert message in capsys.readouterr().err
 

@@ -3,7 +3,6 @@ import itertools
 import numpy as np
 import pytest
 
-import enoc.value
 from enoc import (Axis, CapabilityError, CapacityError, ControlSchedule,
                   ControlSignal, DimensionMismatchError, DynamicsSpec,
                   EnsembleState, GridCoverageWarning, ParameterSpace,
@@ -248,34 +247,9 @@ def test_dp_workers_do_not_change_result(lin2):
     assert a.clamp_count == b.clamp_count
 
 
-def test_dp_asks_for_at_most_one_thread_per_candidate(lin2, monkeypatch):
-    asked = []
-
-    class Serial:
-        """Stands in for the thread pool: records its size, maps in order."""
-
-        def __init__(self, max_workers):
-            asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(enoc.value, "ThreadPoolExecutor", Serial)
-    grid = TimeGrid(0.0, 1.0, 4)
-    axes = [Axis(-3.0, 3.0, 9)] * 2
-    wide = value_dp(lin2, axes, grid, workers=64)
-    assert asked == [3]                     # K = 3 control points
-    one = value_dp(lin2, axes, grid, workers=1)
-    assert asked == [3]
-    assert np.array_equal(wide.values, one.values)
+def test_dp_rejects_workers_below_one(lin2):
     with pytest.raises(ValueError, match="workers"):
-        value_dp(lin2, axes, grid, workers=0)
+        value_dp(lin2, [Axis(-3.0, 3.0, 9)] * 2, TimeGrid(0.0, 1.0, 4), workers=0)
 
 
 def reference_value_dp(p, axes, grid):
