@@ -38,7 +38,8 @@ class TerminalValueError(EnocError, ValueError):
 
     NaN and -inf are rejected everywhere (``terminal_functional`` and every
     enumerated leaf of the oracle tree); +inf propagates, except that
-    ``value_dp`` rejects any infinite cost on its grid nodes.
+    ``value_dp`` rejects any infinite cost on its grid nodes.  Finite
+    per-atom costs whose mass-weighted sum overflows are rejected everywhere.
     """
 
 

@@ -245,6 +245,10 @@ def builtin(name, **parameters) -> ProblemSpec:
                          f"{name!r}; accepted: {', '.join(accepted)}")
     for key, val in parameters.items():
         _check_parameter(key, val, accepted[key].default)
+    # an integer past int64 given for a float parameter would make numpy
+    # build object arrays
+    parameters = {key: float(val) if isinstance(accepted[key].default, float) else val
+                  for key, val in parameters.items()}
     M, n, levels = (parameters.get(key, accepted[key].default)
                     for key in ("M", "n", "levels"))
     # given weights or coords set the atom count (the factories take M from

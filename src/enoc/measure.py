@@ -71,8 +71,12 @@ class ParameterSpace:
         if metric is None:
             if coords is None:
                 raise ValueError("either metric or coords must be provided")
-            diff = coords[:, None, :] - coords[None, :, :]
-            metric = np.sqrt((diff * diff).sum(axis=-1))
+            with np.errstate(over="ignore"):
+                diff = coords[:, None, :] - coords[None, :, :]
+                metric = np.sqrt((diff * diff).sum(axis=-1))
+            if not np.all(np.isfinite(metric)):
+                i, j = np.argwhere(~np.isfinite(metric))[0]
+                raise ValueError(f"distance of atoms ({i},{j}) overflows; rescale coords")
         else:
             metric = np.asarray(metric, dtype=float)
             if metric.shape != (m, m):
@@ -111,7 +115,8 @@ class ParameterSpace:
             i, j = np.argwhere(asym > _METRIC_ATOL)[0]
             raise ValueError(f"metric is asymmetric at ({i},{j})")
         # d[i,j] <= min_k d[i,k] + d[k,j], allowing float slack
-        via = (d[:, :, None] + d[None, :, :]).min(axis=1)
+        with np.errstate(over="ignore"):     # an overflowing detour is no shortcut
+            via = (d[:, :, None] + d[None, :, :]).min(axis=1)
         viol = d - via
         slack = _METRIC_ATOL * (1.0 + d.max())
         if viol.max() > slack:

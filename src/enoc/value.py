@@ -43,6 +43,19 @@ def unstack_state(z, space, n) -> EnsembleState:
 
 # -- terminal functional and reduced cost -----------------------------------
 
+def _weighted_sum(per_atom, weights):
+    """``per_atom @ weights``, the mass-weighted sum over the last (atom)
+    axis.  A sum that is not finite although every cost in its row is raises
+    TerminalValueError: the weighting overflowed."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = per_atom @ weights
+    bad = ~np.isfinite(total)
+    if bad.any() and np.isfinite(per_atom[bad]).all(axis=-1).any():
+        raise TerminalValueError("the mass-weighted terminal cost overflows "
+                                 "although every atom's cost is finite")
+    return total
+
+
 def terminal_functional(p: ProblemSpec, phi: EnsembleState) -> float:
     """Mass-weighted terminal cost; +inf propagates, NaN and -inf are errors."""
     per_atom = p.cost.values(phi.values)
@@ -54,7 +67,7 @@ def terminal_functional(p: ProblemSpec, phi: EnsembleState) -> float:
         raise TerminalValueError(f"terminal cost is -inf at atom {bad}")
     if np.any(np.isposinf(per_atom)):
         return np.inf
-    return float(p.space.weights @ per_atom)
+    return float(_weighted_sum(per_atom, p.space.weights))
 
 
 def reduced_cost(p: ProblemSpec, s, phi: EnsembleState, u: ControlSignal) -> float:
@@ -72,6 +85,9 @@ class OracleTree:
     ordered so that index q at level j+1 corresponds to node q // K_j with
     control q % K_j appended: flat order is lexicographic in (start, control
     indices).  ``values[j][q]`` is the exact minimum over all continuations.
+    For j >= 1, ``states[j]`` is a (nodes, M, n) view of an (M, n, nodes)
+    array: the node axis is innermost (stride 8 bytes), so the field's and
+    RK4's broadcasts loop over it.  ``states[0]`` is the start stack as given.
     """
 
     grid: TimeGrid
@@ -118,8 +134,8 @@ def enumeration_count(p: ProblemSpec, grid: TimeGrid) -> int:
 def build_oracle_tree(p: ProblemSpec, s, phi, grid: TimeGrid,
                       budget=1_000_000) -> OracleTree:
     """Enumerate every signal from phi, one EnsembleState or B stacked start
-    states (B, M, n); the budget counts B x signals.  A NaN or -inf leaf cost
-    raises TerminalValueError, +inf is kept."""
+    states (B, M, n); the budget counts B x signals.  A NaN or -inf leaf cost,
+    or a weighted sum that overflows, raises TerminalValueError; +inf is kept."""
     starts = (phi.values[None] if isinstance(phi, EnsembleState)
               else np.asarray(phi, dtype=float))
     if starts.ndim != 3 or starts.shape[1:] != (p.space.size, p.n):
@@ -133,6 +149,7 @@ def build_oracle_tree(p: ProblemSpec, s, phi, grid: TimeGrid,
     if abs(grid.s - s) > 1e-12:
         raise ValueError(f"grid starts at {grid.s}, expected {s}")
     fld = p.dynamics.field
+    M, n = starts.shape[1:]
     controls = []
     states = [starts]
     for j in range(grid.steps):
@@ -142,12 +159,15 @@ def build_oracle_tree(p: ProblemSpec, s, phi, grid: TimeGrid,
         K = pts.shape[0]
         controls.append(pts)
         cur = states[-1]
-        nxt = np.empty((cur.shape[0], K) + cur.shape[1:])
+        B = cur.shape[0]
+        # node-innermost memory, so every broadcast loops over the node axis
+        nxt = np.empty((M, n, B, K))
         for k in range(K):
-            nxt[:, k] = _rk4_step(fld, t, h, cur, pts[k])
-        states.append(nxt.reshape((-1,) + cur.shape[1:]))
-    per_atom = p.cost.values(states[-1])
-    leaf = per_atom @ p.space.weights
+            nxt[..., k] = _rk4_step(fld, t, h, cur, pts[k]).transpose(1, 2, 0)
+        states.append(nxt.reshape(M, n, B * K).transpose(2, 0, 1))
+    # the weighted sum of a strided (nodes, M) array rounds differently
+    per_atom = np.ascontiguousarray(p.cost.values(states[-1]))
+    leaf = _weighted_sum(per_atom, p.space.weights)
     if np.isnan(leaf).any() or np.isneginf(leaf).any():
         word = "NaN" if np.isnan(per_atom).any() else "-inf"
         raise TerminalValueError(f"terminal cost is {word} on an enumerated endpoint")
@@ -469,7 +489,7 @@ def value_dp(p: ProblemSpec, axes, grid: TimeGrid, phi_radius=None,
     values = np.empty((N + 1,) + shape)
     argmin = np.empty((N,) + shape, dtype=np.int32)
     tainted = np.zeros((N + 1,) + shape, dtype=bool)
-    values[N] = (per_atom @ p.space.weights).reshape(shape)
+    values[N] = _weighted_sum(per_atom, p.space.weights).reshape(shape)
 
     # block i lists the node mesh of atom i's n axes; shorter blocks repeat
     # their nodes cyclically up to the longest
@@ -545,7 +565,7 @@ def _objective_and_gradient(p, grid, phi, U, need_grad=True):
         X = _rk4_step(fld, grid.nodes[j], grid.nodes[j + 1] - grid.nodes[j], X, U[j])
         states[j + 1] = X
     per_atom = p.cost.values(X)
-    J = float(p.space.weights @ per_atom)
+    J = float(_weighted_sum(per_atom, p.space.weights))
     if not need_grad:
         return J, None, None
     lam = p.cost.grad_ens(X) * p.space.weights[:, None]

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import inspect
 import io
 import json
@@ -291,6 +292,20 @@ def test_oracle_minus_infinity_cost_exits_2(tmp_path, capsys, sine_drift_doc):
     assert "terminal cost is -inf" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", [
+    ["--method", "oracle"],
+    ["--method", "dp", "--grid=-5:5:5", "--grid=-5:5:5"],
+], ids=["oracle", "dp"])
+def test_overflowing_weighted_terminal_sum_exits_2(tmp_path, capsys, method):
+    # each atom's cost is finite, the sum weighted by 1e308 masses is not
+    out = tmp_path / "x"
+    rc = run(["solve", "--problem", "linear-ensemble", "--param=weights=[1e308,1e308]",
+              "--steps", "2", "--out", str(out)] + method)
+    assert rc == 2
+    assert not (out / "value.csv").exists()
+    assert "terminal cost overflows" in capsys.readouterr().err
+
+
 def test_query_round_trip(tmp_path):
     out = tmp_path / "run"
     assert run(["solve", "--problem", "linear-ensemble",
@@ -416,6 +431,12 @@ def test_builtin_parameter_of_the_wrong_type_exits_2(tmp_path, capsys, param, ke
     assert "Traceback" not in err
 
 
+def test_float_parameter_given_an_integer_past_int64_solves(tmp_path):
+    rc = run(["solve", "--problem", "decoupled-quadratic", f"--param=rho={2 ** 63 + 1}",
+              "--method", "oracle", "--steps", "2", "--out", str(tmp_path / "x")])
+    assert rc == 0
+
+
 _LONG = json.dumps([1.0] * 1001)
 
 
@@ -471,6 +492,45 @@ def test_env_var_default_out(tmp_path, monkeypatch):
     assert (target / "manifest.json").exists()
 
 
+_SPACES = [
+    {"format": "enoc-space/1",
+     "atoms": [{"id": "a", "coords": [0.0]}, {"id": "b", "coords": [1.0]}],
+     "weights": [0.5, 0.5]},
+    {"format": "enoc-space/1", "atoms": [{"id": "a"}, {"id": "b"}],
+     "weights": [0.5, 0.5], "metric": [[0.0, 1.0], [1.0, 0.0]]},
+]
+
+
+def _solve_with_space_file(tmp_path, doc, space_bytes):
+    """Exit code and stderr of an oracle solve whose problem names its space
+    by a path relative to the problem file."""
+    (tmp_path / "space.json").write_bytes(space_bytes)
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps(dict(doc, space="space.json")))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = run(["solve", "--problem", str(problem), "--method", "oracle",
+                  "--steps", "2", "--out", str(tmp_path / "x")])
+    return rc, err.getvalue()
+
+
+def test_space_file_by_path_solves(tmp_path, sine_drift_doc):
+    for space in _SPACES:
+        rc, err = _solve_with_space_file(tmp_path, sine_drift_doc,
+                                         json.dumps(space).encode())
+        assert rc == 0, err
+    # a metric entry near the float limit is a metric; coords whose distance
+    # overflows are not
+    far = dict(_SPACES[1], metric=[[0.0, 1e308], [1e308, 0.0]])
+    assert _solve_with_space_file(tmp_path, sine_drift_doc,
+                                  json.dumps(far).encode())[0] == 0
+    far = dict(_SPACES[0], atoms=[{"id": "a", "coords": [1e308]},
+                                  {"id": "b", "coords": [-1e308]}])
+    rc, err = _solve_with_space_file(tmp_path, sine_drift_doc, json.dumps(far).encode())
+    assert rc == 2
+    assert err.startswith("error: problem key 'space': distance of atoms (0,1) overflows")
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda inner: (st.lists(inner, max_size=4)
@@ -492,3 +552,37 @@ def test_any_json_builtin_parameter_exits_0_or_2(tmp_path, param, value):
                   "--method", "oracle", "--steps", "2", "--out", str(tmp_path / "x")])
     assert rc in (0, 2)
     assert "Traceback" not in err.getvalue()
+
+
+@st.composite
+def _space_with_one_key_replaced(draw):
+    """A valid space document with the value at one key or index, at any
+    depth, replaced by any JSON value."""
+    doc = copy.deepcopy(draw(st.sampled_from(_SPACES)))
+    node = doc
+    while True:
+        key = draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                   else range(len(node))))
+        if isinstance(node[key], (dict, list)) and node[key] and draw(st.booleans()):
+            node = node[key]
+            continue
+        node[key] = draw(_JSON)
+        return doc
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(space=_space_with_one_key_replaced())
+def test_any_json_in_a_space_file_exits_0_or_2(tmp_path, sine_drift_doc, space):
+    rc, err = _solve_with_space_file(tmp_path, sine_drift_doc, json.dumps(space).encode())
+    assert rc in (0, 2)
+    assert "Traceback" not in err
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(blob=st.binary(max_size=64))
+def test_any_bytes_as_a_space_file_exit_2(tmp_path, sine_drift_doc, blob):
+    rc, err = _solve_with_space_file(tmp_path, sine_drift_doc, blob)
+    assert rc == 2
+    assert err.startswith("error: problem key 'space'")

@@ -37,6 +37,16 @@ def test_rejects_nonzero_diagonal():
         _space([1.0], metric=[[0.5]])
 
 
+def test_metrics_near_the_float_limit():
+    # coords whose distance overflows are rejected; a metric entry near the
+    # limit is kept, though its triangle check's detours overflow
+    with pytest.raises(ValueError, match=r"atoms \(0,1\) overflows"):
+        _space([1.0, 1.0], coords=[[1e308], [-1e308]])
+    sp = _space([1.0, 1.0, 1.0],
+                metric=[[0.0, 1e308, 1e308], [1e308, 0.0, 1.0], [1e308, 1.0, 0.0]])
+    assert sp.metric.max() == 1e308
+
+
 def test_euclidean_embedding_metric():
     sp = _space([1.0, 1.0, 1.0], coords=[[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]])
     assert sp.metric[1, 2] == pytest.approx(5.0)

@@ -12,6 +12,7 @@ from enoc import (Axis, CapabilityError, CapacityError, ControlSchedule,
                   stack_state,
                   terminal_functional, unstack_state, value_adjoint, value_dp,
                   value_oracle)
+from enoc.ensemble import _rk4_step
 from enoc.value import ValueGrid, _interpolate
 
 
@@ -78,6 +79,23 @@ def test_nan_and_minus_infinity_terminal_costs_raise_typed_error():
             terminal_functional(p, phi)
         with pytest.raises(TerminalValueError, match=f"{word} on an enumerated"):
             build_oracle_tree(p, 0.0, phi, TimeGrid(0.0, 1.0, 2))
+
+
+def test_overflowing_weighted_terminal_sums_raise_typed_error():
+    # every atom's cost is finite, their mass-weighted sum is not
+    p = builtin("decoupled-quadratic", M=2, weights=[1e308, 1e308], tau=[0.0, 0.0])
+    phi = EnsembleState([[2.0], [2.0]], p.space)
+    grid = TimeGrid(0.0, 1.0, 2)
+    with pytest.raises(TerminalValueError, match="overflows"):
+        terminal_functional(p, phi)
+    with pytest.raises(TerminalValueError, match="overflows"):
+        build_oracle_tree(p, 0.0, phi, grid)
+    with pytest.raises(TerminalValueError, match="overflows"):
+        value_dp(p, [Axis(-3.0, 3.0, 5)] * 2, grid)
+    with pytest.raises(TerminalValueError, match="overflows"):
+        value_adjoint(p, 0.0, phi, grid, iterations=1)
+    # the same weights with a representable sum pass
+    assert terminal_functional(p, EnsembleState([[0.0], [0.0]], p.space)) == 0.0
 
 
 # -- reduced cost ---------------------------------------------------------------
@@ -176,6 +194,57 @@ def test_batched_tree_starts_match_one_oracle_each(lin2):
         build_oracle_tree(lin2, 0.0, starts, grid, budget=134)
     with pytest.raises(DimensionMismatchError, match="start states"):
         build_oracle_tree(lin2, 0.0, starts[:, :, 0], grid)
+
+
+def reference_oracle_tree(p, starts, grid):
+    """The row-major loop that build_oracle_tree lays out node-innermost:
+    each level is C-order (nodes, M, n), control k of node b at row b*K + k.
+    Returns every level's states and values."""
+    fld = p.dynamics.field
+    states, controls = [np.asarray(starts, dtype=float)], []
+    for j in range(grid.steps):
+        t, h = grid.nodes[j], grid.nodes[j + 1] - grid.nodes[j]
+        pts = p.controls.active_set(t)
+        controls.append(pts)
+        cur = states[-1]
+        nxt = np.empty((cur.shape[0], len(pts)) + cur.shape[1:])
+        for k in range(len(pts)):
+            nxt[:, k] = _rk4_step(fld, t, h, cur, pts[k])
+        states.append(nxt.reshape((-1,) + cur.shape[1:]))
+    values = [p.cost.values(states[-1]) @ p.space.weights]
+    for pts in reversed(controls):
+        values.insert(0, values[0].reshape(-1, len(pts)).min(axis=1))
+    return states, values
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and (np.ascontiguousarray(got).tobytes()
+                                        == np.ascontiguousarray(want).tobytes())
+
+
+@pytest.mark.parametrize("make", [
+    lambda: builtin("linear-ensemble", a=[0.5, -0.3], c=[2.0, 1.0]),
+    lambda: builtin("linear-ensemble", M=2, n=2, a=[0.5, -0.3], c=[2.0, 1.0]),
+    lambda: builtin("bilinear"),
+    lambda: builtin("decoupled-quadratic", M=3, tau=[0.3, -0.2, 0.5]),
+    lambda: problem_from_dict(_EXPR_T_DEPENDENT),
+], ids=["lin2", "linear-M2-n2", "bilinear", "quadratic-M3", "expr-t-dependent"])
+def test_tree_is_the_row_major_loop_bitwise(make):
+    p = make()
+    grid = TimeGrid(0.0, 1.0, 4)
+    start = np.random.default_rng(13).uniform(-0.5, 0.5, (1, p.space.size, p.n))
+    tree = build_oracle_tree(p, 0.0, start, grid)
+    # the suffix tree starts from a strided stack of another tree's states
+    mid = tree.states[2]
+    assert not mid.flags.c_contiguous
+    suffix = build_oracle_tree(p, grid.nodes[2], mid, grid.suffix(2))
+    for got, (starts, sub) in ((tree, (start, grid)), (suffix, (mid, grid.suffix(2)))):
+        states, values = reference_oracle_tree(p, starts, sub)
+        assert len(got.states) == len(states) and len(got.values) == len(values)
+        assert all(_same_bits(a, b) for a, b in zip(got.states, states))
+        assert all(_same_bits(a, b) for a, b in zip(got.values, values))
+        # levels past the starts keep the node axis innermost
+        assert all(level.strides[0] == 8 for level in got.states[1:])
 
 
 # -- grid recursion ---------------------------------------------------------------
