@@ -17,8 +17,8 @@ from .library import (builtin, closed_form, cost_lipschitz_bound, load_problem,
                       problem_from_dict)
 from .ensemble import (ControlSignal, TimeGrid, Trajectory, integrate,
                        trajectory_bound_suite, random_signal)
-from .value import (AdjointResult, Axis, DppResult, OracleResult, OracleTree,
-                    QueryResult, ValueGrid, ValueQuery, build_oracle_tree,
+from .value import (AdjointResult, Axis, OracleResult, OracleTree, QueryResult,
+                    ValueGrid, ValueQuery, build_oracle_tree,
                     compute_value, dpp_residual, greedy_rollout, reduced_cost,
                     stack_state, terminal_functional, unstack_state,
                     value_adjoint, value_dp, value_oracle)

@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .errors import EnocError
 from .measure import EnsembleState
-from .problem import CheckReport, ProblemSpec, _instance_tag
+from .problem import CheckReport, ProblemSpec, _sampled_report
 from .library import builtin, cost_lipschitz_bound, load_problem
 from .ensemble import ControlSignal, TimeGrid, integrate, trajectory_bound_suite
 from .value import (Axis, ValueGrid, ValueQuery, compute_value, dpp_residual,
@@ -112,44 +112,54 @@ def _type_ok(key, val, default):
     return isinstance(val, type(default))
 
 
-def resolve_config(args) -> dict:
-    """defaults <- flags <- config file (the file wins, as documented)."""
-    cfg = json.loads(json.dumps(_DEFAULTS))
-    flag_map = {
-        "problem": args.problem, "method": getattr(args, "method", None),
-        "steps": args.steps, "s": args.s, "tol": getattr(args, "tol", None),
-        "seed": args.seed, "workers": args.workers, "budget": args.budget,
-    }
-    for key, val in flag_map.items():
-        if val is not None:
+def _merge_config(cfg, file_cfg, where):
+    """Merge a JSON config object over cfg; unknown keys and non-object
+    ``params``/``verify`` raise ValueError naming ``where``."""
+    if not isinstance(file_cfg, dict):
+        raise ValueError(f"{where} must hold a JSON object")
+    for key in ("params", "verify"):
+        if not isinstance(file_cfg.get(key, {}), dict):
+            raise ValueError(f"config key {key!r} must be a JSON object")
+    unknown = ((file_cfg.keys() - _DEFAULTS.keys())
+               | (file_cfg.get("verify", {}).keys() - _VERIFY_DEFAULTS.keys()))
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    for key, val in file_cfg.items():
+        if key in ("params", "verify"):
+            cfg[key].update(val)
+        else:
             cfg[key] = val
-    if getattr(args, "param", None):
-        for text in args.param:
+
+
+def resolve_config(args) -> dict:
+    """defaults <- flags <- config file (the file wins, as documented); with
+    ``--from-manifest``, defaults <- the manifest's config instead."""
+    cfg = json.loads(json.dumps(_DEFAULTS))
+    manifest = getattr(args, "from_manifest", None)
+    if manifest:
+        with open(manifest) as fh:
+            doc = json.load(fh)
+        _merge_config(cfg, doc.get("config") if isinstance(doc, dict) else None,
+                      f"the config of manifest {manifest}")
+    else:
+        flag_map = {
+            "problem": args.problem, "method": getattr(args, "method", None),
+            "steps": args.steps, "s": args.s, "tol": getattr(args, "tol", None),
+            "seed": args.seed, "workers": args.workers, "budget": args.budget,
+        }
+        for key, val in flag_map.items():
+            if val is not None:
+                cfg[key] = val
+        for text in getattr(args, "param", None) or []:
             key, val = _parse_param(text)
             cfg["params"][key] = val
-    if getattr(args, "phi", None) is not None:
-        cfg["phi"] = [float(v) for v in args.phi.split(",")]
-    if getattr(args, "grid", None):
-        cfg["grid"] = [_parse_axis(g) for g in args.grid]
-    if args.config:
-        with open(args.config) as fh:
-            file_cfg = json.load(fh)
-        if not isinstance(file_cfg, dict):
-            raise ValueError(f"config file {args.config} must hold a JSON object")
-        for key in ("params", "verify"):
-            if not isinstance(file_cfg.get(key, {}), dict):
-                raise ValueError(f"config key {key!r} must be a JSON object")
-        unknown = ((file_cfg.keys() - _DEFAULTS.keys())
-                   | (file_cfg.get("verify", {}).keys() - _VERIFY_DEFAULTS.keys()))
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        for key, val in file_cfg.items():
-            if key == "params":
-                cfg["params"].update(val)
-            elif key == "verify":
-                cfg[key].update(val)
-            else:
-                cfg[key] = val
+        if getattr(args, "phi", None) is not None:
+            cfg["phi"] = [float(v) for v in args.phi.split(",")]
+        if getattr(args, "grid", None):
+            cfg["grid"] = [_parse_axis(g) for g in args.grid]
+        if args.config:
+            with open(args.config) as fh:
+                _merge_config(cfg, json.load(fh), f"config file {args.config}")
     # the builtin lookup checks `problem`; `params` and `verify` are checked above
     checks = [(key, cfg[key], _DEFAULTS[key]) for key in _DEFAULTS
               if key not in ("problem", "params", "verify")]
@@ -211,9 +221,6 @@ def _dp_axes(cfg, p: ProblemSpec):
 
 def cmd_solve(args) -> int:
     cfg = resolve_config(args)
-    if args.from_manifest:
-        with open(args.from_manifest) as fh:
-            cfg = json.load(fh)["config"]
     out = _out_dir(args)
     p = _build_problem(cfg)
     phi = _initial_state(cfg, p)
@@ -227,7 +234,7 @@ def cmd_solve(args) -> int:
         t0 = time.perf_counter()
         query = ValueQuery(s=s, phi=phi, method=method, steps=int(cfg["steps"]),
                            axes=_dp_axes(cfg, p) if method == "dp" else None,
-                           budget=int(cfg["budget"]), workers=int(cfg["workers"]))
+                           budget=int(cfg["budget"]))
         res = compute_value(p, query)
         values[method] = res.value
         sig = res.control
@@ -278,25 +285,19 @@ def _default_radii(p: ProblemSpec):
 def _dpp_check(p: ProblemSpec, s, phis, steps, seed, budget, tol=None) -> CheckReport:
     """Two-stage identity at every interior node of a ``steps``-interval grid,
     from ``phis`` random initial states: the worst |residual| must stay within
-    ``tol`` (1e-10 unless given), and at least one split must be evaluated."""
+    ``tol`` (1e-10 unless given), and at least one split must be evaluated.
+    A NaN residual (every leaf +inf) is the worst there is and fails."""
     if tol is None:
         tol = 1e-10
     rng = np.random.default_rng(seed)
     grid = TimeGrid(s, p.horizon, steps)
-    worst, witness = 0.0, {}
-    for i in range(phis):
-        phi = EnsembleState(rng.uniform(-0.5, 0.5, (p.space.size, p.n)), p.space)
-        for j in range(1, grid.steps):
-            res = dpp_residual(p, s, grid.nodes[j], phi, grid, budget=budget)
-            gap = abs(res.residual)
-            # a NaN gap (every leaf +inf) is the worst there is and fails
-            if not (gap <= worst or np.isnan(worst)):
-                worst, witness = gap, {"sample": i, "s2": float(grid.nodes[j])}
-    evaluated = phis * (grid.steps - 1)
-    return CheckReport(
-        name="dpp_residual", instance=_instance_tag(p), tolerance=tol,
-        worst=worst, witness=witness, passed=evaluated > 0 and worst <= tol,
-        details={"evaluated": evaluated}, seed=seed)
+    starts = rng.uniform(-0.5, 0.5, (phis, p.space.size, p.n))
+    gaps = np.abs(dpp_residual(p, s, starts, grid, budget=budget))
+    splits = grid.steps - 1
+    return _sampled_report(
+        p, "dpp_residual", tol, gaps.reshape(-1),
+        lambda q: {"sample": q // splits, "s2": float(grid.nodes[q % splits + 1])},
+        seed)
 
 
 def cmd_verify(args) -> int:
@@ -329,8 +330,7 @@ def cmd_verify(args) -> int:
             p, s, phi, TimeGrid(s, p.horizon, int(vcfg["epi_steps"])),
             budget=budget, tol=tol),
         lambda: hjb_residual(
-            value_dp(p, axes, TimeGrid(s, p.horizon, int(vcfg["hjb_steps"])),
-                     workers=int(cfg["workers"])),
+            value_dp(p, axes, TimeGrid(s, p.horizon, int(vcfg["hjb_steps"]))),
             p, kappa=float(vcfg["kappa"]), tol=tol),
         lambda: terminal_limit(
             p, phi, vcfg["gaps"], steps=int(vcfg["terminal_steps"]),

@@ -29,7 +29,7 @@ class DynamicsSpec:
     controls in one call.  Row i of a batched call must equal the call on
     row i alone.  ``jac_x_ens``/``jac_u_ens`` (shapes (..., M, n, n) and
     (..., M, n, m), for one control (m,)) enable the adjoint solver.
-    Evaluators must be pure; parallel callers rely on that.
+    Evaluators must be pure.
 
     The field must be atom-wise: atom i's velocity depends on t, u, its own
     parameter and its own state X[..., i, :] alone, as in the paper's

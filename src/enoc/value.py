@@ -427,8 +427,7 @@ def _check_atomwise(fld, t, Xb, u):
                 f"t={t:.6g}, u={np.asarray(u).tolist()} depends on other atoms")
 
 
-def value_dp(p: ProblemSpec, axes, grid: TimeGrid, phi_radius=None,
-             workers=1) -> ValueGrid:
+def value_dp(p: ProblemSpec, axes, grid: TimeGrid, phi_radius=None) -> ValueGrid:
     """Backward one-step recursion over the stacked-coordinate tensor grid.
 
     ``phi_radius``, when given, is the largest per-atom state norm of the
@@ -446,8 +445,7 @@ def value_dp(p: ProblemSpec, axes, grid: TimeGrid, phi_radius=None,
     taint is the operator's support applied to the taint table over the
     boolean semiring: a corner's weight is a product of per-axis weights that
     are 0 or at least about 1e-12, so it is > 0 exactly when every block's
-    factor is.  ``workers`` is accepted for the command line's ``--workers``
-    and must be at least 1; the sweep runs on the calling thread.
+    factor is.
     """
     axes = _as_axes(axes)
     M, n = p.space.size, p.n
@@ -456,8 +454,6 @@ def value_dp(p: ProblemSpec, axes, grid: TimeGrid, phi_radius=None,
         raise ValueError(f"need one axis per stacked coordinate ({d}), got {len(axes)}")
     if d > 4:
         raise ValueError(f"stacked dimension {d} exceeds the feasibility guard (4)")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
 
     coverage_radius = np.nan
     coverage_ok = True
@@ -568,36 +564,40 @@ def _objective_and_gradient(p, grid, phi, U, need_grad=True):
     J = float(_weighted_sum(per_atom, p.space.weights))
     if not need_grad:
         return J, None, None
-    lam = p.cost.grad_ens(X) * p.space.weights[:, None]
-    grads = np.empty((N, p.m))
-    jx, ju = p.dynamics.jac_x_ens, p.dynamics.jac_u_ens
-    for j in range(N - 1, -1, -1):
-        t = grid.nodes[j]
-        h = grid.nodes[j + 1] - grid.nodes[j]
-        Xj = states[j]
-        u = U[j]
-        k1 = fld(t, Xj, u)
-        x2 = Xj + 0.5 * h * k1
-        k2 = fld(t + 0.5 * h, x2, u)
-        x3 = Xj + 0.5 * h * k2
-        k3 = fld(t + 0.5 * h, x3, u)
-        x4 = Xj + h * k3
-        jx1, ju1 = jx(t, Xj, u), ju(t, Xj, u)
-        jx2, ju2 = jx(t + 0.5 * h, x2, u), ju(t + 0.5 * h, x2, u)
-        jx3, ju3 = jx(t + 0.5 * h, x3, u), ju(t + 0.5 * h, x3, u)
-        jx4, ju4 = jx(t + h, x4, u), ju(t + h, x4, u)
-        g4 = (h / 6.0) * lam
-        g3 = (h / 3.0) * lam + h * np.einsum("mij,mi->mj", jx4, g4)
-        g2 = (h / 3.0) * lam + 0.5 * h * np.einsum("mij,mi->mj", jx3, g3)
-        g1 = (h / 6.0) * lam + 0.5 * h * np.einsum("mij,mi->mj", jx2, g2)
-        grads[j] = (np.einsum("mik,mi->k", ju1, g1)
-                    + np.einsum("mik,mi->k", ju2, g2)
-                    + np.einsum("mik,mi->k", ju3, g3)
-                    + np.einsum("mik,mi->k", ju4, g4))
-        lam = (lam + np.einsum("mij,mi->mj", jx1, g1)
-               + np.einsum("mij,mi->mj", jx2, g2)
-               + np.einsum("mij,mi->mj", jx3, g3)
-               + np.einsum("mij,mi->mj", jx4, g4))
+    # the costate may overflow even where the weighted cost does not
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = p.cost.grad_ens(X) * p.space.weights[:, None]
+        grads = np.empty((N, p.m))
+        jx, ju = p.dynamics.jac_x_ens, p.dynamics.jac_u_ens
+        for j in range(N - 1, -1, -1):
+            t = grid.nodes[j]
+            h = grid.nodes[j + 1] - grid.nodes[j]
+            Xj = states[j]
+            u = U[j]
+            k1 = fld(t, Xj, u)
+            x2 = Xj + 0.5 * h * k1
+            k2 = fld(t + 0.5 * h, x2, u)
+            x3 = Xj + 0.5 * h * k2
+            k3 = fld(t + 0.5 * h, x3, u)
+            x4 = Xj + h * k3
+            jx1, ju1 = jx(t, Xj, u), ju(t, Xj, u)
+            jx2, ju2 = jx(t + 0.5 * h, x2, u), ju(t + 0.5 * h, x2, u)
+            jx3, ju3 = jx(t + 0.5 * h, x3, u), ju(t + 0.5 * h, x3, u)
+            jx4, ju4 = jx(t + h, x4, u), ju(t + h, x4, u)
+            g4 = (h / 6.0) * lam
+            g3 = (h / 3.0) * lam + h * np.einsum("mij,mi->mj", jx4, g4)
+            g2 = (h / 3.0) * lam + 0.5 * h * np.einsum("mij,mi->mj", jx3, g3)
+            g1 = (h / 6.0) * lam + 0.5 * h * np.einsum("mij,mi->mj", jx2, g2)
+            grads[j] = (np.einsum("mik,mi->k", ju1, g1)
+                        + np.einsum("mik,mi->k", ju2, g2)
+                        + np.einsum("mik,mi->k", ju3, g3)
+                        + np.einsum("mik,mi->k", ju4, g4))
+            lam = (lam + np.einsum("mij,mi->mj", jx1, g1)
+                   + np.einsum("mij,mi->mj", jx2, g2)
+                   + np.einsum("mij,mi->mj", jx3, g3)
+                   + np.einsum("mij,mi->mj", jx4, g4))
+    if not (np.isfinite(lam).all() and np.isfinite(grads).all()):
+        raise TerminalValueError("the adjoint costate or gradient is not finite")
     return J, grads, states
 
 
@@ -693,7 +693,6 @@ class ValueQuery:
     axes: list = None            # required for dp
     budget: int = 1_000_000
     iterations: int = 200
-    workers: int = 1
 
 
 @dataclass
@@ -714,6 +713,10 @@ def compute_value(p: ProblemSpec, query: ValueQuery) -> QueryResult:
     """
     if not (0.0 <= query.s < p.horizon):
         raise ValueError(f"query time {query.s} outside [0, {p.horizon})")
+    if query.method == "oracle" and query.steps > query.budget:
+        # every level holds a node, so this fails before the grid is allocated
+        raise CapacityError(f"enumeration needs {query.steps} levels, budget "
+                            f"is {query.budget}; shrink the grid")
     grid = TimeGrid(query.s, p.horizon, query.steps)
     if query.method == "oracle":
         res = value_oracle(p, query.s, query.phi, grid, budget=query.budget)
@@ -722,8 +725,7 @@ def compute_value(p: ProblemSpec, query: ValueQuery) -> QueryResult:
         if query.axes is None:
             raise ValueError("the dp method needs state axes")
         phi_radius = float(np.linalg.norm(query.phi.values, axis=1).max())
-        vg = value_dp(p, query.axes, grid, phi_radius=phi_radius,
-                      workers=query.workers)
+        vg = value_dp(p, query.axes, grid, phi_radius=phi_radius)
         sig, _ = greedy_rollout(p, vg, query.phi)
         return QueryResult(value=vg.value_at(query.s, stack_state(query.phi)),
                            control=sig, grid=vg)
@@ -736,37 +738,27 @@ def compute_value(p: ProblemSpec, query: ValueQuery) -> QueryResult:
 
 # -- two-stage identity -------------------------------------------------------
 
-@dataclass
-class DppResult:
-    residual: float
-    value_direct: float
-    value_two_stage: float
-    witness_prefix: tuple
-    witness_suffix: tuple
+def dpp_residual(p: ProblemSpec, s, phi, grid: TimeGrid,
+                 budget=1_000_000) -> np.ndarray:
+    """Direct value minus two-stage value at every interior node of the grid.
 
-
-def dpp_residual(p: ProblemSpec, s1, s2, phi: EnsembleState, grid: TimeGrid,
-                 budget=1_000_000) -> DppResult:
-    """Compare the direct value with the two-stage minimization split at s2.
-
-    The direct tree enumerates every signal from phi.  The suffix tree
-    enumerates afresh from every state the direct tree reaches at s2, one
-    start per prefix, and its best start gives the two-stage value.  Both
-    sides enumerate the same class of signals, so the residual is zero up to
-    float noise.  A split at s2 = s1 compares the direct value with itself.
+    ``phi`` is one EnsembleState or B stacked start states (B, M, n).  One
+    direct tree enumerates every signal from all starts; for each interior
+    node j, one suffix tree enumerates afresh from every state the direct
+    tree reaches at j, and start b's best suffix over its own prefixes gives
+    its two-stage value.  Row b, column j - 1 of the (B, steps - 1) result is
+    start b's residual at the split j.  Both sides enumerate the same class
+    of signals, so every residual is zero up to float noise (NaN when every
+    leaf costs +inf).  Each tree counts B x signals against the budget.
     """
-    if abs(grid.s - s1) > 1e-12:
-        raise ValueError(f"grid starts at {grid.s}, expected s1={s1}")
-    offsets = np.abs(grid.nodes - s2)
-    j = int(np.argmin(offsets))
-    if abs(s2 - s1) > 1e-15 and (offsets[j] > 1e-9 or j == 0 or j == grid.steps):
-        raise ValueError(f"s2={s2} must be an interior node of {grid}")
-    tree = build_oracle_tree(p, s1, phi, grid, budget)
-    direct = tree.optimum()[1]
-    suffix = build_oracle_tree(p, grid.nodes[j], tree.states[j], grid.suffix(j),
-                               budget)
-    q, two_stage = suffix.optimum()
-    return DppResult(residual=direct.value - two_stage.value,
-                     value_direct=direct.value, value_two_stage=two_stage.value,
-                     witness_prefix=tree.decode_level(j, q),
-                     witness_suffix=two_stage.best_indices)
+    tree = build_oracle_tree(p, s, phi, grid, budget)
+    B = tree.states[0].shape[0]
+    two_stage = np.empty((B, grid.steps - 1))
+    if B == 0:
+        return two_stage
+    for j in range(1, grid.steps):
+        suffix = build_oracle_tree(p, grid.nodes[j], tree.states[j],
+                                   grid.suffix(j), budget)
+        two_stage[:, j - 1] = suffix.values[0].reshape(B, -1).min(axis=1)
+    with np.errstate(invalid="ignore"):     # inf - inf is the NaN residual
+        return tree.values[0][:, None] - two_stage

@@ -4,6 +4,9 @@ All six checks of the battery (the four here, the trajectory bound suite
 and the CLI's two-stage identity check) return a :class:`CheckReport`
 carrying the worst residual, the witness achieving it and enough of the
 instance description (including the seed) to reproduce the number exactly.
+The two-stage check is one ``dpp_residual`` call: one direct tree from all
+sampled starts and one suffix tree per split, its witness the (sample,
+split time) of the worst residual.
 Each check decides ``passed`` itself; a ``tol`` argument replaces only the
 derived tolerance, never a tolerance-free condition (evidence, monotone
 decay, ball mass).  Checks never raise on a violation; they raise only on

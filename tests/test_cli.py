@@ -3,6 +3,7 @@ import copy
 import inspect
 import io
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import enoc.cli
 from enoc import (ControlSchedule, DynamicsSpec, ParameterSpace, ProblemSpec,
-                  TerminalCostSpec)
+                  TerminalCostSpec, builtin)
 from enoc.cli import _dpp_check, main
 from enoc.library import _BUILTINS
 
@@ -141,11 +142,10 @@ def test_verify_tolerance_override_keeps_zero_evidence_failing(tmp_path,
     assert set(passed.values()) == {"True"}
 
 
-def test_verify_dpp_check_fails_without_a_split(tmp_path, small_verify_cfg):
-    # a one-interval grid has no interior node to split at: zero evidence
+def _verify_fails_only_the_dpp_check(tmp_path, small_verify_cfg, **verify):
     cfg = json.loads(open(small_verify_cfg).read())
-    cfg["verify"]["dpp_steps"] = 1
-    path = tmp_path / "one-step.json"
+    cfg["verify"].update(verify)
+    path = tmp_path / "zero-evidence.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "v"
     rc = run(["verify", "--problem", "linear-ensemble",
@@ -157,6 +157,30 @@ def test_verify_dpp_check_fails_without_a_split(tmp_path, small_verify_cfg):
     passed = {row.split(",")[0]: row.split(",")[-1] for row in rows}
     assert passed.pop("dpp_residual") == "False"
     assert set(passed.values()) == {"True"}
+
+
+def test_verify_dpp_check_fails_without_a_split(tmp_path, small_verify_cfg):
+    # a one-interval grid has no interior node to split at: zero evidence
+    _verify_fails_only_the_dpp_check(tmp_path, small_verify_cfg, dpp_steps=1)
+
+
+def test_verify_dpp_check_fails_without_a_start(tmp_path, small_verify_cfg):
+    _verify_fails_only_the_dpp_check(tmp_path, small_verify_cfg, dpp_phis=0)
+    rep = _dpp_check(builtin("linear-ensemble"), 0.0, 0, 4, 0, 10 ** 6)
+    assert rep.details["evaluated"] == 0 and not rep.passed
+
+
+@pytest.mark.parametrize("budget", [81, 809])
+def test_verify_budget_counts_every_dpp_start(tmp_path, capsys, budget):
+    # the default battery's dpp trees hold 10 starts x 81 signals; every
+    # other enumeration in it needs 81 signals at most
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"verify": {"terminal_steps": 4}}))
+    rc = run(["verify", "--budget", str(budget), "--config", str(cfg),
+              "--out", str(tmp_path / "v")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: enumeration needs 810 signals, budget is {budget}; shrink the grid\n")
 
 
 def test_dpp_check_fails_on_a_nan_residual():
@@ -206,7 +230,7 @@ def test_verify_calls_every_check_through_the_cli_names(tmp_path, small_verify_c
               "--phi", "0.3,0.4", "--config", small_verify_cfg,
               "--out", str(out)])
     assert rc == 0
-    assert calls["dpp_residual"] == 2 * (3 - 1)        # dpp_phis x (dpp_steps - 1)
+    assert calls["dpp_residual"] == 1       # one stacked call for every start and split
     assert all(calls.values()), calls
     rows = (out / "checks.csv").read_text().strip().splitlines()[1:]
     assert [row.split(",")[0] for row in rows] == [
@@ -214,20 +238,37 @@ def test_verify_calls_every_check_through_the_cli_names(tmp_path, small_verify_c
         "hjb_residual", "terminal_limit", "oscillation"]
 
 
-def test_benchmark_tracer_names_resolve():
-    # perfbench/spans.py wraps these (owner, attribute) pairs; a dropped
-    # import would break every traced benchmark run
+def _perfbench(name, monkeypatch):
+    """Load perfbench/<name>.py, registered under sys.modules for the test."""
     import importlib.util
     import pathlib
 
-    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    targets = spans.targets()
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_names_resolve(monkeypatch):
+    # perfbench/spans.py wraps these (owner, attribute) pairs; a dropped
+    # import would break every traced benchmark run
+    targets = _perfbench("spans", monkeypatch).targets()
     assert targets
     for owner, attr, *_ in targets:
         assert callable(getattr(owner, attr)), (owner, attr)
+
+
+def test_benchmark_command_lines_parse(tmp_path, monkeypatch):
+    # every flag the benchmark passes (--workers 1 included) must stay
+    # accepted; the command lines are parsed, not run
+    workloads = _perfbench("workloads", monkeypatch)
+    parser = enoc.cli.build_parser()
+    for name in workloads.WORKLOADS:
+        inv = workloads.prepare(name, 0, tmp_path / name)
+        args = parser.parse_args(inv.argv)
+        assert args.command == inv.argv[0]
 
 
 def test_verify_without_cost_certificate_exits_2_before_any_check(
@@ -555,10 +596,10 @@ def test_any_json_builtin_parameter_exits_0_or_2(tmp_path, param, value):
 
 
 @st.composite
-def _space_with_one_key_replaced(draw):
-    """A valid space document with the value at one key or index, at any
-    depth, replaced by any JSON value."""
-    doc = copy.deepcopy(draw(st.sampled_from(_SPACES)))
+def _one_key_replaced(draw, docs):
+    """One of the valid documents `docs` with the value at one key or index,
+    at any depth, replaced by any JSON value."""
+    doc = copy.deepcopy(draw(st.sampled_from(docs)))
     node = doc
     while True:
         key = draw(st.sampled_from(list(node) if isinstance(node, dict)
@@ -572,7 +613,7 @@ def _space_with_one_key_replaced(draw):
 
 @settings(max_examples=80, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(space=_space_with_one_key_replaced())
+@given(space=_one_key_replaced(_SPACES))
 def test_any_json_in_a_space_file_exits_0_or_2(tmp_path, sine_drift_doc, space):
     rc, err = _solve_with_space_file(tmp_path, sine_drift_doc, json.dumps(space).encode())
     assert rc in (0, 2)
@@ -586,3 +627,64 @@ def test_any_bytes_as_a_space_file_exit_2(tmp_path, sine_drift_doc, blob):
     rc, err = _solve_with_space_file(tmp_path, sine_drift_doc, blob)
     assert rc == 2
     assert err.startswith("error: problem key 'space'")
+
+
+def test_adjoint_costate_overflow_exits_2(tmp_path, capsys):
+    # the weighted cost is finite, its costate is not; the suite turns any
+    # RuntimeWarning into a failure, so this also shows none is emitted
+    rc = run(["solve", "--problem", "linear-ensemble",
+              "--param", "weights=[1e308,1e308]", "--method", "adjoint",
+              "--steps", "2", "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: the adjoint costate or gradient is not finite\n")
+
+
+_MANIFEST = {"config": dict(copy.deepcopy(enoc.cli._DEFAULTS),
+                            problem="decoupled-quadratic", params={"tau": [0.5]},
+                            method="oracle", steps=2, phi=[0.0])}
+
+
+def _solve_from_manifest(tmp_path, doc):
+    """Exit code and stderr of `solve --from-manifest` on a JSON document."""
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = run(["solve", "--from-manifest", str(path), "--out", str(tmp_path / "x")])
+    return rc, err.getvalue()
+
+
+def test_manifest_config_solves(tmp_path):
+    assert _solve_from_manifest(tmp_path, _MANIFEST) == (0, "")
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"config": []}, "the config of manifest {path} must hold a JSON object"),
+    ([], "the config of manifest {path} must hold a JSON object"),
+    ({"config": dict(_MANIFEST["config"], grid=5, method="dp")},
+     "config key 'grid' has the wrong type: 5"),
+], ids=["config-list", "top-level-list", "grid-int"])
+def test_malformed_manifest_exits_2(tmp_path, doc, message):
+    rc, err = _solve_from_manifest(tmp_path, doc)
+    assert rc == 2
+    assert err == f"error: {message.format(path=tmp_path / 'manifest.json')}\n"
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_one_key_replaced([_MANIFEST]))
+def test_any_json_in_a_manifest_exits_0_or_2(tmp_path, doc):
+    rc, err = _solve_from_manifest(tmp_path, doc)
+    assert rc in (0, 2)
+    assert "Traceback" not in err
+
+
+def test_oracle_steps_above_the_budget_exit_2_before_the_grid(tmp_path, capsys):
+    # a time grid of 2^40 steps would need 8 TiB of nodes
+    rc = run(["solve", "--problem", "decoupled-quadratic", "--method", "oracle",
+              "--steps", str(2 ** 40), "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: enumeration needs {2 ** 40} levels, budget is 1000000; "
+        "shrink the grid\n")

@@ -306,21 +306,6 @@ def test_dp_rejects_nonfinite_terminal_cost():
         value_dp(p, [Axis(-1.0, 1.0, 5)], TimeGrid(0.0, 1.0, 2))
 
 
-def test_dp_workers_do_not_change_result(lin2):
-    grid = TimeGrid(0.0, 1.0, 10)
-    axes = [Axis(-3.0, 3.0, 15)] * 2
-    a = value_dp(lin2, axes, grid, workers=1)
-    b = value_dp(lin2, axes, grid, workers=3)
-    assert np.array_equal(a.values, b.values)
-    assert np.array_equal(a.argmin, b.argmin)
-    assert a.clamp_count == b.clamp_count
-
-
-def test_dp_rejects_workers_below_one(lin2):
-    with pytest.raises(ValueError, match="workers"):
-        value_dp(lin2, [Axis(-3.0, 3.0, 9)] * 2, TimeGrid(0.0, 1.0, 4), workers=0)
-
-
 def reference_value_dp(p, axes, grid):
     """The per-node corner-gather recursion that value_dp factors per atom:
     each candidate moves all Q nodes by one Euler step and interpolates the
@@ -590,42 +575,30 @@ def test_adjoint_needs_a_box_control_hull():
 
 # -- two-stage identity ---------------------------------------------------------
 
-def test_dpp_zero_split_is_exactly_zero(lin2):
-    phi = EnsembleState([[0.3], [0.4]], lin2.space)
-    res = dpp_residual(lin2, 0.0, 0.0, phi, TimeGrid(0.0, 1.0, 4))
-    assert res.residual == 0.0
-
-
 def test_dpp_drift_free_exact():
     p = drift_free_quadratic()
     phi = EnsembleState([[0.2]], p.space)
-    grid = TimeGrid(0.0, 1.0, 4)
-    res = dpp_residual(p, 0.0, grid.nodes[2], phi, grid)
-    assert res.residual == 0.0
+    res = dpp_residual(p, 0.0, phi, TimeGrid(0.0, 1.0, 4))
+    assert res.shape == (1, 3)
+    assert (res == 0.0).all()
 
 
 def test_dpp_linear_family_all_splits(lin2):
     rng = np.random.default_rng(10)
-    grid = TimeGrid(0.0, 1.0, 4)
-    for _ in range(5):
-        phi = EnsembleState(rng.uniform(-0.5, 0.5, (2, 1)), lin2.space)
-        for j in (1, 2, 3):
-            res = dpp_residual(lin2, 0.0, grid.nodes[j], phi, grid)
-            assert abs(res.residual) <= 1e-10
+    starts = rng.uniform(-0.5, 0.5, (5, 2, 1))
+    res = dpp_residual(lin2, 0.0, starts, TimeGrid(0.0, 1.0, 4))
+    assert res.shape == (5, 3)
+    assert np.abs(res).max() <= 1e-10
 
 
 def _sequential_dpp(p, phi, grid, j):
-    """The two-stage minimum by a prefix tree and one oracle per mid state."""
+    """The two-stage residual by a prefix tree and one oracle per mid state."""
     direct = value_oracle(p, grid.s, phi, grid)
     prefix = build_oracle_tree(p, grid.s, phi, grid.prefix(j))
-    best, best_q, best_suffix = np.inf, 0, ()
-    for q, mid in enumerate(prefix.states[j]):
-        res = value_oracle(p, grid.nodes[j], EnsembleState(mid, p.space),
-                           grid.suffix(j))
-        if res.value < best:
-            best, best_q, best_suffix = res.value, q, res.best_indices
-    return (direct.value - best, direct.value, best, prefix.decode(best_q),
-            best_suffix)
+    best = min(value_oracle(p, grid.nodes[j], EnsembleState(mid, p.space),
+                            grid.suffix(j)).value
+               for mid in prefix.states[j])
+    return direct.value - best
 
 
 @pytest.mark.parametrize("name, params", [
@@ -638,21 +611,29 @@ def test_dpp_matches_sequential_reference_bitwise(name, params):
     p = builtin(name, **params)
     grid = TimeGrid(0.0, 1.0, 4)
     rng = np.random.default_rng(12)
-    for _ in range(3):
-        phi = EnsembleState(rng.uniform(-0.5, 0.5, (p.space.size, p.n)), p.space)
+    starts = rng.uniform(-0.5, 0.5, (3, p.space.size, p.n))
+    res = dpp_residual(p, 0.0, starts, grid)
+    assert res.shape == (3, 3)
+    for b, phi in enumerate(starts):
         for j in (1, 2, 3):
-            res = dpp_residual(p, 0.0, grid.nodes[j], phi, grid)
-            got = (res.residual, res.value_direct, res.value_two_stage,
-                   res.witness_prefix, res.witness_suffix)
+            want = _sequential_dpp(p, EnsembleState(phi, p.space), grid, j)
             # repr round-trips every float exactly, signed zeros included
-            assert repr(got) == repr(_sequential_dpp(p, phi, grid, j))
+            assert repr(float(res[b, j - 1])) == repr(want)
 
 
-def test_dpp_requires_interior_node(lin2):
-    phi = EnsembleState([[0.0], [0.0]], lin2.space)
-    grid = TimeGrid(0.0, 1.0, 4)
-    with pytest.raises(ValueError, match="interior"):
-        dpp_residual(lin2, 0.0, 0.37, phi, grid)
+def test_dpp_budget_counts_every_start(lin2):
+    starts = np.zeros((3, 2, 1))
+    grid = TimeGrid(0.0, 1.0, 2)        # 9 signals per start
+    assert dpp_residual(lin2, 0.0, starts, grid, budget=27).shape == (3, 1)
+    with pytest.raises(CapacityError, match="27 signals, budget is 26"):
+        dpp_residual(lin2, 0.0, starts, grid, budget=26)
+
+
+def test_dpp_without_starts_or_splits_is_empty(lin2):
+    assert dpp_residual(lin2, 0.0, np.zeros((0, 2, 1)),
+                        TimeGrid(0.0, 1.0, 3)).shape == (0, 2)
+    assert dpp_residual(lin2, 0.0, np.zeros((2, 2, 1)),
+                        TimeGrid(0.0, 1.0, 1)).shape == (2, 0)
 
 
 def test_stack_round_trip(lin2):
