@@ -297,7 +297,9 @@ def _dpp_check(p: ProblemSpec, s, phis, steps, seed, budget, tol=None) -> CheckR
     return _sampled_report(
         p, "dpp_residual", tol, gaps.reshape(-1),
         lambda q: {"sample": q // splits, "s2": float(grid.nodes[q % splits + 1])},
-        seed)
+        seed, why_empty=("no start state was drawn (dpp_phis is 0)" if phis == 0 else
+                         "a one-step grid has no split (dpp_steps is 1)"
+                         if splits == 0 else None))
 
 
 def cmd_verify(args) -> int:

@@ -40,7 +40,8 @@ class TerminalValueError(EnocError, ValueError):
     enumerated leaf of the oracle tree); +inf propagates, except that
     ``value_dp`` rejects any infinite cost on its grid nodes.  Finite
     per-atom costs whose mass-weighted sum overflows are rejected everywhere,
-    and so is an adjoint costate or gradient that is not finite.
+    and so are a per-atom cost that overflows to +inf while it is computed
+    and an adjoint costate or gradient that is not finite.
     """
 
 

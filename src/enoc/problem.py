@@ -13,7 +13,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import CapabilityError, DimensionMismatchError, ScheduleError
+from .errors import (CapabilityError, DimensionMismatchError, ScheduleError,
+                     TerminalValueError)
 from .measure import EnsembleState, ParameterSpace
 
 
@@ -103,8 +104,17 @@ class TerminalCostSpec:
         return self.grad_ens is not None
 
     def values(self, X):
-        """Per-atom costs for stacked states X of shape (..., M, n) -> (..., M)."""
-        return np.asarray(self.eval_ens(X), dtype=float)
+        """Per-atom costs for stacked states X of shape (..., M, n) -> (..., M).
+
+        A cost that overflows to +inf while it is computed raises
+        TerminalValueError; +inf returned by construction is kept, and NaN and
+        -inf are left to the callers, which reject them by name."""
+        overflows = []
+        with np.errstate(over="call", call=lambda kind, flag: overflows.append(kind)):
+            cost = np.asarray(self.eval_ens(X), dtype=float)
+        if overflows and np.isposinf(cost).any():
+            raise TerminalValueError("the terminal cost overflows to +inf at a finite state")
+        return cost
 
 
 class ControlSchedule:
@@ -349,7 +359,10 @@ def _instance_tag(p: ProblemSpec):
 # worst there is, so it fails the check.
 
 def _sampled_report(p, name, tolerance, scores, witness_at, seed,
-                    evaluated=None, **details) -> CheckReport:
+                    evaluated=None, why_empty=None, **details) -> CheckReport:
+    """The report on sampled ``scores``; with nothing evaluated, the note says
+    why: ``why_empty`` when the caller knows, else whether no sample was
+    drawn or every sample was skipped."""
     mask = np.ones(scores.shape, dtype=bool) if evaluated is None else evaluated
     count = int(mask.sum())
     worst, witness = 0.0, {}
@@ -357,7 +370,9 @@ def _sampled_report(p, name, tolerance, scores, witness_at, seed,
         q = int(np.argmax(np.where(mask, scores, -np.inf)))
         worst, witness = float(scores[q]), witness_at(q)
     else:
-        details["note"] = "insufficient evidence: every sample was skipped"
+        why_empty = why_empty or ("no sample was drawn" if scores.size == 0
+                                  else "every sample was skipped")
+        details["note"] = f"insufficient evidence: {why_empty}"
     return CheckReport(name=name, instance=_instance_tag(p), tolerance=tolerance,
                        worst=worst, witness=witness,
                        passed=count > 0 and worst <= tolerance,

@@ -16,6 +16,7 @@ extrapolated.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import warnings
@@ -30,6 +31,7 @@ from .problem import ProblemSpec
 from .ensemble import ControlSignal, TimeGrid, _rk4_step, integrate
 
 _MAGIC = b"ENOCVG1\n"
+_LEAF_BLOCK = 1 << 16          # leaves per terminal-cost call of the oracle tree
 
 
 def stack_state(phi: EnsembleState) -> np.ndarray:
@@ -165,8 +167,13 @@ def build_oracle_tree(p: ProblemSpec, s, phi, grid: TimeGrid,
         for k in range(K):
             nxt[..., k] = _rk4_step(fld, t, h, cur, pts[k]).transpose(1, 2, 0)
         states.append(nxt.reshape(M, n, B * K).transpose(2, 0, 1))
-    # the weighted sum of a strided (nodes, M) array rounds differently
-    per_atom = np.ascontiguousarray(p.cost.values(states[-1]))
+    # the cost runs on fixed blocks of leaves, so its temporaries stay small;
+    # per_atom is contiguous, since the weighted sum of a strided (nodes, M)
+    # array rounds differently
+    leaves = states[-1]
+    per_atom = np.empty(leaves.shape[:2])
+    for lo in range(0, leaves.shape[0], _LEAF_BLOCK):
+        per_atom[lo:lo + _LEAF_BLOCK] = p.cost.values(leaves[lo:lo + _LEAF_BLOCK])
     leaf = _weighted_sum(per_atom, p.space.weights)
     if np.isnan(leaf).any() or np.isneginf(leaf).any():
         word = "NaN" if np.isnan(per_atom).any() else "-inf"
@@ -239,7 +246,7 @@ def _stencil(axes, Y):
     if np.isnan(Y).any():
         raise ValueError("interpolation query has a NaN coordinate")
     d = len(axes)
-    strides = [int(np.prod([ax.count for ax in axes[k + 1:]])) for k in range(d)]
+    strides = [math.prod(ax.count for ax in axes[k + 1:]) for k in range(d)]
     clamped = np.zeros(Y.shape[0], dtype=bool)
     base = np.zeros(Y.shape[0], dtype=np.intp)
     pairs = []
@@ -288,23 +295,30 @@ def _kron_apply(table, ops, out, scratch, mul=np.multiply, add=np.add):
     of shape (N_i,) each: mode i of the result at r reads the table at
     ``index[r]`` along axis i with ``weight[r]``.  The modes apply one after
     the other, so the whole is the Kronecker product of the block operators.
-    ``mul`` and ``add`` pick the semiring (logical_and and logical_or apply
-    the operator's support to a boolean table).  The result is written to
-    ``out``; ``scratch`` holds three arrays of the table's shape and dtype,
-    so no call allocates.
+    Every gather runs along the leading axis, whose rows are contiguous: mode
+    i views its input as (N_i, rest), gathers and weights whole rows, sums
+    the corners (the first one writes the sum, no zero fill) and rotates the
+    sum to (rest, N_i), so that mode i + 1 leads.  After M rotations the
+    result is back in the table's order (the shuffle order of Kronecker
+    products).  ``mul`` and ``add`` pick the semiring (logical_and and
+    logical_or apply the operator's support to a boolean table).  The result
+    is written to ``out``; ``scratch`` holds three flat arrays of the
+    table's size and dtype, so no call allocates.
     """
-    buf, *pingpong = scratch
+    buf, acc, rot = scratch
     src = table
-    for i, corners in enumerate(ops):
-        dst = out if i == len(ops) - 1 else pingpong[i % 2]
-        lead = (-1,) + (1,) * (table.ndim - 1 - i)
-        dst.fill(0)
+    for i, ((idx, wgt), *corners) in enumerate(ops):
+        rows = src.reshape(idx.shape[0], -1)
+        total, term = acc.reshape(rows.shape), buf.reshape(rows.shape)
+        # indices are in range; mode="raise" would copy through a buffer
+        np.take(rows, idx, axis=0, out=total, mode="clip")
+        mul(total, wgt[:, None], out=total)
         for idx, wgt in corners:
-            # indices are in range; mode="raise" would copy through a buffer
-            np.take(src, idx, axis=i, out=buf, mode="clip")
-            mul(buf, wgt.reshape(lead), out=buf)
-            add(dst, buf, out=dst)
-        src = dst
+            np.take(rows, idx, axis=0, out=term, mode="clip")
+            mul(term, wgt[:, None], out=term)
+            add(total, term, out=total)
+        src = out if i == len(ops) - 1 else rot
+        np.copyto(src.reshape(total.shape[::-1]), total.T)
     return out
 
 
@@ -357,7 +371,10 @@ class ValueGrid:
 
     def save(self, path):
         """Documented binary layout: magic, u64 header length, JSON header
-        (grid, axes, counters), then C-order float64 values and int32 argmin."""
+        (grid, axes, counters), then C-order float64 values, int32 argmin and
+        one byte (0 or 1) per taint flag.  Each table is written from its own
+        memory through a byte view, so saving copies nothing but a table that
+        is not already contiguous in that dtype."""
         header = {
             "s": self.grid.s, "T": self.grid.T, "steps": self.grid.steps,
             "axes": [[ax.lo, ax.hi, ax.count] for ax in self.axes],
@@ -371,9 +388,10 @@ class ValueGrid:
             fh.write(_MAGIC)
             fh.write(struct.pack("<Q", len(blob)))
             fh.write(blob)
-            fh.write(np.ascontiguousarray(self.values, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(self.argmin, dtype="<i4").tobytes())
-            fh.write(np.ascontiguousarray(self.tainted, dtype="u1").tobytes())
+            for table in (np.ascontiguousarray(self.values, dtype="<f8"),
+                          np.ascontiguousarray(self.argmin, dtype="<i4"),
+                          np.ascontiguousarray(self.tainted, dtype=bool).view(np.uint8)):
+                fh.write(memoryview(table).cast("B"))
 
     @classmethod
     def load(cls, path):
@@ -446,6 +464,14 @@ def value_dp(p: ProblemSpec, axes, grid: TimeGrid, phi_radius=None) -> ValueGrid
     boolean semiring: a corner's weight is a product of per-axis weights that
     are 0 or at least about 1e-12, so it is > 0 exactly when every block's
     factor is.
+
+    Each step makes one field call for all K controls, on the block nodes
+    repeated per control (K, rows, M, n) with u of shape (K, rows, m), and
+    builds one stencil per block over all K x rows feet; candidate k takes
+    its slices.  The candidates are then applied one after the other, so no
+    (K, Q) buffer is held: candidate 0 writes step j's value and taint slices
+    directly, the others fold in through a running minimum and first argmin.
+    The arithmetic of every node is that of one control at a time.
     """
     axes = _as_axes(axes)
     M, n = p.space.size, p.n
@@ -499,39 +525,49 @@ def value_dp(p: ProblemSpec, axes, grid: TimeGrid, phi_radius=None) -> ValueGrid
         _check_atomwise(fld, grid.nodes[N - 1], Xb, u)
 
     cand, mask = np.empty(sizes), np.empty(sizes, dtype=bool)
-    cand_flat, mask_flat = cand.reshape(-1), mask.reshape(-1)
     better = np.empty(Q, dtype=bool)
-    scratch = np.empty((3,) + sizes), np.empty((3,) + sizes, dtype=bool)
+    scratch = np.empty((3, Q)), np.empty((3, Q), dtype=bool)
     clamp_total = 0
     for j in range(N - 1, -1, -1):
         t = grid.nodes[j]
         h = grid.nodes[j + 1] - grid.nodes[j]
+        pts = p.controls.active_set(t)
+        K = pts.shape[0]
+        # one field call and one stencil per block serve all K candidates:
+        # candidate k owns rows k * size_i up to (k + 1) * size_i of block i
+        XK = np.repeat(Xb[None], K, axis=0)
+        F = fld(t, XK, np.broadcast_to(pts[:, None, :], (K, rows, p.m)))
+        stencils = [_stencil(blk, (XK[:, :size, i] + h * F[:, :size, i]).reshape(-1, n))
+                    for i, (blk, size) in enumerate(zip(blk_axes, sizes))]
+        supports = [[(idx, wgt > 0.0) for idx, wgt in corners] for corners, _ in stencils]
         nxt, nxt_taint = values[j + 1].reshape(sizes), tainted[j + 1].reshape(sizes)
-        vals, arg = values[j].reshape(-1), argmin[j].reshape(-1)
-        taint = tainted[j].reshape(-1)
-        for k, u in enumerate(p.controls.active_set(t)):
-            F = fld(t, Xb, u)
-            stencils = [_stencil(blk, Xb[:size, i] + h * F[:size, i])
-                        for i, (blk, size) in enumerate(zip(blk_axes, sizes))]
-            ops = [corners for corners, _ in stencils]
-            _kron_apply(nxt, ops, cand, scratch[0])
-            _kron_apply(nxt_taint, [[(idx, wgt > 0.0) for idx, wgt in corners]
-                                    for corners in ops],
-                        mask, scratch[1], np.logical_and, np.logical_or)
-            inside = 1
-            for i, (_, clamped) in enumerate(stencils):
-                mask |= clamped.reshape((-1,) + (1,) * (M - 1 - i))
-                inside *= clamped.size - int(clamped.sum())
-            clamp_total += Q - inside
-            # running min and first argmin over the candidates; a node is
+        vals, taint = values[j].reshape(sizes), tainted[j].reshape(sizes)
+        arg = argmin[j].reshape(-1)
+        # a node's lookup clamps unless every block's foot is inside
+        inside = np.prod([size - clamped.reshape(K, size).sum(axis=1)
+                          for (_, clamped), size in zip(stencils, sizes)], axis=0)
+        clamp_total += int((Q - inside).sum())
+        for k in range(K):
+            cut = [slice(k * size, (k + 1) * size) for size in sizes]
+            # candidate 0 writes step j's slices; the others fold into them
+            # through a running min and first argmin, and a node is
             # trustworthy only if every candidate branch is
+            v_out, t_out = (vals, taint) if k == 0 else (cand, mask)
+            _kron_apply(nxt, [[(idx[c], wgt[c]) for idx, wgt in corners]
+                              for (corners, _), c in zip(stencils, cut)],
+                        v_out, scratch[0])
+            _kron_apply(nxt_taint, [[(idx[c], sup[c]) for idx, sup in corners]
+                                    for corners, c in zip(supports, cut)],
+                        t_out, scratch[1], np.logical_and, np.logical_or)
+            for i, ((_, clamped), c) in enumerate(zip(stencils, cut)):
+                t_out |= clamped[c].reshape((-1,) + (1,) * (M - 1 - i))
             if k == 0:
-                vals[:], arg[:], taint[:] = cand_flat, 0, mask_flat
+                arg[:] = 0
                 continue
-            np.less(cand_flat, vals, out=better)
+            np.less(cand, vals, out=better.reshape(sizes))
             np.copyto(arg, k, where=better)
-            np.minimum(vals, cand_flat, out=vals)
-            taint |= mask_flat
+            np.minimum(vals, cand, out=vals)
+            taint |= mask
 
     return ValueGrid(grid=grid, axes=axes, values=values, argmin=argmin,
                      tainted=tainted, clamp_count=clamp_total,
@@ -695,6 +731,14 @@ class ValueQuery:
     iterations: int = 200
 
 
+def _physical_memory():
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 @dataclass
 class QueryResult:
     value: float
@@ -717,14 +761,25 @@ def compute_value(p: ProblemSpec, query: ValueQuery) -> QueryResult:
         # every level holds a node, so this fails before the grid is allocated
         raise CapacityError(f"enumeration needs {query.steps} levels, budget "
                             f"is {query.budget}; shrink the grid")
+    if query.method in ("dp", "adjoint"):
+        if query.method == "dp" and query.axes is None:
+            raise ValueError("the dp method needs state axes")
+        # per time node: dp's float64 value, int32 argmin and taint byte per
+        # grid node; the adjoint's state history and the time grid itself
+        per_node = (13 * math.prod(ax.count for ax in _as_axes(query.axes))
+                    if query.method == "dp" else 8 * (p.space.size * p.n + 1))
+        need, have = (query.steps + 1) * per_node, _physical_memory()
+        if have is not None and need > have:
+            raise CapacityError(f"the {query.method} method needs {need} bytes for "
+                                f"{query.steps} steps, more than the {have} bytes of "
+                                f"physical memory; use fewer steps")
     grid = TimeGrid(query.s, p.horizon, query.steps)
     if query.method == "oracle":
         res = value_oracle(p, query.s, query.phi, grid, budget=query.budget)
         return QueryResult(value=res.value, control=res.best)
     if query.method == "dp":
-        if query.axes is None:
-            raise ValueError("the dp method needs state axes")
-        phi_radius = float(np.linalg.norm(query.phi.values, axis=1).max())
+        with np.errstate(over="ignore"):        # a norm past 1.3e154 reads as inf
+            phi_radius = float(np.linalg.norm(query.phi.values, axis=1).max())
         vg = value_dp(p, query.axes, grid, phi_radius=phi_radius)
         sig, _ = greedy_rollout(p, vg, query.phi)
         return QueryResult(value=vg.value_at(query.s, stack_state(query.phi)),

@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import enoc.cli
@@ -181,6 +181,16 @@ def test_verify_budget_counts_every_dpp_start(tmp_path, capsys, budget):
     assert rc == 2
     assert capsys.readouterr().err == (
         f"error: enumeration needs 810 signals, budget is {budget}; shrink the grid\n")
+
+
+@pytest.mark.parametrize("phis, steps, why", [
+    (0, 4, "no start state was drawn (dpp_phis is 0)"),
+    (3, 1, "a one-step grid has no split (dpp_steps is 1)"),
+], ids=["no-start", "no-split"])
+def test_dpp_check_names_why_it_has_no_evidence(phis, steps, why):
+    rep = _dpp_check(builtin("linear-ensemble"), 0.0, phis, steps, 0, 10 ** 6)
+    assert not rep.passed
+    assert rep.details == {"note": f"insufficient evidence: {why}", "evaluated": 0}
 
 
 def test_dpp_check_fails_on_a_nan_residual():
@@ -671,13 +681,50 @@ def test_malformed_manifest_exits_2(tmp_path, doc, message):
     assert err == f"error: {message.format(path=tmp_path / 'manifest.json')}\n"
 
 
+# (phi - 0.5)^2 overflows at phi = 2^512
+_OVERFLOW_PHI = 1.3407807929942597e+154
+
+
 @settings(max_examples=80, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(doc=_one_key_replaced([_MANIFEST]))
+@example(doc={"config": dict(_MANIFEST["config"], phi=_OVERFLOW_PHI)})
 def test_any_json_in_a_manifest_exits_0_or_2(tmp_path, doc):
     rc, err = _solve_from_manifest(tmp_path, doc)
     assert rc in (0, 2)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("method", [
+    ["--method", "oracle"],
+    ["--method", "dp", "--grid=-2e154:2e154:3"],
+    ["--method", "adjoint"],
+], ids=["oracle", "dp", "adjoint"])
+@pytest.mark.filterwarnings("ignore:axes do not cover")
+def test_terminal_cost_overflow_at_a_finite_state_exits_2(tmp_path, capsys, method):
+    # the suite turns any RuntimeWarning into a failure, so this also shows
+    # that none is emitted
+    out = tmp_path / "x"
+    rc = run(["solve", "--problem", "decoupled-quadratic", "--param", "tau=[0.5]",
+              "--steps", "2", f"--phi={_OVERFLOW_PHI!r}", "--out", str(out)] + method)
+    assert rc == 2
+    assert not (out / "value.csv").exists()
+    assert capsys.readouterr().err == (
+        "error: the terminal cost overflows to +inf at a finite state\n")
+
+
+@pytest.mark.parametrize("method", [
+    ["--method", "dp", "--grid=-1:1:5"],
+    ["--method", "adjoint"],
+], ids=["dp", "adjoint"])
+def test_steps_past_physical_memory_exit_2_before_the_grid(tmp_path, capsys, method):
+    # 2^40 steps: the time grid alone would need 8 TiB
+    rc = run(["solve", "--problem", "decoupled-quadratic", "--steps", str(2 ** 40),
+              "--out", str(tmp_path / "x")] + method)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: the {method[1]} method needs ")
+    assert err.endswith(" bytes of physical memory; use fewer steps\n")
 
 
 def test_oracle_steps_above_the_budget_exit_2_before_the_grid(tmp_path, capsys):

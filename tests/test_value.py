@@ -1,4 +1,7 @@
 import itertools
+import json
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +15,9 @@ from enoc import (Axis, CapabilityError, CapacityError, ControlSchedule,
                   stack_state,
                   terminal_functional, unstack_state, value_adjoint, value_dp,
                   value_oracle)
+import enoc.value
 from enoc.ensemble import _rk4_step
-from enoc.value import ValueGrid, _interpolate
+from enoc.value import ValueGrid, _interpolate, _node_mesh, _stencil
 
 
 def drift_free_quadratic(target=0.3):
@@ -62,6 +66,20 @@ def test_terminal_allows_plus_infinity():
     assert terminal_functional(p, EnsembleState.zeros(space, 1)) == np.inf
     assert value_oracle(p, 0.0, EnsembleState.zeros(space, 1),
                         TimeGrid(0.0, 1.0, 2)).value == np.inf
+
+
+def test_terminal_cost_overflowing_to_plus_infinity_raises_typed_error():
+    def cost(g):
+        return TerminalCostSpec(eval_ens=lambda X: g(X[..., 0]),
+                                lower_bound_a=np.zeros(1), lower_bound_b=0.0)
+
+    X = np.full((2, 1, 1), 800.0)
+    with pytest.raises(TerminalValueError, match=r"overflows to \+inf"):
+        cost(np.exp).values(X)
+    # an overflow the cost absorbs stays finite, and one that ends in -inf is
+    # left to the callers, which reject it by name
+    assert cost(lambda x: 1.0 / (1.0 + np.exp(x))).values(X).tolist() == [[0.0]] * 2
+    assert cost(lambda x: -np.exp(x)).values(X).tolist() == [[-np.inf]] * 2
 
 
 def test_nan_and_minus_infinity_terminal_costs_raise_typed_error():
@@ -247,6 +265,21 @@ def test_tree_is_the_row_major_loop_bitwise(make):
         assert all(level.strides[0] == 8 for level in got.states[1:])
 
 
+@pytest.mark.parametrize("make", [
+    lambda: builtin("linear-ensemble", M=2, n=2, a=[0.5, -0.3], c=[2.0, 1.0]),
+    lambda: problem_from_dict(_EXPR_T_DEPENDENT),
+], ids=["linear-M2-n2", "expr-t-dependent"])
+def test_leaf_costs_in_blocks_are_the_one_call_bitwise(monkeypatch, make):
+    p = make()
+    grid = TimeGrid(0.0, 1.0, 4)
+    start = np.random.default_rng(3).uniform(-0.5, 0.5, (2, p.space.size, p.n))
+    whole = build_oracle_tree(p, 0.0, start, grid)
+    # 162 leaves in blocks of 7: the last block holds 1 leaf
+    monkeypatch.setattr(enoc.value, "_LEAF_BLOCK", 7)
+    blocks = build_oracle_tree(p, 0.0, start, grid)
+    assert all(_same_bits(a, b) for a, b in zip(blocks.values, whole.values))
+
+
 # -- grid recursion ---------------------------------------------------------------
 
 def test_dp_drift_free_slices_equal_terminal_exactly():
@@ -360,7 +393,7 @@ _EXPR_T_DEPENDENT = {
 }
 
 
-@pytest.mark.parametrize("make, axes, steps", [
+_DP_PROBLEMS = [
     (lambda: builtin("linear-ensemble", M=2, n=2, a=[0.5, -0.3], c=[2.0, 1.0]),
      [Axis(-2.0, 2.0, 7)] * 4, 4),
     (lambda: builtin("decoupled-quadratic", M=3, tau=[0.3, -0.2, 0.5]),
@@ -373,8 +406,12 @@ _EXPR_T_DEPENDENT = {
     # are zero: the taint must follow the nonzero ones only
     (lambda: builtin("decoupled-quadratic", M=2, tau=[0.3, -0.2]),
      [Axis(-1.0, 1.0, 9), Axis(-1.5, 1.5, 13)], 4),
-], ids=["linear-M2-n2", "quadratic-M3", "bilinear", "expr-t-dependent", "unequal-blocks",
-        "feet-on-nodes"])
+]
+_DP_IDS = ["linear-M2-n2", "quadratic-M3", "bilinear", "expr-t-dependent",
+           "unequal-blocks", "feet-on-nodes"]
+
+
+@pytest.mark.parametrize("make, axes, steps", _DP_PROBLEMS, ids=_DP_IDS)
 def test_dp_matches_the_corner_gather_recursion(make, axes, steps):
     p = make()
     grid = TimeGrid(0.0, 1.0, steps)
@@ -404,6 +441,109 @@ def test_one_atom_dp_is_the_corner_gather_recursion_bitwise(p, axes):
     assert np.array_equal(vg.argmin, argmin)
     assert np.array_equal(vg.tainted, tainted)
     assert vg.clamp_count == clamp_count
+
+
+def per_candidate_value_dp(p, axes, grid):
+    """The factorized sweep one candidate at a time: a field call and a
+    stencil per block for each control, and each mode of the block operator
+    gathered along its own axis into a zero-filled sum.  value_dp batches the
+    candidates and gathers along the leading axis only; on the same
+    arithmetic it must give the same bits."""
+    def kron_apply(table, ops, mul=np.multiply, add=np.add):
+        src = table
+        for i, corners in enumerate(ops):
+            dst = np.zeros_like(table)
+            for idx, wgt in corners:
+                buf = np.take(src, idx, axis=i)
+                mul(buf, wgt.reshape((-1,) + (1,) * (table.ndim - 1 - i)), out=buf)
+                add(dst, buf, out=dst)
+            src = dst
+        return src
+
+    M, n = p.space.size, p.n
+    shape = tuple(ax.count for ax in axes)
+    Q = int(np.prod(shape))
+    X = _node_mesh([ax.nodes for ax in axes]).reshape(Q, M, n)
+    N = grid.steps
+    values = np.empty((N + 1,) + shape)
+    argmin = np.empty((N,) + shape, dtype=np.int32)
+    tainted = np.zeros((N + 1,) + shape, dtype=bool)
+    values[N] = (p.cost.values(X) @ p.space.weights).reshape(shape)
+    blk_axes = [axes[i * n:(i + 1) * n] for i in range(M)]
+    meshes = [_node_mesh([ax.nodes for ax in blk]) for blk in blk_axes]
+    sizes = tuple(mesh.shape[0] for mesh in meshes)
+    rows = max(sizes)
+    Xb = np.stack([mesh[np.arange(rows) % mesh.shape[0]] for mesh in meshes], axis=1)
+    clamp_count = 0
+    for j in range(N - 1, -1, -1):
+        t, h = grid.nodes[j], grid.nodes[j + 1] - grid.nodes[j]
+        vals, arg = values[j].reshape(-1), argmin[j].reshape(-1)
+        taint = tainted[j].reshape(-1)
+        for k, u in enumerate(p.controls.active_set(t)):
+            F = p.dynamics.field(t, Xb, u)
+            stencils = [_stencil(blk, Xb[:size, i] + h * F[:size, i])
+                        for i, (blk, size) in enumerate(zip(blk_axes, sizes))]
+            ops = [corners for corners, _ in stencils]
+            cand = kron_apply(values[j + 1].reshape(sizes), ops).reshape(-1)
+            mask = kron_apply(tainted[j + 1].reshape(sizes),
+                              [[(idx, wgt > 0.0) for idx, wgt in corners]
+                               for corners in ops], np.logical_and, np.logical_or)
+            inside = 1
+            for i, (_, clamped) in enumerate(stencils):
+                mask |= clamped.reshape((-1,) + (1,) * (M - 1 - i))
+                inside *= clamped.size - int(clamped.sum())
+            clamp_count += Q - inside
+            mask = mask.reshape(-1)
+            if k == 0:
+                vals[:], arg[:], taint[:] = cand, 0, mask
+                continue
+            better = cand < vals
+            arg[better] = k
+            np.minimum(vals, cand, out=vals)
+            taint |= mask
+    return values, argmin, tainted, clamp_count
+
+
+@pytest.mark.parametrize("make, axes, steps", _DP_PROBLEMS + [
+    (lambda: builtin("linear-ensemble", M=4, a=[0.5, -0.3, 0.1, 0.9],
+                     c=[2.0, 1.0, -1.0, 0.5]),
+     [Axis(-1.0, 1.0, 5), Axis(-1.0, 1.0, 6), Axis(-1.0, 1.0, 7), Axis(-1.0, 1.0, 4)], 5),
+    (lambda: builtin("bilinear", M=1, n=2, a=[1.2]),
+     [Axis(-1.0, 1.0, 9), Axis(-1.5, 1.5, 13)], 8),
+], ids=_DP_IDS + ["four-modes", "one-atom"])
+def test_batched_sweep_is_the_per_candidate_sweep_bitwise(make, axes, steps):
+    p = make()
+    grid = TimeGrid(0.0, 1.0, steps)
+    vg = value_dp(p, axes, grid)
+    values, argmin, tainted, clamp_count = per_candidate_value_dp(p, axes, grid)
+    assert vg.values.tobytes() == values.tobytes()
+    assert vg.argmin.tobytes() == argmin.tobytes()
+    assert vg.tainted.tobytes() == tainted.tobytes()
+    assert vg.clamp_count == clamp_count
+
+
+@pytest.mark.parametrize("make", [
+    lambda: builtin("linear-ensemble", a=[0.5, -0.3], c=[2.0, 1.0]),
+    lambda: builtin("linear-ensemble", M=2, n=2, a=[0.5, -0.3], c=[2.0, 1.0]),
+    lambda: builtin("decoupled-quadratic", M=3, tau=[0.3, -0.2, 0.5]),
+    lambda: builtin("decoupled-quadratic", M=2, n=2),
+    lambda: builtin("bilinear"),
+    lambda: builtin("bilinear", M=3, n=2),
+    lambda: problem_from_dict(_EXPR_T_DEPENDENT),
+], ids=["linear", "linear-n2", "quadratic-M3", "quadratic-n2", "bilinear",
+        "bilinear-n2", "expr-t-dependent"])
+def test_batched_control_field_call_is_the_single_calls_bitwise(make):
+    # value_dp makes one field call per step for all K controls, with the
+    # states repeated per control and u of shape (K, rows, m)
+    p = make()
+    rng = np.random.default_rng(5)
+    Xb = rng.uniform(-2.0, 2.0, (7, p.space.size, p.n))
+    pts = p.controls.active_set(0.3)
+    K = pts.shape[0]
+    batched = p.dynamics.field(0.3, np.repeat(Xb[None], K, axis=0),
+                               np.broadcast_to(pts[:, None, :], (K, 7, p.m)))
+    single = np.stack([p.dynamics.field(0.3, Xb, u) for u in pts])
+    assert _same_bits(batched, single)
 
 
 def test_dp_rejects_a_field_that_couples_atoms():
@@ -512,6 +652,31 @@ def test_value_grid_load_reads_exactly_the_saved_bytes(tmp_path, lin2):
     bad.write_bytes(blob + b"\0")
     with pytest.raises(ValueError, match="bad.bin has 1 trailing bytes"):
         ValueGrid.load(bad)
+
+
+def test_value_grid_save_writes_the_tables_without_copies(tmp_path):
+    # a 16 MB value table, a 4 MB argmin and a 2 MB taint table
+    rng = np.random.default_rng(2)
+    grid, axes = TimeGrid(0.0, 1.0, 1), [Axis(-1.0, 1.0, 1024)] * 2
+    vg = ValueGrid(grid=grid, axes=axes, values=rng.standard_normal((2, 1024, 1024)),
+                   argmin=rng.integers(0, 3, (1, 1024, 1024), dtype=np.int32),
+                   tainted=rng.random((2, 1024, 1024)) < 0.3, clamp_count=5,
+                   coverage_radius=1.0, coverage_ok=True)
+    path = tmp_path / "grid.bin"
+    tracemalloc.start()
+    try:
+        vg.save(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vg.values.nbytes >= 16 * 2 ** 20 and peak < 2 ** 20
+    tables = (vg.values.astype("<f8").tobytes() + vg.argmin.astype("<i4").tobytes()
+              + vg.tainted.astype("u1").tobytes())
+    blob = path.read_bytes()
+    assert blob.endswith(tables)
+    header = json.loads(blob[16:len(blob) - len(tables)])
+    assert blob[:16] == b"ENOCVG1\n" + struct.pack("<Q", len(blob) - 16 - len(tables))
+    assert header["axes"] == [[-1.0, 1.0, 1024]] * 2 and header["clamp_count"] == 5
 
 
 # -- adjoint descent ---------------------------------------------------------------
