@@ -12,6 +12,8 @@ class DimensionMismatchError(EnocError, ValueError):
 class DivergenceError(EnocError, RuntimeError):
     """Integration produced a non-finite state.
 
+    Raised by the one batched integrator that ``integrate``, the adjoint's
+    forward pass, the dp rollout and the verify integrators step through.
     Carries the first offending time node and atom index.
     """
 
@@ -36,12 +38,11 @@ class ScheduleError(EnocError, ValueError):
 class TerminalValueError(EnocError, ValueError):
     """Terminal cost is NaN, or infinite where the caller needs it finite.
 
-    NaN and -inf are rejected everywhere (``terminal_functional`` and every
-    enumerated leaf of the oracle tree); +inf propagates, except that
-    ``value_dp`` rejects any infinite cost on its grid nodes.  Finite
-    per-atom costs whose mass-weighted sum overflows are rejected everywhere,
-    and so are a per-atom cost that overflows to +inf while it is computed
-    and an adjoint costate or gradient that is not finite.
+    One rule, applied by one gate (``enoc.value._terminal_sums``) that every
+    solver calls: +inf propagates, except on ``value_dp``'s grid nodes; NaN,
+    -inf and finite per-atom costs whose mass-weighted sum overflows raise
+    this error.  So do a per-atom cost that overflows to +inf while it is
+    computed and an adjoint costate or gradient that is not finite.
     """
 
 

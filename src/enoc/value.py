@@ -28,10 +28,11 @@ from .errors import (CapabilityError, CapacityError, DimensionMismatchError,
                      GridCoverageWarning, TerminalValueError)
 from .measure import EnsembleState
 from .problem import ProblemSpec
-from .ensemble import ControlSignal, TimeGrid, _rk4_step, integrate
+from .ensemble import (ControlSignal, TimeGrid, Trajectory, _integrate_batch,
+                       _rk4_step, integrate)
 
 _MAGIC = b"ENOCVG1\n"
-_LEAF_BLOCK = 1 << 16          # leaves per terminal-cost call of the oracle tree
+_LEAF_BLOCK = 1 << 16          # states per terminal-cost call
 
 
 def stack_state(phi: EnsembleState) -> np.ndarray:
@@ -45,31 +46,41 @@ def unstack_state(z, space, n) -> EnsembleState:
 
 # -- terminal functional and reduced cost -----------------------------------
 
-def _weighted_sum(per_atom, weights):
-    """``per_atom @ weights``, the mass-weighted sum over the last (atom)
-    axis.  A sum that is not finite although every cost in its row is raises
-    TerminalValueError: the weighting overflowed."""
+def _terminal_sums(p: ProblemSpec, X, where=None, finite=False):
+    """Mass-weighted terminal costs of stacked states X (nodes, M, n).
+
+    The one terminal-cost gate of every solver: +inf propagates (unless
+    ``finite``); NaN, -inf, and finite costs whose weighted sum overflows
+    raise TerminalValueError.  The cost runs on blocks of _LEAF_BLOCK nodes,
+    so its temporaries stay small, into a contiguous per-atom array (the
+    weighted sum of a strided one rounds differently).  Only the rows whose
+    sum is not finite are searched.  ``where`` names a row in the error
+    (None for a single state).
+    """
+    per_atom = np.empty(X.shape[:2])
+    for lo in range(0, X.shape[0], _LEAF_BLOCK):
+        per_atom[lo:lo + _LEAF_BLOCK] = p.cost.values(X[lo:lo + _LEAF_BLOCK])
     with np.errstate(over="ignore", invalid="ignore"):
-        total = per_atom @ weights
-    bad = ~np.isfinite(total)
-    if bad.any() and np.isfinite(per_atom[bad]).all(axis=-1).any():
-        raise TerminalValueError("the mass-weighted terminal cost overflows "
-                                 "although every atom's cost is finite")
+        total = per_atom @ p.space.weights
+    rows = np.flatnonzero(~np.isfinite(total))
+    if rows.size:
+        bad = per_atom[rows]
+        for word, test in (("NaN", np.isnan), ("-inf", np.isneginf),
+                           ("+inf", np.isposinf)):
+            hit = test(bad)
+            if hit.any() and (finite or word != "+inf"):
+                r, i = np.argwhere(hit)[0]
+                at = f"at atom {i}" if where is None else f"on {where} {rows[r]}, atom {i}"
+                raise TerminalValueError(f"terminal cost is {word} {at}")
+        if np.isfinite(bad).all(axis=1).any():
+            raise TerminalValueError("the mass-weighted terminal cost overflows "
+                                     "although every atom's cost is finite")
     return total
 
 
 def terminal_functional(p: ProblemSpec, phi: EnsembleState) -> float:
-    """Mass-weighted terminal cost; +inf propagates, NaN and -inf are errors."""
-    per_atom = p.cost.values(phi.values)
-    if np.any(np.isnan(per_atom)):
-        bad = int(np.flatnonzero(np.isnan(per_atom))[0])
-        raise TerminalValueError(f"terminal cost is NaN at atom {bad}")
-    if np.any(np.isneginf(per_atom)):
-        bad = int(np.flatnonzero(np.isneginf(per_atom))[0])
-        raise TerminalValueError(f"terminal cost is -inf at atom {bad}")
-    if np.any(np.isposinf(per_atom)):
-        return np.inf
-    return float(_weighted_sum(per_atom, p.space.weights))
+    """Mass-weighted terminal cost under the gate of :func:`_terminal_sums`."""
+    return float(_terminal_sums(p, phi.values[None])[0])
 
 
 def reduced_cost(p: ProblemSpec, s, phi: EnsembleState, u: ControlSignal) -> float:
@@ -137,7 +148,8 @@ def build_oracle_tree(p: ProblemSpec, s, phi, grid: TimeGrid,
                       budget=1_000_000) -> OracleTree:
     """Enumerate every signal from phi, one EnsembleState or B stacked start
     states (B, M, n); the budget counts B x signals.  A NaN or -inf leaf cost,
-    or a weighted sum that overflows, raises TerminalValueError; +inf is kept."""
+    or a weighted sum that overflows, raises TerminalValueError; +inf is kept
+    (the gate of :func:`_terminal_sums`)."""
     starts = (phi.values[None] if isinstance(phi, EnsembleState)
               else np.asarray(phi, dtype=float))
     if starts.ndim != 3 or starts.shape[1:] != (p.space.size, p.n):
@@ -167,19 +179,8 @@ def build_oracle_tree(p: ProblemSpec, s, phi, grid: TimeGrid,
         for k in range(K):
             nxt[..., k] = _rk4_step(fld, t, h, cur, pts[k]).transpose(1, 2, 0)
         states.append(nxt.reshape(M, n, B * K).transpose(2, 0, 1))
-    # the cost runs on fixed blocks of leaves, so its temporaries stay small;
-    # per_atom is contiguous, since the weighted sum of a strided (nodes, M)
-    # array rounds differently
-    leaves = states[-1]
-    per_atom = np.empty(leaves.shape[:2])
-    for lo in range(0, leaves.shape[0], _LEAF_BLOCK):
-        per_atom[lo:lo + _LEAF_BLOCK] = p.cost.values(leaves[lo:lo + _LEAF_BLOCK])
-    leaf = _weighted_sum(per_atom, p.space.weights)
-    if np.isnan(leaf).any() or np.isneginf(leaf).any():
-        word = "NaN" if np.isnan(per_atom).any() else "-inf"
-        raise TerminalValueError(f"terminal cost is {word} on an enumerated endpoint")
     values = [None] * (grid.steps + 1)
-    values[grid.steps] = leaf
+    values[grid.steps] = _terminal_sums(p, states[-1], "an enumerated endpoint, leaf")
     for j in range(grid.steps - 1, -1, -1):
         values[j] = values[j + 1].reshape(-1, len(controls[j])).min(axis=1)
     return OracleTree(grid=grid, controls=controls, states=states, values=values)
@@ -395,30 +396,30 @@ class ValueGrid:
 
     @classmethod
     def load(cls, path):
-        """Read exactly the bytes :meth:`save` writes; a short read or a
-        trailing byte raises ValueError naming the file."""
+        """Read exactly the bytes :meth:`save` writes, each table straight
+        into its own array; a short read or a trailing byte raises ValueError
+        naming the file."""
         with open(path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
 
-            def read(n):
-                if fh.tell() + n > size:
+            def read(shape, dtype=np.uint8):
+                if fh.tell() + math.prod(shape) * np.dtype(dtype).itemsize > size:
                     raise ValueError(f"{path} is truncated at {size} bytes")
-                return fh.read(n)
+                table = np.empty(shape, dtype)
+                fh.readinto(memoryview(table).cast("B"))
+                return table
 
             if fh.read(len(_MAGIC)) != _MAGIC:
                 raise ValueError(f"{path} is not a value-grid file")
-            (hlen,) = struct.unpack("<Q", read(8))
-            header = json.loads(read(hlen).decode())
+            (hlen,) = struct.unpack("<Q", read((8,)))
+            header = json.loads(read((hlen,)).tobytes())
             axes = [Axis(*trip) for trip in header["axes"]]
             shape = tuple(ax.count for ax in axes)
-            nval = (header["steps"] + 1) * int(np.prod(shape))
-            narg = header["steps"] * int(np.prod(shape))
-            values = np.frombuffer(read(8 * nval), dtype="<f8").reshape(
-                (header["steps"] + 1,) + shape).copy()
-            argmin = np.frombuffer(read(4 * narg), dtype="<i4").reshape(
-                (header["steps"],) + shape).copy()
-            tainted = np.frombuffer(read(nval), dtype="u1").reshape(
-                (header["steps"] + 1,) + shape).astype(bool)
+            values = read((header["steps"] + 1,) + shape, "<f8")
+            argmin = read((header["steps"],) + shape, "<i4")
+            taint = read((header["steps"] + 1,) + shape)
+            # any nonzero byte reads as True, as astype(bool) would
+            tainted = np.minimum(taint, 1, out=taint).view(bool)
             if fh.tell() != size:
                 raise ValueError(f"{path} has {size - fh.tell()} trailing bytes")
         grid = TimeGrid(header["s"], header["T"], header["steps"])
@@ -486,7 +487,8 @@ def value_dp(p: ProblemSpec, axes, grid: TimeGrid, phi_radius=None) -> ValueGrid
     if phi_radius is not None:
         c = p.dynamics.growth_c
         span = grid.T - grid.s
-        coverage_radius = (phi_radius + c * span) * np.exp(c * span)
+        with np.errstate(over="ignore"):        # an infinite radius is honest
+            coverage_radius = (phi_radius + c * span) * np.exp(c * span)
         for i in range(M):
             blk = axes[i * n:(i + 1) * n]
             if any(ax.lo > -coverage_radius or ax.hi < coverage_radius for ax in blk):
@@ -501,17 +503,11 @@ def value_dp(p: ProblemSpec, axes, grid: TimeGrid, phi_radius=None) -> ValueGrid
     Q = Z.shape[0]
     X = Z.reshape(Q, M, n)
 
-    per_atom = p.cost.values(X)
-    if not np.all(np.isfinite(per_atom)):
-        q, i = np.argwhere(~np.isfinite(per_atom))[0]
-        raise TerminalValueError(
-            f"terminal cost is not finite at grid node {int(q)}, atom {int(i)}"
-        )
     N = grid.steps
     values = np.empty((N + 1,) + shape)
     argmin = np.empty((N,) + shape, dtype=np.int32)
     tainted = np.zeros((N + 1,) + shape, dtype=bool)
-    values[N] = _weighted_sum(per_atom, p.space.weights).reshape(shape)
+    values[N] = _terminal_sums(p, X, "grid node", finite=True).reshape(shape)
 
     # block i lists the node mesh of atom i's n axes; shorter blocks repeat
     # their nodes cyclically up to the longest
@@ -590,14 +586,9 @@ def _objective_and_gradient(p, grid, phi, U, need_grad=True):
     """Discrete cost and its exact gradient via the reverse of each step."""
     fld = p.dynamics.field
     N = grid.steps
-    states = np.empty((N + 1, p.space.size, p.n))
-    states[0] = phi.values
-    X = phi.values
-    for j in range(N):
-        X = _rk4_step(fld, grid.nodes[j], grid.nodes[j + 1] - grid.nodes[j], X, U[j])
-        states[j + 1] = X
-    per_atom = p.cost.values(X)
-    J = float(_weighted_sum(per_atom, p.space.weights))
+    states = _integrate_batch(p, grid.nodes[None], phi.values[None], U[None])[:, 0]
+    X = states[-1]
+    J = float(_terminal_sums(p, X[None])[0])
     if not need_grad:
         return J, None, None
     # the costate may overflow even where the weighted cost does not
@@ -696,24 +687,21 @@ def value_adjoint(p: ProblemSpec, s, phi: EnsembleState, grid: TimeGrid,
 
 def greedy_rollout(p: ProblemSpec, vg: ValueGrid, phi: EnsembleState):
     """Roll the stored argmin table forward from phi (nearest-node policy)."""
-    from .ensemble import Trajectory
     grid = vg.grid
-    z = stack_state(phi)
     vals = np.empty((grid.steps, p.m))
     states = np.empty((grid.steps + 1, p.space.size, p.n))
     states[0] = phi.values
-    X = phi.values
-    fld = p.dynamics.field
     for j in range(grid.steps):
+        z = states[j].reshape(-1)
         node = tuple(
             int(np.clip(round((z[k] - ax.lo) / ax.spacing), 0, ax.count - 1))
             for k, ax in enumerate(vg.axes)
         )
         u = p.controls.active_set(grid.nodes[j])[int(vg.argmin[j][node])]
         vals[j] = u
-        X = _rk4_step(fld, grid.nodes[j], grid.nodes[j + 1] - grid.nodes[j], X, u)
-        states[j + 1] = X
-        z = X.reshape(-1)
+        # one interval of the batched integrator, which raises DivergenceError
+        states[j + 1] = _integrate_batch(p, grid.nodes[None, j:j + 2], states[j][None],
+                                         u[None, None])[1, 0]
     sig = ControlSignal(grid, vals)
     return sig, Trajectory(grid=grid, states=states, control=sig, space=p.space)
 

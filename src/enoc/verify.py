@@ -128,44 +128,46 @@ def epigraph_invariance(p: ProblemSpec, s, phi: EnsembleState, grid: TimeGrid,
     in the enumeration class the value at successive nodes never decreases
     by more than 1e-10.  ``tol`` replaces both bounds.  One tree gives the
     path and every margin; the values along the path are enumerated afresh
-    from its states, so both directions are checked at full scale.
+    from its states, by the same RK4 arithmetic.  So, like ``dpp_residual``,
+    the check certifies the tree's min-reduction by construction: over three
+    builtins x 20 random states x 2-5 steps the drift and the least margin
+    were both exactly 0.  A NaN drift or margin (inf - inf, where every
+    continuation costs +inf) is the worst there is and fails.
     """
     drift_tol, mono_tol = (1e-8, 1e-10) if tol is None else (tol, tol)
     tree = build_oracle_tree(p, s, phi, grid, budget)
     direct = tree.optimum()[1]
     path = integrate(p, s, phi, direct.best)
-    drift = 0.0
-    drift_witness = {"time_index": 0}
-    for j in range(grid.steps + 1):
+    along = [direct.value]
+    for j in range(1, grid.steps + 1):
         state_j = EnsembleState(path.states[j], p.space)
-        if j == 0:
-            vj = direct.value
-        elif j == grid.steps:
-            vj = terminal_functional(p, state_j)
-        else:
-            vj = value_oracle(p, grid.nodes[j], state_j, grid.suffix(j),
-                              budget).value
-        gap = abs(vj - direct.value)
-        if gap > drift:
-            drift = gap
-            drift_witness = {"time_index": j, "t": float(grid.nodes[j]),
-                             "value": vj, "initial_value": direct.value}
-
-    min_margin = np.inf
-    margin_witness = {}
-    for j in range(grid.steps):
-        parent = tree.values[j]
-        child = tree.values[j + 1].reshape(parent.shape[0], -1)
-        margins = child - parent[:, None]
-        q, k = np.unravel_index(int(np.argmin(margins)), margins.shape)
-        if margins[q, k] < min_margin:
-            min_margin = float(margins[q, k])
-            margin_witness = {"time_index": j,
-                              "prefix": tree.decode_level(j, int(q)),
-                              "control_index": int(k)}
+        along.append(terminal_functional(p, state_j) if j == grid.steps else
+                     value_oracle(p, grid.nodes[j], state_j, grid.suffix(j),
+                                  budget).value)
+    # inf - inf is a NaN gap or margin: the worst there is, so it fails
+    with np.errstate(invalid="ignore"):
+        gaps = np.abs(np.array(along) - direct.value)
+        lows = []                       # (least margin, node, control) per level
+        for j in range(grid.steps):
+            parent = tree.values[j]
+            margins = tree.values[j + 1].reshape(parent.shape[0], -1) - parent[:, None]
+            q = int(np.argmin(margins))                 # a NaN is the minimum
+            lows.append((margins.flat[q], *np.unravel_index(q, margins.shape)))
+    jd = int(np.argmax(gaps))                           # a NaN is the maximum
+    drift = float(gaps[jd])
+    drift_witness = {"time_index": 0}
+    if not drift <= 0.0:
+        drift_witness = {"time_index": jd, "t": float(grid.nodes[jd]),
+                         "value": along[jd], "initial_value": direct.value}
+    j = int(np.argmin([low for low, _, _ in lows]))
+    low, q, k = lows[j]
+    min_margin = float(low)
+    margin_witness = {"time_index": j, "prefix": tree.decode_level(j, int(q)),
+                      "control_index": int(k)}
 
     passed = drift <= drift_tol and min_margin >= -mono_tol
-    worst = max(drift, -min_margin if min_margin < 0 else 0.0)
+    worst = (np.nan if np.isnan(drift) or np.isnan(min_margin)
+             else max(drift, -min_margin, 0.0))
     return CheckReport(
         name="epigraph_invariance", instance=_instance_tag(p),
         tolerance={"drift": drift_tol, "monotone": mono_tol},

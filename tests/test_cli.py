@@ -11,8 +11,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import enoc.cli
-from enoc import (ControlSchedule, DynamicsSpec, ParameterSpace, ProblemSpec,
-                  TerminalCostSpec, builtin)
+from enoc import (ControlSchedule, DynamicsSpec, GridCoverageWarning,
+                  ParameterSpace, ProblemSpec, TerminalCostSpec, builtin)
 from enoc.cli import _dpp_check, main
 from enoc.library import _BUILTINS
 
@@ -711,6 +711,46 @@ def test_terminal_cost_overflow_at_a_finite_state_exits_2(tmp_path, capsys, meth
     assert not (out / "value.csv").exists()
     assert capsys.readouterr().err == (
         "error: the terminal cost overflows to +inf at a finite state\n")
+
+
+@pytest.fixture
+def blowup_problem(tmp_path, sine_drift_doc):
+    """One atom, x' = x^2 + u, cost x^2: from phi = 2 every control blows up
+    before t = 1."""
+    doc = dict(sine_drift_doc, space={"format": "enoc-space/1",
+                                      "atoms": [{"id": "a", "coords": [0.0]}],
+                                      "weights": [1.0]})
+    doc["dynamics"] = {"expressions": ["x1 * x1 + u1"], "growth_c": 2.0,
+                       "lipschitz_k": 1.0}
+    path = tmp_path / "blowup.json"
+    path.write_text(json.dumps(doc))
+    return path, doc
+
+
+@pytest.mark.parametrize("method", ["oracle", "dp", "adjoint"])
+@pytest.mark.filterwarnings("ignore:axes do not cover")
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_blowup_exits_2_with_one_error_line(tmp_path, capsys, blowup_problem, method):
+    # oracle: the enumeration budget; dp: the rollout diverges; adjoint: no
+    # Jacobians for an expression problem
+    rc = run(["solve", "--problem", str(blowup_problem[0]), "--method", method,
+              "--steps", "40", "--grid=-4:4:9", "--phi", "2", "--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    if method == "dp":
+        assert err.startswith("error: non-finite state at t=")
+
+
+def test_infinite_coverage_radius_warns_without_overflow(tmp_path, blowup_problem):
+    # e^(1000 T) overflows; the suite turns a RuntimeWarning into a failure
+    path, doc = blowup_problem
+    doc["dynamics"]["growth_c"] = 1000
+    path.write_text(json.dumps(doc))
+    with pytest.warns(GridCoverageWarning, match="reachability radius inf"):
+        rc = run(["solve", "--problem", str(path), "--method", "dp", "--steps", "4",
+                  "--grid=-4:4:9", "--phi", "2", "--out", str(tmp_path / "x")])
+    assert rc == 0
 
 
 @pytest.mark.parametrize("method", [

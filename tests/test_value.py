@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from enoc import (Axis, CapabilityError, CapacityError, ControlSchedule,
-                  ControlSignal, DimensionMismatchError, DynamicsSpec,
-                  EnsembleState, GridCoverageWarning, ParameterSpace,
-                  ProblemSpec, TerminalCostSpec, TerminalValueError,
-                  TimeGrid, builtin, build_oracle_tree,
-                  closed_form, dpp_residual, problem_from_dict, reduced_cost,
+                  ControlSignal, DimensionMismatchError, DivergenceError,
+                  DynamicsSpec, EnsembleState, GridCoverageWarning,
+                  ParameterSpace, ProblemSpec, TerminalCostSpec,
+                  TerminalValueError, TimeGrid, builtin, build_oracle_tree,
+                  closed_form, dpp_residual, greedy_rollout, problem_from_dict,
+                  reduced_cost,
                   stack_state,
                   terminal_functional, unstack_state, value_adjoint, value_dp,
                   value_oracle)
@@ -114,6 +115,94 @@ def test_overflowing_weighted_terminal_sums_raise_typed_error():
         value_adjoint(p, 0.0, phi, grid, iterations=1)
     # the same weights with a representable sum pass
     assert terminal_functional(p, EnsembleState([[0.0], [0.0]], p.space)) == 0.0
+
+
+def nonfinite_problem(kind):
+    """Two atoms, x' = a_i x + u, per-atom cost x^2 plus a constant for atom
+    1; one ingredient of each kind is not finite."""
+    a = np.array([1e200, 0.1] if kind == "diverging" else [0.0, 0.0])
+    extra = np.array([0.0, {"NaN": np.nan, "-inf": -np.inf, "+inf": np.inf}.get(kind, 0.0)])
+    space = ParameterSpace(weights=[1e308] * 2 if kind == "overflowing sum" else [0.5] * 2,
+                           coords=[[0.0], [1.0]])
+    dyn = DynamicsSpec(eval_ens=lambda t, X, u: a[:, None] * X + np.asarray(u)[..., None, :],
+                       jac_x_ens=lambda t, X, u: a[:, None, None] * np.ones((2, 1, 1)),
+                       jac_u_ens=lambda t, X, u: np.ones((2, 1, 1)),
+                       growth_c=1.0, lipschitz_k=1.0)
+    cost = TerminalCostSpec(eval_ens=lambda X: X[..., 0] ** 2 + extra,
+                            grad_ens=lambda X: 2.0 * X,
+                            lower_bound_a=np.zeros(2), lower_bound_b=0.0)
+    return ProblemSpec(space=space, n=1, m=1, dynamics=dyn, cost=cost,
+                       controls=ControlSchedule([0.0], [np.array([[-1.0], [0.0], [1.0]])],
+                                                box=[[-1.0, 1.0]]),
+                       horizon=1.0)
+
+
+_AXES = [Axis(-3.0, 3.0, 5)] * 2
+_SOLVERS = {
+    "terminal_functional": lambda p, phi, grid: terminal_functional(p, phi),
+    "build_oracle_tree": lambda p, phi, grid: build_oracle_tree(p, 0.0, phi, grid).values[0][0],
+    "value_dp": lambda p, phi, grid: value_dp(p, _AXES, grid).values[0, 0, 0],
+    "value_adjoint": lambda p, phi, grid: value_adjoint(p, 0.0, phi, grid, iterations=2).value,
+    "greedy_rollout": lambda p, phi, grid: greedy_rollout(p, value_dp(p, _AXES, grid), phi),
+}
+_DIVERGES = (DivergenceError, r"non-finite state at t=0\.5, atom 0")
+# per problem, what each solver that meets the non-finite value does with it:
+# a typed error, or np.inf where +inf is kept
+_NONFINITE = {
+    "NaN": {"terminal_functional": (TerminalValueError, "NaN at atom 1"),
+            "build_oracle_tree": (TerminalValueError, "NaN on an enumerated endpoint"),
+            "value_dp": (TerminalValueError, "NaN on grid node 0, atom 1"),
+            "value_adjoint": (TerminalValueError, "NaN at atom 1")},
+    "-inf": {"terminal_functional": (TerminalValueError, "-inf at atom 1"),
+             "build_oracle_tree": (TerminalValueError, "-inf on an enumerated endpoint"),
+             "value_dp": (TerminalValueError, "-inf on grid node 0, atom 1"),
+             "value_adjoint": (TerminalValueError, "-inf at atom 1")},
+    "+inf": {"terminal_functional": np.inf, "build_oracle_tree": np.inf,
+             "value_dp": (TerminalValueError, r"\+inf on grid node 0, atom 1"),
+             "value_adjoint": np.inf},
+    "overflowing sum": {name: (TerminalValueError, "overflows")
+                        for name in ("terminal_functional", "build_oracle_tree",
+                                     "value_dp", "value_adjoint")},
+    # the tree keeps the diverged branches' +inf cost; the integrators raise
+    "diverging": {"build_oracle_tree": np.inf, "value_adjoint": _DIVERGES,
+                  "greedy_rollout": _DIVERGES},
+}
+
+
+@pytest.mark.parametrize("kind, solver", [(kind, solver) for kind, row in _NONFINITE.items()
+                                          for solver in row])
+def test_every_solver_applies_one_nonfinite_rule(kind, solver):
+    p = nonfinite_problem(kind)
+    phi = EnsembleState([[2.0], [2.0]], p.space)
+    expected = _NONFINITE[kind][solver]
+    # the diverging field overflows on purpose
+    with np.errstate(over="ignore", invalid="ignore"):
+        if expected is np.inf:
+            assert _SOLVERS[solver](p, phi, TimeGrid(0.0, 1.0, 2)) == np.inf
+        else:
+            with pytest.raises(expected[0], match=expected[1]):
+                _SOLVERS[solver](p, phi, TimeGrid(0.0, 1.0, 2))
+
+
+def test_adjoint_forward_pass_is_the_stepping_loop_bitwise():
+    # the forward pass the adjoint ran before it stepped through the batched
+    # integrator: one scalar-time RK4 step per interval
+    rng = np.random.default_rng(11)
+    for name in ("linear-ensemble", "decoupled-quadratic", "bilinear"):
+        p = builtin(name)
+        phi = EnsembleState(rng.uniform(-0.5, 0.5, (p.space.size, p.n)), p.space)
+        for steps in (3, 20, 100):
+            grid = TimeGrid(0.0, p.horizon, steps)
+            U = p.controls.sample(grid.nodes[:-1], rng)
+            states = np.empty((steps + 1, p.space.size, p.n))
+            states[0] = X = phi.values
+            for j in range(steps):
+                X = _rk4_step(p.dynamics.field, grid.nodes[j],
+                              grid.nodes[j + 1] - grid.nodes[j], X, U[j])
+                states[j + 1] = X
+            J, _, got = enoc.value._objective_and_gradient(p, grid, phi, U)
+            assert got.tobytes() == states.tobytes()
+            assert J == float(p.cost.values(X) @ p.space.weights)
 
 
 # -- reduced cost ---------------------------------------------------------------
@@ -677,6 +766,35 @@ def test_value_grid_save_writes_the_tables_without_copies(tmp_path):
     header = json.loads(blob[16:len(blob) - len(tables)])
     assert blob[:16] == b"ENOCVG1\n" + struct.pack("<Q", len(blob) - 16 - len(tables))
     assert header["axes"] == [[-1.0, 1.0, 1024]] * 2 and header["clamp_count"] == 5
+
+
+def test_value_grid_load_reads_each_table_once(tmp_path):
+    # 16 MB of values, 4 MB of argmin and 2 MB of taint, read without a copy
+    rng = np.random.default_rng(3)
+    grid, axes = TimeGrid(0.0, 1.0, 1), [Axis(-1.0, 1.0, 1024)] * 2
+    vg = ValueGrid(grid=grid, axes=axes, values=rng.standard_normal((2, 1024, 1024)),
+                   argmin=rng.integers(0, 3, (1, 1024, 1024), dtype=np.int32),
+                   tainted=rng.random((2, 1024, 1024)) < 0.3, clamp_count=5,
+                   coverage_radius=1.0, coverage_ok=True)
+    path = tmp_path / "grid.bin"
+    vg.save(path)
+    tables = vg.values.nbytes + vg.argmin.nbytes + vg.tainted.nbytes
+    tracemalloc.start()
+    try:
+        back = ValueGrid.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= tables + 2 ** 20
+    assert back.values.tobytes() == vg.values.tobytes()
+    assert np.array_equal(back.argmin, vg.argmin)
+    assert np.array_equal(back.tainted, vg.tainted)
+    # a nonzero taint byte other than 1 still reads as a plain True
+    blob = bytearray(path.read_bytes())
+    blob[-1] = 7
+    path.write_bytes(bytes(blob))
+    flags = ValueGrid.load(path).tainted
+    assert flags[-1, -1, -1] and flags.view(np.uint8).max() == 1
 
 
 # -- adjoint descent ---------------------------------------------------------------

@@ -118,6 +118,24 @@ def test_epigraph_reproducible(lin2):
     assert a.details["min_margin"] == b.details["min_margin"]
 
 
+def test_epigraph_fails_on_nan_evidence():
+    # every leaf costs +inf, so every drift and margin is inf - inf; the
+    # suite turns the subtraction's RuntimeWarning into a failure
+    space = ParameterSpace(weights=[0.5, 0.5], coords=[[0.0], [1.0]])
+    cost = TerminalCostSpec(eval_ens=lambda X: np.broadcast_to([0.0, np.inf], np.shape(X)[:-1]),
+                            lower_bound_a=np.zeros(2), lower_bound_b=0.0)
+    dyn = DynamicsSpec(eval_ens=lambda t, X, u: np.zeros_like(X) + np.asarray(u)[..., None, :],
+                       growth_c=1.0, lipschitz_k=1.0)
+    p = ProblemSpec(space=space, n=1, m=1, dynamics=dyn, cost=cost,
+                    controls=ControlSchedule.constant([[0.0], [1.0]]), horizon=1.0)
+    rep = epigraph_invariance(p, 0.0, EnsembleState.zeros(space, 1), TimeGrid(0.0, 1.0, 3))
+    assert not rep.passed and np.isnan(rep.worst)
+    assert np.isnan(rep.details["drift"]) and np.isnan(rep.details["min_margin"])
+    assert rep.witness["drift"] == {"time_index": 0, "t": 0.0, "value": np.inf,
+                                    "initial_value": np.inf}
+    assert rep.witness["margin"] == {"time_index": 0, "prefix": (), "control_index": 0}
+
+
 # -- terminal limit ---------------------------------------------------------------
 
 def test_terminal_limit_drift_free_zero_differences():
