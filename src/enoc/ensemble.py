@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DivergenceError
 from .measure import EnsembleState
-from .problem import CheckReport, ProblemSpec, _instance_tag
+from .problem import CheckReport, ProblemSpec, _sampled_report
 
 _FLOAT_FMT = "%.17g"
 
@@ -173,21 +173,22 @@ def _integrate_batch(p: ProblemSpec, nodes, X0, U, start=None):
     X0[b] until node ``start[b]`` (default 0) and steps from there on.  RK4 is
     elementwise, so with a field whose rows are independent (the evaluator
     contract) every row matches its one-row integration bitwise.  A
-    non-finite row raises :class:`DivergenceError`
-    at its first non-finite node; with several, the lowest row wins, which is
-    the error a row-by-row loop would hit first.
+    non-finite row raises :class:`DivergenceError`, with no overflow warning
+    before it, at its first non-finite node; with several, the lowest row
+    wins, which is the error a row-by-row loop would hit first.
     """
     fld = p.dynamics.field
     N = U.shape[1]
     states = np.empty((N + 1,) + X0.shape)
     states[0] = X0
     X = X0
-    for j in range(N):
-        t = nodes[:, j]
-        X_next = _rk4_step(fld, t, nodes[:, j + 1] - t, X, U[:, j])
-        X = X_next if start is None else np.where(
-            (j >= start)[:, None, None], X_next, X)
-        states[j + 1] = X
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(N):
+            t = nodes[:, j]
+            X_next = _rk4_step(fld, t, nodes[:, j + 1] - t, X, U[:, j])
+            X = X_next if start is None else np.where(
+                (j >= start)[:, None, None], X_next, X)
+            states[j + 1] = X
     finite = np.isfinite(states[1:]).all(axis=(2, 3))           # (N, B)
     if start is not None:
         finite |= np.arange(1, N + 1)[:, None] <= start
@@ -254,11 +255,12 @@ def trajectory_bound_suite(p: ProblemSpec, trials: int, steps=200, seed=0,
 
     The constants follow from the certificates by the usual comparison
     argument applied to 1 + |x|; each bound is allowed the multiplicative
-    discretization slack.  Violations are recorded with witnesses, never
-    raised.  The report's ``worst`` is the largest ratio over all four
-    bounds, ``witness`` the first trial and bound reaching it, and
-    ``details`` holds ``trials``, the per-bound ``max_ratio`` and the
-    ``violations``; it passes iff there is no violation.
+    discretization slack.  A bound scores lhs / rhs (when rhs <= 0: 0 if
+    lhs <= 1e-12, else +inf); bound 3 is scored only when tau > s.  The
+    sampled-report rule gives ``worst``, the largest ratio, ``witness``, the
+    first trial and bound reaching it, and the verdict: no ratio above
+    ``slack``, over at least one trial.  ``details`` holds ``trials``, the
+    per-bound ``max_ratio`` and the ``violations``, never raised.
 
     The trials run as one batch, or as several when the held states would
     pass 16 MB.  A batch first draws every trial's s, tau, t, phi, phibar and
@@ -274,25 +276,9 @@ def trajectory_bound_suite(p: ProblemSpec, trials: int, steps=200, seed=0,
     k = p.dynamics.lipschitz_k
     mu = np.sqrt(p.space.mass)
     w = p.space.weights
-    max_ratio = {"growth": 0.0, "stability": 0.0, "shift": 0.0, "time": 0.0}
-    violations = []
-    witness = {}
-
-    def track(kind, lhs, rhs, trial):
-        if rhs <= 0.0:
-            ok = lhs <= 1e-12
-            ratio = 0.0 if ok else np.inf
-        else:
-            ratio = lhs / rhs
-            ok = ratio <= slack
-        row = {"bound": kind, "trial": trial, "lhs": lhs, "rhs": rhs,
-               "ratio": ratio}
-        if ratio > max(max_ratio.values()):
-            witness.update(row)
-        if ratio > max_ratio[kind]:
-            max_ratio[kind] = ratio
-        if not ok:
-            violations.append(row)
+    bounds = ("growth", "stability", "shift", "time")
+    lhs, rhs = np.zeros((trials, 4)), np.ones((trials, 4))
+    evaluated = np.ones((trials, 4), dtype=bool)
 
     # trials per batch: the held states stay near 2**21 floats (16 MB)
     per_batch = max(1, 2 ** 21 // (3 * (steps + 1) * M * n))
@@ -320,19 +306,30 @@ def trajectory_bound_suite(p: ProblemSpec, trials: int, steps=200, seed=0,
             s, tau, t = grid.s, grid.nodes[j_tau], grid.nodes[j_t]
             x_t = states[j_t, row]
             norm_phi = _weighted_norm(w, phi)
-            track("growth", _weighted_norm(w, x_t),
-                  np.exp(c * (t - s)) * (norm_phi + c * (t - s) * mu), trial)
-            track("stability", _weighted_norm(w, x_t - states[j_t, row + 1]),
-                  np.exp(k * (t - s)) * _weighted_norm(w, phi - phibar), trial)
-            if j_tau > 0:
-                track("shift", _weighted_norm(w, states[j_t, row + 2] - x_t),
-                      c * np.exp(k * (t - tau)) * np.exp(c * (tau - s))
-                      * (mu + norm_phi) * (tau - s), trial)
-            track("time", _weighted_norm(w, x_t - states[j_tau, row]),
-                  c * np.exp(c * (t - s)) * (mu + norm_phi) * (t - tau), trial)
+            evaluated[trial, 2] = j_tau > 0
+            lhs[trial] = (
+                _weighted_norm(w, x_t),
+                _weighted_norm(w, x_t - states[j_t, row + 1]),
+                _weighted_norm(w, states[j_t, row + 2] - x_t) if j_tau > 0 else 0.0,
+                _weighted_norm(w, x_t - states[j_tau, row]))
+            rhs[trial] = (
+                np.exp(c * (t - s)) * (norm_phi + c * (t - s) * mu),
+                np.exp(k * (t - s)) * _weighted_norm(w, phi - phibar),
+                c * np.exp(k * (t - tau)) * np.exp(c * (tau - s))
+                * (mu + norm_phi) * (tau - s),
+                c * np.exp(c * (t - s)) * (mu + norm_phi) * (t - tau))
 
-    return CheckReport(
-        name="trajectory_bounds", instance=_instance_tag(p), tolerance=slack,
-        worst=max(max_ratio.values()), witness=witness, passed=not violations,
-        details={"trials": trials, "max_ratio": max_ratio,
-                 "violations": violations}, seed=seed)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(rhs <= 0.0, np.where(lhs <= 1e-12, 0.0, np.inf), lhs / rhs)
+
+    def bound_row(q):
+        trial, b = divmod(int(q), 4)
+        return {"bound": bounds[b], "trial": trial, "lhs": float(lhs[trial, b]),
+                "rhs": float(rhs[trial, b]), "ratio": float(ratio[trial, b])}
+
+    return _sampled_report(
+        p, "trajectory_bounds", slack, ratio.reshape(-1), bound_row, seed,
+        evaluated=evaluated.reshape(-1), trials=trials,
+        max_ratio={kind: float(np.max(ratio[:, b], where=evaluated[:, b], initial=0.0))
+                   for b, kind in enumerate(bounds)},
+        violations=[bound_row(q) for q in np.flatnonzero(evaluated & ~(ratio <= slack))])

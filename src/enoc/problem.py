@@ -353,10 +353,11 @@ def _instance_tag(p: ProblemSpec):
 
 # -- certificate validators ---------------------------------------------------
 #
-# Each validator scores random samples and reports under one rule: the
-# witness is the worst evaluated sample, and
-# ``passed = evaluated > 0 and worst <= tolerance``.  A NaN score is the
-# worst there is, so it fails the check.
+# The validators below, the trajectory bound suite and the battery's
+# two-stage, HJB and oscillation checks report under one rule: the witness
+# is the worst evaluated sample, ``passed = evaluated > 0 and worst <=
+# tolerance``, and a NaN score is the worst there is.  ``evaluated`` may
+# count the samples a score stands for (one HJB score per time slice).
 
 def _sampled_report(p, name, tolerance, scores, witness_at, seed,
                     evaluated=None, why_empty=None, **details) -> CheckReport:

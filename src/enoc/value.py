@@ -629,14 +629,14 @@ def _objective_and_gradient(p, grid, phi, U, need_grad=True):
 
 
 def value_adjoint(p: ProblemSpec, s, phi: EnsembleState, grid: TimeGrid,
-                  iterations=200, step0=1.0, xtol=1e-12,
-                  init=None) -> AdjointResult:
+                  iterations=200) -> AdjointResult:
     """Projected descent on the discretized control; an upper bound on the value.
 
     Requires the differentiability capability (ensemble Jacobians and cost
     gradient) and box control hulls, onto which controls are projected
     exactly; accepted iterations are strictly improving, so the recorded
-    history is monotone nonincreasing.
+    history is monotone nonincreasing.  Descent starts at the control-set
+    means with step 1 and stops once a step moves no control by more than 1e-12.
     """
     if not (p.dynamics.differentiable and p.cost.differentiable):
         raise CapabilityError(
@@ -644,16 +644,11 @@ def value_adjoint(p: ProblemSpec, s, phi: EnsembleState, grid: TimeGrid,
         )
     if abs(grid.s - s) > 1e-12:
         raise ValueError(f"grid starts at {grid.s}, expected {s}")
-    if init is None:
-        U = np.stack([p.controls.active_set(grid.nodes[j]).mean(axis=0)
-                      for j in range(grid.steps)])
-    else:
-        U = np.array(init.values if isinstance(init, ControlSignal) else init,
-                     dtype=float)
-    U = p.controls.project(grid.nodes[:-1], U)
+    U = p.controls.project(grid.nodes[:-1], np.stack(
+        [p.controls.active_set(grid.nodes[j]).mean(axis=0) for j in range(grid.steps)]))
     J, G, _ = _objective_and_gradient(p, grid, phi, U)
     history = [J]
-    alpha = step0
+    alpha = 1.0
     accepted = 0
     for _ in range(iterations):
         gnorm = float(np.abs(G).max())
@@ -662,7 +657,7 @@ def value_adjoint(p: ProblemSpec, s, phi: EnsembleState, grid: TimeGrid,
         improved = False
         while alpha >= 1e-14:
             trial = p.controls.project(grid.nodes[:-1], U - alpha * G)
-            if np.max(np.abs(trial - U)) <= xtol:
+            if np.max(np.abs(trial - U)) <= 1e-12:
                 break
             Jt, _, _ = _objective_and_gradient(p, grid, phi, trial,
                                                need_grad=False)

@@ -7,10 +7,13 @@ instance description (including the seed) to reproduce the number exactly.
 The two-stage check is one ``dpp_residual`` call: one direct tree from all
 sampled starts and one suffix tree per split, its witness the (sample,
 split time) of the worst residual.
-Each check decides ``passed`` itself; a ``tol`` argument replaces only the
-derived tolerance, never a tolerance-free condition (evidence, monotone
-decay, ball mass).  Checks never raise on a violation; they raise only on
-misuse (grids too small to difference, missing capabilities).
+The bound suite and the two-stage, HJB and oscillation checks pass by the
+one rule of ``_sampled_report``; ``epigraph_invariance`` (two tolerances)
+and ``terminal_limit`` (a slope and monotone decay) keep their own
+verdicts.  A ``tol`` replaces only the derived tolerance, never a
+tolerance-free condition (evidence, monotone decay, ball mass).  Checks
+never raise on a violation; they raise only on misuse (grids too small to
+difference, missing capabilities).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from .errors import CapabilityError
 from .measure import EnsembleState, ball_average, ball_mass, l2_norm
-from .problem import CheckReport, ProblemSpec, _instance_tag
+from .problem import CheckReport, ProblemSpec, _instance_tag, _sampled_report
 from .ensemble import (TimeGrid, _check_start, _integrate_batch, integrate,
                        random_signal)
 from .value import (ValueGrid, _node_mesh, build_oracle_tree,
@@ -42,7 +45,7 @@ def hjb_residual(vg: ValueGrid, p: ProblemSpec, kappa=5.0,
     equation there).  Pass iff at least one smooth node remains and the worst
     residual over them is at most kappa * (dt + max axis spacing), or ``tol``
     when given; with no node evaluated the report fails and says the
-    evidence is insufficient.
+    evidence is insufficient, and a NaN residual is the worst there is.
     """
     N = vg.grid.steps
     counts = vg.shape
@@ -55,8 +58,9 @@ def hjb_residual(vg: ValueGrid, p: ProblemSpec, kappa=5.0,
     Qi = Z.shape[0]
     X = Z.reshape(Qi, p.space.size, p.n)
     dt = vg.grid.dt
+    dz = max(ax.spacing for ax in vg.axes)
     if tol is None:
-        tol = kappa * (dt + max(ax.spacing for ax in vg.axes))
+        tol = kappa * (dt + dz)
 
     inner_shape = tuple(c - 2 for c in counts)
 
@@ -67,11 +71,12 @@ def hjb_residual(vg: ValueGrid, p: ProblemSpec, kappa=5.0,
     # (up, down) neighbors of the interior block along each axis
     shifts = [(shifted(ax_i, 2), shifted(ax_i, 0)) for ax_i in range(d)]
 
-    worst = 0.0
-    witness = {}
+    # per time slice: the worst evaluated node and how many were evaluated
+    slice_worst = np.zeros(N - 1)
+    slice_node = np.zeros(N - 1, dtype=int)
+    slice_count = np.zeros(N - 1, dtype=int)
     skipped = 0
     skipped_boundary = 0
-    evaluated = 0
     for j in range(1, N):
         xi_t = ((vg.values[j + 1] - vg.values[j - 1]) / (2.0 * dt))[interior].reshape(-1)
         grads = np.empty((Qi, d))
@@ -98,23 +103,16 @@ def hjb_residual(vg: ValueGrid, p: ProblemSpec, kappa=5.0,
         mask = ~kink & ~taint
         skipped += int(kink.sum())
         skipped_boundary += int((taint & ~kink).sum())
-        evaluated += int(mask.sum())
-        if mask.any():
-            masked = np.where(mask, res, -np.inf)
-            q = int(np.argmax(masked))
-            if res[q] > worst:
-                worst = float(res[q])
-                witness = {"t": float(t), "z": Z[q].tolist(), "time_index": j}
+        q = int(np.argmax(np.where(mask, res, -np.inf)))     # a NaN is the maximum
+        slice_worst[j - 1], slice_node[j - 1], slice_count[j - 1] = res[q], q, mask.sum()
 
-    details = {"skipped_kinks": skipped, "skipped_boundary": skipped_boundary,
-               "evaluated": evaluated, "kappa": kappa, "dt": dt,
-               "dz": max(ax.spacing for ax in vg.axes)}
-    if not evaluated:
-        details["note"] = "insufficient evidence: every node was skipped"
-    return CheckReport(
-        name="hjb_residual", instance=_instance_tag(p), tolerance=tol,
-        worst=worst, witness=witness, passed=bool(evaluated) and worst <= tol,
-        details=details)
+    return _sampled_report(
+        p, "hjb_residual", tol, slice_worst,
+        lambda i: {"t": float(vg.grid.nodes[i + 1]), "z": Z[slice_node[i]].tolist(),
+                   "time_index": i + 1},
+        None, evaluated=slice_count, why_empty="every node was skipped",
+        skipped_kinks=skipped, skipped_boundary=skipped_boundary,
+        kappa=kappa, dt=dt, dz=dz)
 
 
 # -- invariance of the value along trajectories -------------------------------
@@ -232,8 +230,9 @@ def oscillation_diagnostic(p: ProblemSpec, s, phi: EnsembleState, controls,
     For each sampled signal the running integral of the velocity along the
     trajectory is formed by composite trapezoid; for each radius r the
     mass-weighted squared deviation from its own ball average must stay
-    below mass * theta(r)^2 (up to ``tol`` when given, float noise
-    otherwise), and every ball must carry positive mass.
+    below mass * theta(r)^2 (up to ``tol``, 1e-12 unless given), and every
+    ball must carry positive mass: one without scores +inf.  With no radius
+    the report fails for lack of evidence.
     ``controls`` is a count of random signals on one grid or a list of
     signals with a common number of steps; they are integrated as one batch.
     """
@@ -269,29 +268,21 @@ def oscillation_diagnostic(p: ProblemSpec, s, phi: EnsembleState, controls,
         if j + 1 < U.shape[1]:
             f_lo = fld(nodes[:, j + 1], states[j + 1], U[:, j + 1])
 
-    mass = p.space.mass
-    worst = -np.inf
-    witness = {}
+    h_vals = {r: ball_mass(p.space, r) for r in radii.tolist()}
     curves = []
-    h_vals = {float(r): ball_mass(p.space, float(r)) for r in radii}
+    excess = np.empty((len(signals), radii.size))
     for sig_i in range(len(signals)):
         F_state = EnsembleState(F[sig_i], p.space)
-        for r in radii:
-            avg = ball_average(p.space, F_state, float(r))
+        for r_i, r in enumerate(radii.tolist()):
+            avg = ball_average(p.space, F_state, r)
             dev = F_state.values - avg.values
             osc = float(np.einsum("i,ij,ij->", p.space.weights, dev, dev))
-            bound = mass * float(theta(float(r))) ** 2
-            curves.append({"signal": sig_i, "r": float(r), "oscillation": osc,
-                           "bound": bound, "ball_mass": h_vals[float(r)]})
-            if osc - bound > worst:
-                worst = osc - bound
-                witness = curves[-1]
-
-    mass_ok = all(v > 0 for v in h_vals.values())
-    passed = worst <= (1e-12 if tol is None else tol) and mass_ok
-    return CheckReport(
-        name="oscillation", instance=_instance_tag(p),
-        tolerance=0.0 if tol is None else tol,
-        worst=float(worst), witness=witness, passed=passed, seed=seed,
-        details={"curves": curves, "ball_mass": h_vals,
-                 "signals": len(signals)})
+            bound = p.space.mass * float(theta(r)) ** 2
+            curves.append({"signal": sig_i, "r": r, "oscillation": osc,
+                           "bound": bound, "ball_mass": h_vals[r]})
+            # a ball without mass fails under any finite tolerance
+            excess[sig_i, r_i] = osc - bound if h_vals[r] > 0 else np.inf
+    return _sampled_report(
+        p, "oscillation", 1e-12 if tol is None else tol, excess.reshape(-1),
+        lambda q: curves[q], seed, curves=curves, ball_mass=h_vals,
+        signals=len(signals))

@@ -166,6 +166,16 @@ def test_verify_dpp_check_fails_without_a_split(tmp_path, small_verify_cfg):
 
 def test_verify_dpp_check_fails_without_a_start(tmp_path, small_verify_cfg):
     _verify_fails_only_the_dpp_check(tmp_path, small_verify_cfg, dpp_phis=0)
+
+
+def test_verify_without_a_bound_trial_fails(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"verify": {"trials": 0}}))
+    rc = run(["verify", "--config", str(cfg), "--out", str(tmp_path / "v")])
+    assert rc == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] trajectory_bounds: worst=0 (tol=1.05)" in out
+    assert out.endswith("5/6 checks passed\n")
     rep = _dpp_check(builtin("linear-ensemble"), 0.0, 0, 4, 0, 10 ** 6)
     assert rep.details["evaluated"] == 0 and not rep.passed
 
@@ -729,7 +739,6 @@ def blowup_problem(tmp_path, sine_drift_doc):
 
 @pytest.mark.parametrize("method", ["oracle", "dp", "adjoint"])
 @pytest.mark.filterwarnings("ignore:axes do not cover")
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_blowup_exits_2_with_one_error_line(tmp_path, capsys, blowup_problem, method):
     # oracle: the enumeration budget; dp: the rollout diverges; adjoint: no
     # Jacobians for an expression problem

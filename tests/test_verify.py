@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+import enoc.verify
 from enoc import (Axis, CapabilityError, ControlSchedule, ControlSignal,
                   DynamicsSpec, EnsembleState, ParameterSpace, ProblemSpec,
                   TerminalCostSpec, TimeGrid, builtin,
                   cost_lipschitz_bound, epigraph_invariance, hjb_residual,
                   integrate, oscillation_diagnostic, problem_from_dict,
-                  terminal_limit, terminal_functional, value_dp, value_oracle)
+                  terminal_limit, terminal_functional, trajectory_bound_suite,
+                  value_dp, value_oracle)
+from enoc.cli import _dpp_check
 
 
 def drift_free_smooth():
@@ -46,6 +49,17 @@ def test_hjb_zero_evidence_fails(lin2):
     assert rep.details["evaluated"] == 0
     assert not rep.passed
     assert "insufficient evidence" in rep.details["note"]
+
+
+def test_hjb_nan_residual_is_the_worst(lin2):
+    # a NaN terminal value at one interior node makes that node's residual in
+    # the last time slice NaN; it must not hide that slice, nor pass
+    vg = value_dp(lin2, [Axis(-5.0, 5.0, 41)] * 2, TimeGrid(0.0, 1.0, 50))
+    assert hjb_residual(vg, lin2).passed
+    vg.values[-1][20, 20] = np.nan
+    rep = hjb_residual(vg, lin2)
+    assert np.isnan(rep.worst) and not rep.passed
+    assert rep.witness["time_index"] == 49
 
 
 def test_hjb_matches_pointwise_hamiltonian_operation(lin2):
@@ -205,7 +219,7 @@ def test_oscillation_linear_family_below_bound(lin2):
     phi = EnsembleState([[0.5], [0.5]], lin2.space)
     rep = oscillation_diagnostic(lin2, 0.0, phi, 5, [0.4, 0.9, 1.5], steps=50,
                                  seed=3)
-    assert rep.passed
+    assert rep.passed and rep.tolerance == 1e-12
     assert all(v > 0 for v in rep.details["ball_mass"].values())
 
 
@@ -226,3 +240,39 @@ def test_oscillation_reproducible_with_seed(lin2):
     a = oscillation_diagnostic(lin2, 0.0, phi, 3, [0.5], steps=30, seed=7)
     b = oscillation_diagnostic(lin2, 0.0, phi, 3, [0.5], steps=30, seed=7)
     assert a.worst == b.worst
+
+
+def test_oscillation_ball_without_mass_fails_any_tolerance(lin2, monkeypatch):
+    real = enoc.verify.ball_mass
+    monkeypatch.setattr(enoc.verify, "ball_mass",
+                        lambda space, r: 0.0 if r == 0.9 else real(space, r))
+    phi = EnsembleState([[0.5], [0.5]], lin2.space)
+    rep = oscillation_diagnostic(lin2, 0.0, phi, 3, [0.4, 0.9], steps=30, tol=1e6)
+    assert not rep.passed
+    assert rep.worst == np.inf and rep.witness["r"] == 0.9
+
+
+# -- one pass rule --------------------------------------------------------------
+
+def _coarse_hjb():
+    # on this coarse grid every interior node is boundary-influenced
+    p = builtin("linear-ensemble", M=2, a=[0.5, -0.3], c=[2.0, 1.0])
+    return hjb_residual(value_dp(p, [Axis(-0.5, 0.5, 5)] * 2, TimeGrid(0.0, 1.0, 4)), p)
+
+
+@pytest.mark.parametrize("check", [
+    lambda: trajectory_bound_suite(builtin("linear-ensemble"), trials=0),
+    lambda: oscillation_diagnostic(
+        builtin("linear-ensemble"), 0.0,
+        EnsembleState.zeros(builtin("linear-ensemble").space, 1), 2, [], steps=10),
+    lambda: _dpp_check(builtin("linear-ensemble"), 0.0, 0, 4, 0, 10 ** 6),
+    lambda: _dpp_check(builtin("linear-ensemble"), 0.0, 3, 1, 0, 10 ** 6),
+    _coarse_hjb,
+], ids=["bounds-no-trial", "oscillation-no-radius", "dpp-no-start", "dpp-no-split",
+        "hjb-every-node-skipped"])
+def test_sampled_checks_fail_on_zero_evidence(check):
+    rep = check()
+    assert not rep.passed
+    assert rep.details["evaluated"] == 0
+    assert rep.worst == 0.0 and rep.witness == {}
+    assert rep.details["note"].startswith("insufficient evidence: ")
