@@ -155,48 +155,59 @@ class Trajectory:
         return cls(grid=grid, states=states, control=sig, space=space)
 
 
+def _rk4_stages(fld, t, h, X, u):
+    """The RK4 tableau, held once: the stage times, stage points and first three
+    slopes of one step from (t, X); t and h are scalars or of X's lead shape."""
+    hx = np.expand_dims(h, (-2, -1)) if np.ndim(h) else h
+    ts, xs, ks = (t, t + 0.5 * h, t + 0.5 * h, t + h), [X], []
+    for a, t_i in zip((0.5, 0.5, 1.0), ts):         # the tableau's subdiagonal
+        ks.append(fld(t_i, xs[-1], u))
+        xs.append(X + a * hx * ks[-1])
+    return ts, xs, ks
+
+
 def _rk4_step(fld, t, h, X, u):
     """One classical 4th-order step; t and h are scalars or of X's lead shape."""
+    ts, xs, (k1, k2, k3) = _rk4_stages(fld, t, h, X, u)
+    X4 = xs[3]
+    del xs      # held, the dead stage points slow the oracle tree's widest levels
+    k4 = fld(ts[3], X4, u)
     hx = np.expand_dims(h, (-2, -1)) if np.ndim(h) else h
-    k1 = fld(t, X, u)
-    k2 = fld(t + 0.5 * h, X + 0.5 * hx * k1, u)
-    k3 = fld(t + 0.5 * h, X + 0.5 * hx * k2, u)
-    k4 = fld(t + h, X + hx * k3, u)
     return X + (hx / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _integrate_batch(p: ProblemSpec, nodes, X0, U, start=None):
-    """Advance B ensembles at once on per-row grids; states (N+1, B, M, n).
-
-    ``nodes`` (B, N+1) are each row's time nodes, ``X0`` (B, M, n) its
-    initial state and ``U`` (B, N, m) its control per interval.  Row b holds
-    X0[b] until node ``start[b]`` (default 0) and steps from there on.  RK4 is
-    elementwise, so with a field whose rows are independent (the evaluator
-    contract) every row matches its one-row integration bitwise.  A
-    non-finite row raises :class:`DivergenceError`, with no overflow warning
-    before it, at its first non-finite node; with several, the lowest row
-    wins, which is the error a row-by-row loop would hit first.
-    """
-    fld = p.dynamics.field
-    N = U.shape[1]
-    states = np.empty((N + 1,) + X0.shape)
-    states[0] = X0
-    X = X0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(N):
-            t = nodes[:, j]
-            X_next = _rk4_step(fld, t, nodes[:, j + 1] - t, X, U[:, j])
-            X = X_next if start is None else np.where(
-                (j >= start)[:, None, None], X_next, X)
-            states[j + 1] = X
+def _raise_divergence(nodes, states):
+    """DivergenceError at the lowest row's first non-finite node and atom of
+    states (N+1, B, M, n) on per-row ``nodes`` (B, N+1), if there is one."""
     finite = np.isfinite(states[1:]).all(axis=(2, 3))           # (N, B)
-    if start is not None:
-        finite |= np.arange(1, N + 1)[:, None] <= start
     if not finite.all():
         row = int(np.flatnonzero(~finite.all(axis=0))[0])
         j = int(np.argmin(finite[:, row])) + 1
         atom = int(np.flatnonzero(~np.isfinite(states[j, row]).all(axis=1))[0])
         raise DivergenceError(nodes[row, j], atom)
+
+
+def _integrate_batch(p: ProblemSpec, nodes, X0, U):
+    """Advance B ensembles at once on per-row grids; states (N+1, B, M, n).
+
+    ``nodes`` (B, N+1) are each row's time nodes, ``X0`` (B, M, n) its
+    initial state and ``U`` (B, N, m) its control per interval; a row holds
+    its state through zero-length steps.  RK4 is elementwise, so with a field
+    whose rows are independent (the evaluator contract) every row matches its
+    one-row integration bitwise.  A non-finite row raises
+    :class:`DivergenceError`, with no overflow warning before it, at its
+    first non-finite node; with several, the lowest row wins, which is the
+    error a row-by-row loop would hit first.
+    """
+    fld = p.dynamics.field
+    N = U.shape[1]
+    states = np.empty((N + 1,) + X0.shape)
+    states[0] = X0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(N):
+            t = nodes[:, j]
+            states[j + 1] = _rk4_step(fld, t, nodes[:, j + 1] - t, states[j], U[:, j])
+    _raise_divergence(nodes, states)
     return states
 
 
@@ -266,9 +277,10 @@ def trajectory_bound_suite(p: ProblemSpec, trials: int, steps=200, seed=0,
     pass 16 MB.  A batch first draws every trial's s, tau, t, phi, phibar and
     signal in the trial-by-trial order of a sequential loop (the draws never
     depend on the integration), then integrates the x, xbar and shifted
-    trajectories of all its trials together; the shifted row holds phi until
-    its start node tau.  A divergence raises the error the sequential order
-    would: first trial, x before xbar before the shift.
+    trajectories of all its trials together; the shifted row's nodes are
+    clamped below at tau, so its zero-length steps hold phi until tau.  A
+    divergence raises the error the sequential order would: first trial, x
+    before xbar before the shift.
     """
     rng = np.random.default_rng(seed)
     M, n = p.space.size, p.n
@@ -283,7 +295,7 @@ def trajectory_bound_suite(p: ProblemSpec, trials: int, steps=200, seed=0,
     # trials per batch: the held states stay near 2**21 floats (16 MB)
     per_batch = max(1, 2 ** 21 // (3 * (steps + 1) * M * n))
     for first in range(0, trials, per_batch):
-        draws, nodes, X0, U, start = [], [], [], [], []
+        draws, nodes, X0, U = [], [], [], []
         for trial in range(first, min(first + per_batch, trials)):
             s = rng.uniform(0.0, 0.5 * p.horizon)
             grid = TimeGrid(s, p.horizon, steps)
@@ -292,15 +304,14 @@ def trajectory_bound_suite(p: ProblemSpec, trials: int, steps=200, seed=0,
             phi = phi_scale * rng.standard_normal((M, n))
             phibar = phi_scale * rng.standard_normal((M, n))
             sig = random_signal(p, grid, rng)
-            # rows x, xbar and (when tau > s) the shift, in the sequential order
+            # rows x, xbar and the shift (x again when tau = s), in the sequential order
             draws.append((trial, grid, j_tau, j_t, phi, phibar, len(X0)))
-            for x0, j0 in [(phi, 0), (phibar, 0)] + [(phi, j_tau)] * (j_tau > 0):
-                nodes.append(grid.nodes)
+            shifted = np.maximum(grid.nodes, grid.nodes[j_tau])
+            for x0, row_nodes in ((phi, grid.nodes), (phibar, grid.nodes), (phi, shifted)):
+                nodes.append(row_nodes)
                 X0.append(x0)
                 U.append(sig.values)
-                start.append(j0)
-        states = _integrate_batch(p, np.stack(nodes), np.stack(X0), np.stack(U),
-                                  np.array(start))
+        states = _integrate_batch(p, np.stack(nodes), np.stack(X0), np.stack(U))
 
         for trial, grid, j_tau, j_t, phi, phibar, row in draws:
             s, tau, t = grid.s, grid.nodes[j_tau], grid.nodes[j_t]
@@ -310,7 +321,7 @@ def trajectory_bound_suite(p: ProblemSpec, trials: int, steps=200, seed=0,
             lhs[trial] = (
                 _weighted_norm(w, x_t),
                 _weighted_norm(w, x_t - states[j_t, row + 1]),
-                _weighted_norm(w, states[j_t, row + 2] - x_t) if j_tau > 0 else 0.0,
+                _weighted_norm(w, states[j_t, row + 2] - x_t),
                 _weighted_norm(w, x_t - states[j_tau, row]))
             rhs[trial] = (
                 np.exp(c * (t - s)) * (norm_phi + c * (t - s) * mu),

@@ -13,8 +13,9 @@ class DivergenceError(EnocError, RuntimeError):
     """Integration produced a non-finite state.
 
     Raised by the one batched integrator that ``integrate``, the adjoint's
-    forward pass, the dp rollout and the verify integrators step through.
-    Carries the first offending time node and atom index.
+    forward pass, the dp rollout and the verify integrators step through,
+    and by the oracle tree, which locates its first non-finite leaf the same
+    way.  Carries the first offending time node and atom index.
     """
 
     def __init__(self, t, atom):

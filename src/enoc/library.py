@@ -116,7 +116,9 @@ def linear_ensemble(M=2, n=1, a=None, c=None, weights=None, coords=None,
     growth_c = max(amax, rho * np.sqrt(n))
     lipschitz_k = amax if amax > 0 else 1.0
     L_a = _coeff_lipschitz(a, space.metric)
-    osc_gain = T * L_a * box_radius * (1.0 + lipschitz_k * T * np.exp(lipschitz_k * T))
+    with np.errstate(over="ignore"):        # an infinite gain is a vacuous modulus
+        gain = T * L_a * box_radius             # a zero gain stays 0, not 0 * inf
+        osc_gain = gain * (1.0 + lipschitz_k * T * np.exp(lipschitz_k * T)) if gain else 0.0
 
     def theta(r):
         return osc_gain * r
@@ -204,7 +206,9 @@ def bilinear(M=2, n=1, a=None, weights=None, coords=None,
     amax = float(np.abs(a).max())
     cert = max(rho * amax, 1.0)
     L_a = _coeff_lipschitz(a, space.metric)
-    osc_gain = T * rho * L_a * box_radius * (1.0 + cert * T * np.exp(cert * T))
+    with np.errstate(over="ignore"):        # an infinite gain is a vacuous modulus
+        gain = T * rho * L_a * box_radius       # a zero gain stays 0, not 0 * inf
+        osc_gain = gain * (1.0 + cert * T * np.exp(cert * T)) if gain else 0.0
 
     def theta(r):
         return osc_gain * r

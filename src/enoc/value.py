@@ -29,7 +29,7 @@ from .errors import (CapabilityError, CapacityError, DimensionMismatchError,
 from .measure import EnsembleState
 from .problem import ProblemSpec
 from .ensemble import (ControlSignal, TimeGrid, Trajectory, _integrate_batch,
-                       _rk4_step, integrate)
+                       _raise_divergence, _rk4_stages, _rk4_step, integrate)
 
 _MAGIC = b"ENOCVG1\n"
 _LEAF_BLOCK = 1 << 16          # states per terminal-cost call
@@ -147,9 +147,10 @@ def enumeration_count(p: ProblemSpec, grid: TimeGrid) -> int:
 def build_oracle_tree(p: ProblemSpec, s, phi, grid: TimeGrid,
                       budget=1_000_000) -> OracleTree:
     """Enumerate every signal from phi, one EnsembleState or B stacked start
-    states (B, M, n); the budget counts B x signals.  A NaN or -inf leaf cost,
-    or a weighted sum that overflows, raises TerminalValueError; +inf is kept
-    (the gate of :func:`_terminal_sums`)."""
+    states (B, M, n); the budget counts B x signals.  The first leaf with a
+    non-finite state raises DivergenceError as an :func:`_integrate_batch`
+    row does.  A NaN or -inf leaf cost, or a weighted sum that overflows,
+    raises TerminalValueError; +inf is kept (the gate of :func:`_terminal_sums`)."""
     starts = (phi.values[None] if isinstance(phi, EnsembleState)
               else np.asarray(phi, dtype=float))
     if starts.ndim != 3 or starts.shape[1:] != (p.space.size, p.n):
@@ -166,19 +167,26 @@ def build_oracle_tree(p: ProblemSpec, s, phi, grid: TimeGrid,
     M, n = starts.shape[1:]
     controls = []
     states = [starts]
-    for j in range(grid.steps):
-        t = grid.nodes[j]
-        h = grid.nodes[j + 1] - grid.nodes[j]
-        pts = p.controls.active_set(t)
-        K = pts.shape[0]
-        controls.append(pts)
-        cur = states[-1]
-        B = cur.shape[0]
-        # node-innermost memory, so every broadcast loops over the node axis
-        nxt = np.empty((M, n, B, K))
-        for k in range(K):
-            nxt[..., k] = _rk4_step(fld, t, h, cur, pts[k]).transpose(1, 2, 0)
-        states.append(nxt.reshape(M, n, B * K).transpose(2, 0, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(grid.steps):
+            t = grid.nodes[j]
+            h = grid.nodes[j + 1] - grid.nodes[j]
+            pts = p.controls.active_set(t)
+            K = pts.shape[0]
+            controls.append(pts)
+            cur = states[-1]
+            B = cur.shape[0]
+            # node-innermost memory, so every broadcast loops over the node axis
+            nxt = np.empty((M, n, B, K))
+            for k in range(K):
+                nxt[..., k] = _rk4_step(fld, t, h, cur, pts[k]).transpose(1, 2, 0)
+            states.append(nxt.reshape(M, n, B * K).transpose(2, 0, 1))
+    # a state once non-finite stays so: scan the leaves, then the first bad one's ancestors
+    if not np.isfinite(nxt).all():
+        q = int(np.flatnonzero(~np.isfinite(states[-1]).all(axis=(1, 2)))[0])
+        chain = [level[q // math.prod(map(len, controls[j:]))]
+                 for j, level in enumerate(states)]
+        _raise_divergence(grid.nodes[None], np.stack(chain)[:, None])
     values = [None] * (grid.steps + 1)
     values[grid.steps] = _terminal_sums(p, states[-1], "an enumerated endpoint, leaf")
     for j in range(grid.steps - 1, -1, -1):
@@ -489,10 +497,8 @@ def value_dp(p: ProblemSpec, axes, grid: TimeGrid, phi_radius=None) -> ValueGrid
         span = grid.T - grid.s
         with np.errstate(over="ignore"):        # an infinite radius is honest
             coverage_radius = (phi_radius + c * span) * np.exp(c * span)
-        for i in range(M):
-            blk = axes[i * n:(i + 1) * n]
-            if any(ax.lo > -coverage_radius or ax.hi < coverage_radius for ax in blk):
-                coverage_ok = False
+        coverage_ok = not any(ax.lo > -coverage_radius or ax.hi < coverage_radius
+                              for ax in axes)
         if not coverage_ok:
             warnings.warn(
                 f"axes do not cover the reachability radius {coverage_radius:.4g} "
@@ -598,31 +604,18 @@ def _objective_and_gradient(p, grid, phi, U, need_grad=True):
         jx, ju = p.dynamics.jac_x_ens, p.dynamics.jac_u_ens
         for j in range(N - 1, -1, -1):
             t = grid.nodes[j]
-            h = grid.nodes[j + 1] - grid.nodes[j]
-            Xj = states[j]
+            h = grid.nodes[j + 1] - t
             u = U[j]
-            k1 = fld(t, Xj, u)
-            x2 = Xj + 0.5 * h * k1
-            k2 = fld(t + 0.5 * h, x2, u)
-            x3 = Xj + 0.5 * h * k2
-            k3 = fld(t + 0.5 * h, x3, u)
-            x4 = Xj + h * k3
-            jx1, ju1 = jx(t, Xj, u), ju(t, Xj, u)
-            jx2, ju2 = jx(t + 0.5 * h, x2, u), ju(t + 0.5 * h, x2, u)
-            jx3, ju3 = jx(t + 0.5 * h, x3, u), ju(t + 0.5 * h, x3, u)
-            jx4, ju4 = jx(t + h, x4, u), ju(t + h, x4, u)
-            g4 = (h / 6.0) * lam
-            g3 = (h / 3.0) * lam + h * np.einsum("mij,mi->mj", jx4, g4)
-            g2 = (h / 3.0) * lam + 0.5 * h * np.einsum("mij,mi->mj", jx3, g3)
-            g1 = (h / 6.0) * lam + 0.5 * h * np.einsum("mij,mi->mj", jx2, g2)
-            grads[j] = (np.einsum("mik,mi->k", ju1, g1)
-                        + np.einsum("mik,mi->k", ju2, g2)
-                        + np.einsum("mik,mi->k", ju3, g3)
-                        + np.einsum("mik,mi->k", ju4, g4))
-            lam = (lam + np.einsum("mij,mi->mj", jx1, g1)
-                   + np.einsum("mij,mi->mj", jx2, g2)
-                   + np.einsum("mij,mi->mj", jx3, g3)
-                   + np.einsum("mij,mi->mj", jx4, g4))
+            ts, xs, _ = _rk4_stages(fld, t, h, states[j], u)
+            jxs = [jx(ts[i], xs[i], u) for i in range(4)]
+            # the reversed tableau: g_i = b_i h lam + a_{i+1,i} h J_{i+1}^T g_{i+1}
+            g = [None, None, None, (h / 6.0) * lam]
+            for i, b, a in ((2, h / 3.0, h), (1, h / 3.0, 0.5 * h), (0, h / 6.0, 0.5 * h)):
+                g[i] = b * lam + a * np.einsum("mij,mi->mj", jxs[i + 1], g[i + 1])
+            # summed in stage order, the first term first
+            gu = [np.einsum("mik,mi->k", ju(ts[i], xs[i], u), g[i]) for i in range(4)]
+            grads[j] = sum(gu[1:], gu[0])
+            lam = sum((np.einsum("mij,mi->mj", jxs[i], g[i]) for i in range(4)), lam)
     if not (np.isfinite(lam).all() and np.isfinite(grads).all()):
         raise TerminalValueError("the adjoint costate or gradient is not finite")
     return J, grads, states
@@ -711,7 +704,6 @@ class ValueQuery:
     steps: int = 8
     axes: list = None            # required for dp
     budget: int = 1_000_000
-    iterations: int = 200
 
 
 def _physical_memory():
@@ -768,8 +760,7 @@ def compute_value(p: ProblemSpec, query: ValueQuery) -> QueryResult:
         return QueryResult(value=vg.value_at(query.s, stack_state(query.phi)),
                            control=sig, grid=vg)
     if query.method == "adjoint":
-        res = value_adjoint(p, query.s, query.phi, grid,
-                            iterations=query.iterations)
+        res = value_adjoint(p, query.s, query.phi, grid)
         return QueryResult(value=res.value, control=res.control)
     raise ValueError(f"unknown method {query.method!r}")
 

@@ -227,8 +227,9 @@ def oscillation_diagnostic(p: ProblemSpec, s, phi: EnsembleState, controls,
                            radii, steps=100, seed=0, tol=None) -> CheckReport:
     """Mean oscillation of the accumulated velocity against the modulus bound.
 
-    For each sampled signal the running integral of the velocity along the
-    trajectory is formed by composite trapezoid; for each radius r the
+    For each sampled signal the integral of the velocity along the
+    trajectory is the integrator's displacement x(T) - phi, RK4's own
+    quadrature of the field on the same path; for each radius r the
     mass-weighted squared deviation from its own ball average must stay
     below mass * theta(r)^2 (up to ``tol``, 1e-12 unless given), and every
     ball must carry positive mass: one without scores +inf.  With no radius
@@ -257,16 +258,7 @@ def oscillation_diagnostic(p: ProblemSpec, s, phi: EnsembleState, controls,
     U = np.stack([sig.values for sig in signals])
     states = _integrate_batch(
         p, nodes, np.broadcast_to(phi.values, (len(signals),) + phi.values.shape), U)
-    # running integral of the velocity by composite trapezoid, all signals at once
-    fld = p.dynamics.field
-    F = np.zeros(states.shape[1:])
-    f_lo = fld(nodes[:, 0], states[0], U[:, 0])
-    for j in range(U.shape[1]):
-        h = (nodes[:, j + 1] - nodes[:, j])[:, None, None]
-        f_hi = fld(nodes[:, j + 1], states[j + 1], U[:, j])
-        F += 0.5 * h * (f_lo + f_hi)
-        if j + 1 < U.shape[1]:
-            f_lo = fld(nodes[:, j + 1], states[j + 1], U[:, j + 1])
+    F = states[-1] - states[0]
 
     h_vals = {r: ball_mass(p.space, r) for r in radii.tolist()}
     curves = []

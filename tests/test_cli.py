@@ -605,6 +605,13 @@ _BUILTIN_PARAMS = [(name, key) for name, factory in sorted(_BUILTINS.items())
 @settings(max_examples=80, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(param=st.sampled_from(_BUILTIN_PARAMS), value=_JSON)
+# the modulus gain overflows to +inf, a vacuous but valid modulus
+@example(param=("linear-ensemble", "T"), value=800)
+@example(param=("bilinear", "T"), value=800)
+@example(param=("linear-ensemble", "a"), value=[800, 0])
+@example(param=("bilinear", "a"), value=[800, 0])
+@example(param=("linear-ensemble", "box_radius"), value=1e308)
+@example(param=("bilinear", "box_radius"), value=1e308)
 def test_any_json_builtin_parameter_exits_0_or_2(tmp_path, param, value):
     name, key = param
     err = io.StringIO()
@@ -749,6 +756,16 @@ def test_blowup_exits_2_with_one_error_line(tmp_path, capsys, blowup_problem, me
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
     if method == "dp":
         assert err.startswith("error: non-finite state at t=")
+
+
+def test_diverging_oracle_tree_exits_2_with_one_error_line(tmp_path, capsys):
+    # the field overflows in the tree's first level and e^(a T) in the
+    # modulus gain; the suite turns either RuntimeWarning into a failure
+    rc = run(["solve", "--problem", "linear-ensemble", "--param", "a=[1e200,0.1]",
+              "--param", "c=[0,1]", "--method", "oracle", "--steps", "3", "--phi", "0.5",
+              "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: non-finite state at t=0.333333, atom 0\n"
 
 
 def test_infinite_coverage_radius_warns_without_overflow(tmp_path, blowup_problem):

@@ -234,6 +234,16 @@ def test_modulus_single_atom_vacuous():
     assert modulus_check(p, pairs=3).passed
 
 
+@pytest.mark.parametrize("name", ["linear-ensemble", "bilinear"])
+@pytest.mark.parametrize("params, gain", [
+    ({"T": 800}, np.inf), ({"a": [800, 0]}, np.inf), ({"box_radius": 1e308}, np.inf),
+    ({"a": [800, 800]}, 0.0),       # a gain equal on every atom moves nothing
+], ids=["T", "a", "box_radius", "equal-gains"])
+def test_builtin_modulus_gain_overflow_is_vacuous_not_a_warning(name, params, gain):
+    # e^(k T) or the gain's product overflows; the suite turns a warning into a failure
+    assert builtin(name, **params).dynamics.omega_modulus(0.5) == gain
+
+
 def test_modulus_missing_is_capability_error():
     p = toy_problem(zero_field, growth_c=1.0, lipschitz_k=1.0)
     with pytest.raises(CapabilityError):
