@@ -274,7 +274,8 @@ def cmd_solve(args) -> int:
 
 def _default_radii(p: ProblemSpec):
     """Radii between the distinct pairwise distances (never exactly on one)."""
-    dists = np.unique(p.space.metric[p.space.metric > 0])
+    # sorted(set(...)), not np.unique: its first call imports numpy.ma
+    dists = np.array(sorted(set(p.space.metric[p.space.metric > 0].tolist())))
     if dists.size == 0:
         return [1.0]
     pts = np.concatenate([[dists[0] / 2], (dists[:-1] + dists[1:]) / 2.0,

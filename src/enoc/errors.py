@@ -13,9 +13,10 @@ class DivergenceError(EnocError, RuntimeError):
     """Integration produced a non-finite state.
 
     Raised by the one batched integrator that ``integrate``, the adjoint's
-    forward pass, the dp rollout and the verify integrators step through,
-    and by the oracle tree, which locates its first non-finite leaf the same
-    way.  Carries the first offending time node and atom index.
+    forward pass and the verify integrators step through, and by the dp
+    rollout and the oracle tree, which take the same RK4 step and locate
+    their first non-finite state the same way.  Carries the first offending
+    time node and atom index.
     """
 
     def __init__(self, t, atom):
@@ -39,7 +40,7 @@ class ScheduleError(EnocError, ValueError):
 class TerminalValueError(EnocError, ValueError):
     """Terminal cost is NaN, or infinite where the caller needs it finite.
 
-    One rule, applied by one gate (``enoc.value._terminal_sums``) that every
+    One rule, applied by one gate (``enoc.value._weighted_costs``) that every
     solver calls: +inf propagates, except on ``value_dp``'s grid nodes; NaN,
     -inf and finite per-atom costs whose mass-weighted sum overflows raise
     this error.  So do a per-atom cost that overflows to +inf while it is

@@ -249,8 +249,9 @@ def _corners_present(pts, lo, hi):
     d = int(np.count_nonzero(lo < hi))
     if pts.shape[0] < 2 ** d:
         return False
+    # a set of rows, not np.unique: its first call imports numpy.ma
     corners = pts[np.all((pts == lo) | (pts == hi), axis=1)]
-    return np.unique(corners, axis=0).shape[0] == 2 ** d
+    return len(set(map(tuple, corners.tolist()))) == 2 ** d
 
 
 @dataclass

@@ -32,7 +32,7 @@ from .ensemble import (ControlSignal, TimeGrid, Trajectory, _integrate_batch,
                        _raise_divergence, _rk4_stages, _rk4_step, integrate)
 
 _MAGIC = b"ENOCVG1\n"
-_LEAF_BLOCK = 1 << 16          # states per terminal-cost call
+_LEAF_BLOCK = 1 << 16          # states per terminal-cost call and oracle leaf block
 
 
 def stack_state(phi: EnsembleState) -> np.ndarray:
@@ -47,19 +47,24 @@ def unstack_state(z, space, n) -> EnsembleState:
 # -- terminal functional and reduced cost -----------------------------------
 
 def _terminal_sums(p: ProblemSpec, X, where=None, finite=False):
-    """Mass-weighted terminal costs of stacked states X (nodes, M, n).
-
-    The one terminal-cost gate of every solver: +inf propagates (unless
-    ``finite``); NaN, -inf, and finite costs whose weighted sum overflows
-    raise TerminalValueError.  The cost runs on blocks of _LEAF_BLOCK nodes,
-    so its temporaries stay small, into a contiguous per-atom array (the
-    weighted sum of a strided one rounds differently).  Only the rows whose
-    sum is not finite are searched.  ``where`` names a row in the error
-    (None for a single state).
+    """Mass-weighted terminal costs of stacked states X (nodes, M, n) under
+    the gate of :func:`_weighted_costs`.  The cost runs on blocks of
+    _LEAF_BLOCK nodes, so its temporaries stay small, into one contiguous
+    per-atom array (the weighted sum of a strided one rounds differently).
     """
     per_atom = np.empty(X.shape[:2])
     for lo in range(0, X.shape[0], _LEAF_BLOCK):
         per_atom[lo:lo + _LEAF_BLOCK] = p.cost.values(X[lo:lo + _LEAF_BLOCK])
+    return _weighted_costs(p, per_atom, where, finite)
+
+
+def _weighted_costs(p: ProblemSpec, per_atom, where=None, finite=False):
+    """Mass-weighted sums of per-atom costs (nodes, M), in one call (a row
+    block's sum can round differently): the one terminal-cost gate of every
+    solver.  +inf propagates (unless ``finite``); NaN, -inf, and finite costs
+    whose weighted sum overflows raise TerminalValueError.  Only the rows whose
+    sum is not finite are searched.  ``where`` names a row in the error (None
+    for a single state)."""
     with np.errstate(over="ignore", invalid="ignore"):
         total = per_atom @ p.space.weights
     rows = np.flatnonzero(~np.isfinite(total))
@@ -79,7 +84,7 @@ def _terminal_sums(p: ProblemSpec, X, where=None, finite=False):
 
 
 def terminal_functional(p: ProblemSpec, phi: EnsembleState) -> float:
-    """Mass-weighted terminal cost under the gate of :func:`_terminal_sums`."""
+    """Mass-weighted terminal cost under the gate of :func:`_weighted_costs`."""
     return float(_terminal_sums(p, phi.values[None])[0])
 
 
@@ -92,12 +97,15 @@ def reduced_cost(p: ProblemSpec, s, phi: EnsembleState, u: ControlSignal) -> flo
 
 @dataclass
 class OracleTree:
-    """All states reachable by signals on the grid, level by level.
+    """All states reachable by signals on the grid, level by level, and the
+    exact minimum over all continuations from each.
 
-    ``states[j]`` has shape (B starts x prod of set sizes up to j, M, n),
-    ordered so that index q at level j+1 corresponds to node q // K_j with
-    control q % K_j appended: flat order is lexicographic in (start, control
-    indices).  ``values[j][q]`` is the exact minimum over all continuations.
+    ``states[j]``, for levels j = 0 .. steps - 1, has shape (B starts x prod
+    of set sizes up to j, M, n), ordered so that index q at level j+1
+    corresponds to node q // K_j with control q % K_j appended: flat order is
+    lexicographic in (start, control indices).  The leaf level (j = steps) is
+    costed in blocks as it is made and never held: ``values[steps]`` holds the
+    leaf costs.  ``values[j][q]`` is the exact minimum over all continuations.
     For j >= 1, ``states[j]`` is a (nodes, M, n) view of an (M, n, nodes)
     array: the node axis is innermost (stride 8 bytes), so the field's and
     RK4's broadcasts loop over it.  ``states[0]`` is the start stack as given.
@@ -144,13 +152,27 @@ def enumeration_count(p: ProblemSpec, grid: TimeGrid) -> int:
     return total
 
 
+def _children(fld, t, h, nodes, pts):
+    """The children (B x K, M, n) of ``nodes`` (B, M, n) under the controls
+    ``pts`` (K, m), lexicographic, as a view of node-innermost (M, n, B, K)
+    memory: every broadcast of the step loops over the node axis."""
+    M, n = nodes.shape[1:]
+    nxt = np.empty((M, n, nodes.shape[0], len(pts)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, u in enumerate(pts):
+            nxt[..., k] = _rk4_step(fld, t, h, nodes, u).transpose(1, 2, 0)
+    return nxt.reshape(M, n, -1).transpose(2, 0, 1)
+
+
 def build_oracle_tree(p: ProblemSpec, s, phi, grid: TimeGrid,
                       budget=1_000_000) -> OracleTree:
     """Enumerate every signal from phi, one EnsembleState or B stacked start
-    states (B, M, n); the budget counts B x signals.  The first leaf with a
+    states (B, M, n); the budget counts B x signals.  The leaf level is made
+    in blocks of whole nodes, at most _LEAF_BLOCK leaves each (or one node),
+    and each block is costed and dropped, never held.  The first leaf with a
     non-finite state raises DivergenceError as an :func:`_integrate_batch`
     row does.  A NaN or -inf leaf cost, or a weighted sum that overflows,
-    raises TerminalValueError; +inf is kept (the gate of :func:`_terminal_sums`)."""
+    raises TerminalValueError; +inf is kept (the gate of :func:`_weighted_costs`)."""
     starts = (phi.values[None] if isinstance(phi, EnsembleState)
               else np.asarray(phi, dtype=float))
     if starts.ndim != 3 or starts.shape[1:] != (p.space.size, p.n):
@@ -163,32 +185,30 @@ def build_oracle_tree(p: ProblemSpec, s, phi, grid: TimeGrid,
         )
     if abs(grid.s - s) > 1e-12:
         raise ValueError(f"grid starts at {grid.s}, expected {s}")
-    fld = p.dynamics.field
-    M, n = starts.shape[1:]
-    controls = []
+    fld, nodes = p.dynamics.field, grid.nodes
+    controls = [p.controls.active_set(t) for t in nodes[:-1]]
     states = [starts]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(grid.steps):
-            t = grid.nodes[j]
-            h = grid.nodes[j + 1] - grid.nodes[j]
-            pts = p.controls.active_set(t)
-            K = pts.shape[0]
-            controls.append(pts)
-            cur = states[-1]
-            B = cur.shape[0]
-            # node-innermost memory, so every broadcast loops over the node axis
-            nxt = np.empty((M, n, B, K))
-            for k in range(K):
-                nxt[..., k] = _rk4_step(fld, t, h, cur, pts[k]).transpose(1, 2, 0)
-            states.append(nxt.reshape(M, n, B * K).transpose(2, 0, 1))
-    # a state once non-finite stays so: scan the leaves, then the first bad one's ancestors
-    if not np.isfinite(nxt).all():
-        q = int(np.flatnonzero(~np.isfinite(states[-1]).all(axis=(1, 2)))[0])
-        chain = [level[q // math.prod(map(len, controls[j:]))]
-                 for j, level in enumerate(states)]
-        _raise_divergence(grid.nodes[None], np.stack(chain)[:, None])
+    for j in range(grid.steps - 1):
+        states.append(_children(fld, nodes[j], nodes[j + 1] - nodes[j], states[-1],
+                                controls[j]))
+    # the leaf level in blocks of whole nodes, each scanned, costed and dropped
+    K, parents = len(controls[-1]), states[-1]
+    per_atom = np.empty((parents.shape[0] * K, p.space.size))
+    width = max(1, _LEAF_BLOCK // K)
+    for lo in range(0, parents.shape[0], width):
+        leaves = _children(fld, nodes[-2], nodes[-1] - nodes[-2], parents[lo:lo + width],
+                           controls[-1])
+        # a state once non-finite stays so: the first bad leaf's chain holds
+        # the first non-finite node
+        if not np.isfinite(leaves).all():
+            r = int(np.flatnonzero(~np.isfinite(leaves).all(axis=(1, 2)))[0])
+            q = lo * K + r
+            chain = [level[q // math.prod(map(len, controls[j:]))]
+                     for j, level in enumerate(states)]
+            _raise_divergence(grid.nodes[None], np.stack(chain + [leaves[r]])[:, None])
+        per_atom[lo * K:lo * K + leaves.shape[0]] = p.cost.values(leaves)
     values = [None] * (grid.steps + 1)
-    values[grid.steps] = _terminal_sums(p, states[-1], "an enumerated endpoint, leaf")
+    values[grid.steps] = _weighted_costs(p, per_atom, "an enumerated endpoint, leaf")
     for j in range(grid.steps - 1, -1, -1):
         values[j] = values[j + 1].reshape(-1, len(controls[j])).min(axis=1)
     return OracleTree(grid=grid, controls=controls, states=states, values=values)
@@ -674,7 +694,9 @@ def value_adjoint(p: ProblemSpec, s, phi: EnsembleState, grid: TimeGrid,
 # -- method-agnostic queries ---------------------------------------------------
 
 def greedy_rollout(p: ProblemSpec, vg: ValueGrid, phi: EnsembleState):
-    """Roll the stored argmin table forward from phi (nearest-node policy)."""
+    """Roll the stored argmin table forward from phi (nearest-node policy), one
+    RK4 step per interval; a non-finite state raises DivergenceError as an
+    :func:`_integrate_batch` row does, with bitwise the same states."""
     grid = vg.grid
     vals = np.empty((grid.steps, p.m))
     states = np.empty((grid.steps + 1, p.space.size, p.n))
@@ -687,9 +709,11 @@ def greedy_rollout(p: ProblemSpec, vg: ValueGrid, phi: EnsembleState):
         )
         u = p.controls.active_set(grid.nodes[j])[int(vg.argmin[j][node])]
         vals[j] = u
-        # one interval of the batched integrator, which raises DivergenceError
-        states[j + 1] = _integrate_batch(p, grid.nodes[None, j:j + 2], states[j][None],
-                                         u[None, None])[1, 0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            states[j + 1] = _rk4_step(p.dynamics.field, grid.nodes[j],
+                                      grid.nodes[j + 1] - grid.nodes[j], states[j], u)
+        if not np.isfinite(states[j + 1]).all():
+            _raise_divergence(grid.nodes[None], states[:j + 2, None])
     sig = ControlSignal(grid, vals)
     return sig, Trajectory(grid=grid, states=states, control=sig, space=p.space)
 

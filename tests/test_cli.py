@@ -532,6 +532,21 @@ def test_cli_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_cli_import_and_every_builtin_load_no_numpy_ma():
+    # the first np.unique call in a process imports numpy.ma (10-15 ms)
+    import os
+    import subprocess
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(enoc.cli.__file__)))
+    code = ("import sys, enoc.cli; from enoc.library import _BUILTINS; "
+            "[enoc.builtin(name) for name in _BUILTINS]; "
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == "[]"
+
+
 def test_config_file_overrides_flags(tmp_path):
     out = tmp_path / "run"
     cfg = tmp_path / "cfg.json"
@@ -645,6 +660,36 @@ def test_any_json_in_a_space_file_exits_0_or_2(tmp_path, sine_drift_doc, space):
     rc, err = _solve_with_space_file(tmp_path, sine_drift_doc, json.dumps(space).encode())
     assert rc in (0, 2)
     assert "Traceback" not in err
+
+
+def _default_radii_by_unique(p):
+    """The np.unique form of the default radii, the reference for the set form."""
+    dists = np.unique(p.space.metric[p.space.metric > 0])
+    if dists.size == 0:
+        return [1.0]
+    pts = np.concatenate([[dists[0] / 2], (dists[:-1] + dists[1:]) / 2.0,
+                          [dists[-1] * 1.5]])
+    return [float(r) for r in pts]
+
+
+@pytest.mark.parametrize("name", sorted(_BUILTINS))
+@pytest.mark.parametrize("params", [
+    {}, {"M": 1}, {"M": 5}, {"M": 3, "coords": [[0.0], [2.0], [2.0]]},
+    {"M": 3, "coords": [[0.0, 1.0], [3.0, -1.0], [0.5, 0.5]]}])
+def test_default_radii_are_the_unique_distances_on_every_builtin(name, params):
+    p = enoc.builtin(name, **params)
+    assert enoc.cli._default_radii(p) == _default_radii_by_unique(p)
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(space=_one_key_replaced(_SPACES))
+def test_default_radii_are_the_unique_distances_on_any_space_file(sine_drift_doc, space):
+    try:
+        p = enoc.problem_from_dict(dict(sine_drift_doc, space=space))
+    except (ValueError, enoc.EnocError):
+        return
+    assert enoc.cli._default_radii(p) == _default_radii_by_unique(p)
 
 
 @settings(max_examples=60, deadline=None,

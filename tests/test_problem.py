@@ -12,6 +12,8 @@ from enoc import (CapabilityError, CheckReport, ControlSchedule,
                   modulus_check, problem_from_dict, validate_cost_bound,
                   validate_growth, validate_lipschitz)
 from enoc.expr import Expression, ExpressionError
+from enoc.library import _BUILTINS
+from enoc.problem import _corners_present
 
 
 def zero_field(t, X, u):
@@ -344,6 +346,35 @@ def test_builtin_control_sets_are_box_hulls(levels, m):
     hi = 1.0 if levels > 1 else -1.0          # levels=1 is the one point -rho
     np.testing.assert_array_equal(sched.hull_lo, [[-1.0] * m])
     np.testing.assert_array_equal(sched.hull_hi, [[hi] * m])
+
+
+def _corners_present_by_unique(pts, lo, hi):
+    """The np.unique form of the corner test, the reference for the set form."""
+    d = int(np.count_nonzero(lo < hi))
+    if pts.shape[0] < 2 ** d:
+        return False
+    corners = pts[np.all((pts == lo) | (pts == hi), axis=1)]
+    return np.unique(corners, axis=0).shape[0] == 2 ** d
+
+
+@pytest.mark.parametrize("name", sorted(_BUILTINS))
+@pytest.mark.parametrize("params", [{}, {"n": 2}, {"n": 3, "levels": 2}, {"levels": 1},
+                                    {"n": 2, "levels": 4, "rho": 0.5}])
+def test_corner_test_is_the_unique_row_count_on_every_builtin(name, params):
+    sched = builtin(name, **params).controls
+    for arr, lo, hi, box in zip(sched.sets, sched.hull_lo, sched.hull_hi, sched.is_box):
+        assert box == _corners_present_by_unique(arr, lo, hi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda m: st.lists(
+    st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0]), min_size=m, max_size=m),
+    min_size=1, max_size=12)))
+def test_corner_test_is_the_unique_row_count(rows):
+    # repeated rows and signed zeros on the hull's faces, as a set file may give
+    pts = np.array(rows)
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    assert _corners_present(pts, lo, hi) == _corners_present_by_unique(pts, lo, hi)
 
 
 def test_box_detection_needs_every_corner():

@@ -334,7 +334,9 @@ def test_oracle_tie_breaks_lexicographically():
 def test_oracle_tree_levels_and_decode(lin2):
     phi = EnsembleState([[0.3], [0.4]], lin2.space)
     tree = build_oracle_tree(lin2, 0.0, phi, TimeGrid(0.0, 1.0, 3))
-    assert [s.shape[0] for s in tree.states] == [1, 3, 9, 27]
+    # the levels before the leaves are held; the leaves only as their values
+    assert [s.shape[0] for s in tree.states] == [1, 3, 9]
+    assert [v.size for v in tree.values] == [1, 3, 9, 27]
     assert tree.decode(0) == (0, 0, 0)
     assert tree.decode(26) == (2, 2, 2)
     assert tree.decode(7 * 3 + 2) == (2, 1, 2)
@@ -347,7 +349,8 @@ def test_batched_tree_starts_match_one_oracle_each(lin2):
     grid = TimeGrid(0.0, 1.0, 3)
     starts = np.random.default_rng(11).uniform(-0.5, 0.5, (5, 2, 1))
     tree = build_oracle_tree(lin2, 0.0, starts, grid)
-    assert [s.shape[0] for s in tree.states] == [5, 15, 45, 135]
+    assert [s.shape[0] for s in tree.states] == [5, 15, 45]
+    assert tree.values[-1].size == 135
     for b in range(5):
         res = value_oracle(lin2, 0.0, EnsembleState(starts[b], lin2.space), grid)
         assert tree.values[0][b] == res.value
@@ -404,8 +407,9 @@ def test_tree_is_the_row_major_loop_bitwise(make):
     suffix = build_oracle_tree(p, grid.nodes[2], mid, grid.suffix(2))
     for got, (starts, sub) in ((tree, (start, grid)), (suffix, (mid, grid.suffix(2)))):
         states, values = reference_oracle_tree(p, starts, sub)
-        assert len(got.states) == len(states) and len(got.values) == len(values)
-        assert all(_same_bits(a, b) for a, b in zip(got.states, states))
+        # every level but the leaves is held
+        assert len(got.states) == len(states) - 1 and len(got.values) == len(values)
+        assert all(_same_bits(a, b) for a, b in zip(got.states, states[:-1]))
         assert all(_same_bits(a, b) for a, b in zip(got.values, values))
         # levels past the starts keep the node axis innermost
         assert all(level.strides[0] == 8 for level in got.states[1:])
@@ -414,16 +418,97 @@ def test_tree_is_the_row_major_loop_bitwise(make):
 @pytest.mark.parametrize("make", [
     lambda: builtin("linear-ensemble", M=2, n=2, a=[0.5, -0.3], c=[2.0, 1.0]),
     lambda: problem_from_dict(_EXPR_T_DEPENDENT),
-], ids=["linear-M2-n2", "expr-t-dependent"])
+    lambda: builtin("bilinear"),
+], ids=["linear-M2-n2", "expr-t-dependent", "bilinear"])
 def test_leaf_costs_in_blocks_are_the_one_call_bitwise(monkeypatch, make):
     p = make()
     grid = TimeGrid(0.0, 1.0, 4)
     start = np.random.default_rng(3).uniform(-0.5, 0.5, (2, p.space.size, p.n))
-    whole = build_oracle_tree(p, 0.0, start, grid)
-    # 162 leaves in blocks of 7: the last block holds 1 leaf
-    monkeypatch.setattr(enoc.value, "_LEAF_BLOCK", 7)
-    blocks = build_oracle_tree(p, 0.0, start, grid)
-    assert all(_same_bits(a, b) for a, b in zip(blocks.values, whole.values))
+    states, values = reference_oracle_tree(p, start, grid)
+    # 2 starts x K^4 signals, 2 K^3 parent nodes in blocks of max(1, block // K)
+    # nodes: for K = 3, 54 nodes in blocks of 1 (one node outgrows the block),
+    # of 2 (27 blocks), of 5 (ten and a partial one of 4), of 33 (one and a
+    # partial one of 21) or in one; for K = 9, 1458 nodes in blocks of 1, 1, 1,
+    # 11 (132 and a partial one of 6) or in one
+    for leaf_block in (2, 7, 15, 100, 1 << 16):
+        monkeypatch.setattr(enoc.value, "_LEAF_BLOCK", leaf_block)
+        tree = build_oracle_tree(p, 0.0, start, grid)
+        assert all(_same_bits(a, b) for a, b in zip(tree.states, states[:-1]))
+        assert all(_same_bits(a, b) for a, b in zip(tree.values, values))
+
+
+def late_divergence_problem(until=np.inf):
+    """Two atoms, x' = u, but +inf where x_i is past c_i before the time
+    ``until``: a signal diverges only after enough +1 controls, so the first
+    bad leaves sit late in the lexicographic order."""
+    c = np.array([[0.35], [0.7]])
+
+    def field(t, X, u):
+        past = (X > c) & (np.asarray(t)[..., None, None] < until)
+        return np.where(past, np.inf, np.broadcast_to(np.asarray(u)[..., None, :], X.shape))
+
+    cost = TerminalCostSpec(eval_ens=lambda X: X[..., 0] ** 2, lower_bound_a=np.zeros(2),
+                            lower_bound_b=0.0)
+    return ProblemSpec(space=ParameterSpace(weights=[0.5, 0.5], coords=[[0.0], [1.0]]),
+                       n=1, m=1, dynamics=DynamicsSpec(eval_ens=field, growth_c=1.0,
+                                                       lipschitz_k=1.0),
+                       cost=cost, controls=ControlSchedule.constant([[-1.0], [0.0], [1.0]]),
+                       horizon=1.0)
+
+
+def first_divergence_by_signal(p, phi, grid):
+    """The DivergenceError that integrating every signal in lexicographic
+    order hits first, with the signal's index."""
+    sets = [p.controls.active_set(t) for t in grid.nodes[:-1]]
+    for q, idx in enumerate(itertools.product(*(range(len(s)) for s in sets))):
+        sig = ControlSignal(grid, np.stack([s[k] for s, k in zip(sets, idx)]))
+        try:
+            enoc.integrate(p, grid.s, phi, sig)
+        except DivergenceError as exc:
+            return q, (exc.t, exc.atom)
+    return None, None
+
+
+@pytest.mark.parametrize("leaf_block", [4, 1 << 16])
+@pytest.mark.parametrize("x0, until, t", [
+    ([-0.1, -0.3], np.inf, 1.0), ([0.3, -0.3], np.inf, 1.0), ([-0.4, 0.5], np.inf, 1.0),
+    ([0.1, -0.3], 0.5, 0.4),        # a held level's node is the first non-finite one
+], ids=["leaf-80", "leaf-26", "leaf-53-atom1", "held-level-216"])
+def test_divergence_in_a_later_block_is_the_reference_error(monkeypatch, x0, until, t,
+                                                            leaf_block):
+    monkeypatch.setattr(enoc.value, "_LEAF_BLOCK", leaf_block)
+    p = late_divergence_problem(until)
+    phi = EnsembleState(np.array(x0)[:, None], p.space)
+    grid = TimeGrid(0.0, 1.0, 5)
+    q, want = first_divergence_by_signal(p, phi, grid)
+    # blocks of 1 node x 3 controls: the first bad leaf is past the first block
+    assert q is not None and q >= 3 and want[0] == pytest.approx(t)
+    with pytest.raises(DivergenceError) as exc:
+        build_oracle_tree(p, 0.0, phi, grid)
+    assert (exc.value.t, exc.value.atom) == want
+
+
+def test_oracle_never_holds_the_leaf_level():
+    # 9^6 = 531,441 leaves of (2, 2) states (17 MB), in nine blocks
+    p = builtin("linear-ensemble", M=2, n=2, a=[0.5, -0.3], c=[2.0, 1.0])
+    grid = TimeGrid(0.0, 1.0, 6)
+    start = np.full((1, 2, 2), 0.1)
+    leaves = 9 ** 6
+    block_bytes = enoc.value._LEAF_BLOCK * 2 * 2 * 8
+    tracemalloc.start()
+    try:
+        tree = build_oracle_tree(p, 0.0, start, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tree.values[-1].size == leaves
+    per_atom = leaves * 2 * 8
+    values = sum(v.nbytes for v in tree.values)
+    held = sum(s.nbytes for s in tree.states)
+    # a block's children, its RK4 temporaries and the gate's row masks
+    assert peak < per_atom + values + held + 4 * block_bytes
+    # a held leaf level (17 MB) would not fit in the slack over the arrays kept
+    assert leaves * 2 * 2 * 8 > values + 4 * block_bytes
 
 
 # -- grid recursion ---------------------------------------------------------------
@@ -648,6 +733,35 @@ def per_candidate_value_dp(p, axes, grid):
             np.minimum(vals, cand, out=vals)
             taint |= mask
     return values, argmin, tainted, clamp_count
+
+
+@pytest.mark.parametrize("make, axes, steps", _DP_PROBLEMS, ids=_DP_IDS)
+def test_rollout_is_the_batched_integrator_bitwise(make, axes, steps):
+    p = make()
+    grid = TimeGrid(0.0, 1.0, steps)
+    vg = value_dp(p, axes, grid)
+    phi = EnsembleState(np.random.default_rng(17).uniform(-0.5, 0.5, (p.space.size, p.n)),
+                        p.space)
+    sig, traj = greedy_rollout(p, vg, phi)
+    assert traj.states.tobytes() == enoc.integrate(p, 0.0, phi, sig).states.tobytes()
+
+
+@pytest.mark.parametrize("x0", [[0.1, -0.3], [-0.5, 0.2]])
+def test_rollout_divergence_is_the_batched_integrators_error(x0):
+    # a table whose every argmin is u = +1 drives atom 0, then atom 1, past c
+    p = late_divergence_problem()
+    grid, axes = TimeGrid(0.0, 1.0, 5), [Axis(-1.0, 1.0, 3)] * 2
+    vg = ValueGrid(grid=grid, axes=axes, values=np.zeros((6, 3, 3)),
+                   argmin=np.full((5, 3, 3), 2, dtype=np.int32),
+                   tainted=np.zeros((6, 3, 3), dtype=bool), clamp_count=0,
+                   coverage_radius=1.0, coverage_ok=True)
+    phi = EnsembleState(np.array(x0)[:, None], p.space)
+    with pytest.raises(DivergenceError) as want:
+        enoc.integrate(p, 0.0, phi, ControlSignal.constant(grid, [1.0]))
+    with pytest.raises(DivergenceError) as got:
+        greedy_rollout(p, vg, phi)
+    assert (got.value.t, got.value.atom) == (want.value.t, want.value.atom)
+    assert want.value.t > grid.nodes[1]
 
 
 @pytest.mark.parametrize("make, axes, steps", _DP_PROBLEMS + [
@@ -934,10 +1048,10 @@ def test_dpp_linear_family_all_splits(lin2):
 def _sequential_dpp(p, phi, grid, j):
     """The two-stage residual by a prefix tree and one oracle per mid state."""
     direct = value_oracle(p, grid.s, phi, grid)
-    prefix = build_oracle_tree(p, grid.s, phi, grid.prefix(j))
+    prefix = reference_oracle_tree(p, phi.values[None], grid.prefix(j))[0]
     best = min(value_oracle(p, grid.nodes[j], EnsembleState(mid, p.space),
                             grid.suffix(j)).value
-               for mid in prefix.states[j])
+               for mid in prefix[j])
     return direct.value - best
 
 
