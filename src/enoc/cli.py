@@ -25,7 +25,9 @@ from .errors import EnocError
 from .measure import EnsembleState
 from .problem import CheckReport, ProblemSpec, _sampled_report
 from .library import builtin, cost_lipschitz_bound, load_problem
-from .ensemble import ControlSignal, TimeGrid, integrate, trajectory_bound_suite
+# integrate is bound here for the benchmark tracer, which wraps it by this name
+from .ensemble import (ControlSignal, TimeGrid, integrate,  # noqa: F401
+                       trajectory_bound_suite)
 from .value import (Axis, ValueGrid, ValueQuery, compute_value, dpp_residual,
                     unstack_state, value_dp)
 from .verify import (epigraph_invariance, hjb_residual, oscillation_diagnostic,
@@ -237,23 +239,24 @@ def cmd_solve(args) -> int:
                            budget=int(cfg["budget"]))
         res = compute_value(p, query)
         values[method] = res.value
-        sig = res.control
         if res.grid is not None:
+            # dp's value is the cost its rollout realizes; the table's is kept
+            values["dp_table"] = res.table_value
             res.grid.save(os.path.join(out, "value_grid.bin"))
             artifacts.append("value_grid.bin")
         timings[method] = time.perf_counter() - t0
         cname = f"control_{method}.csv"
-        _write_control_csv(os.path.join(out, cname), sig)
+        _write_control_csv(os.path.join(out, cname), res.control)
         artifacts.append(cname)
         tname = f"trajectory_{method}.csv"
-        integrate(p, s, phi, sig).to_csv(os.path.join(out, tname))
+        res.trajectory.to_csv(os.path.join(out, tname))
         artifacts.append(tname)
 
     with open(os.path.join(out, "value.csv"), "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["method", "value"])
-        for method in methods:
-            wr.writerow([method, _FMT % values[method]])
+        for method, value in values.items():
+            wr.writerow([method, _FMT % value])
     artifacts.append("value.csv")
 
     manifest = {

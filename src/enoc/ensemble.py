@@ -158,7 +158,7 @@ class Trajectory:
 def _rk4_stages(fld, t, h, X, u):
     """The RK4 tableau, held once: the stage times, stage points and first three
     slopes of one step from (t, X); t and h are scalars or of X's lead shape."""
-    hx = np.expand_dims(h, (-2, -1)) if np.ndim(h) else h
+    hx = h[..., None, None] if np.ndim(h) else h
     ts, xs, ks = (t, t + 0.5 * h, t + 0.5 * h, t + h), [X], []
     for a, t_i in zip((0.5, 0.5, 1.0), ts):         # the tableau's subdiagonal
         ks.append(fld(t_i, xs[-1], u))
@@ -172,7 +172,7 @@ def _rk4_step(fld, t, h, X, u):
     X4 = xs[3]
     del xs      # held, the dead stage points slow the oracle tree's widest levels
     k4 = fld(ts[3], X4, u)
-    hx = np.expand_dims(h, (-2, -1)) if np.ndim(h) else h
+    hx = h[..., None, None] if np.ndim(h) else h
     return X + (hx / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 

@@ -1,8 +1,9 @@
 """Small arithmetic expression language for problem files.
 
-Grammar version 1.  An expression is parsed with Python's ``ast`` module and
-evaluated against numpy arrays, so compiled expressions broadcast over
-batches of states.  Allowed syntax:
+Grammar version 1.  An expression is parsed with Python's ``ast`` module,
+checked and built once into nested closures (no source text is compiled),
+and evaluated against numpy arrays, so expressions broadcast over batches of
+states.  Allowed syntax:
 
 * numeric literals (evaluated as floats), the declared variable names,
 * binary ``+  -  *  /  **``, unary ``-``/``+``, parentheses,
@@ -17,6 +18,7 @@ most ``MAX_DEPTH`` levels, so evaluation stays far from the recursion limit.
 from __future__ import annotations
 
 import ast
+import operator
 import warnings
 
 import numpy as np
@@ -39,6 +41,9 @@ _BINOPS = {
     ast.Pow: np.power,
 }
 
+# min and max fold their two or more arguments left to right, elementwise
+_FOLDS = {"min": np.minimum, "max": np.maximum}
+
 
 class ExpressionError(ValueError):
     """The expression uses syntax or names outside the grammar."""
@@ -59,10 +64,11 @@ class Expression:
                 tree = ast.parse(source, mode="eval")
         except (SyntaxError, ValueError, RecursionError) as exc:
             raise ExpressionError(f"cannot parse {source!r:.80}: {exc}") from None
-        self._tree = tree.body
-        self._check(self._tree, 0)
+        self._fn = self._compile(tree.body, 0)
 
-    def _check(self, node, depth):
+    def _compile(self, node, depth):
+        """Check one node against the grammar and build it into a closure of
+        the variable environment, children first; no source text is compiled."""
         if depth >= MAX_DEPTH:
             raise ExpressionError(f"expression nests deeper than {MAX_DEPTH} levels")
         if isinstance(node, ast.Constant):
@@ -70,70 +76,59 @@ class Expression:
                 raise ExpressionError(f"literal {node.value!r} is not a number")
             # literals are floats, so 2**-1 is 0.5 and 3**40 cannot wrap an int64
             try:
-                node.value = float(node.value)
+                value = float(node.value)
             except OverflowError:
                 raise ExpressionError("integer literal too large for a float") from None
-        elif isinstance(node, ast.Name):
+            return lambda env: value
+        if isinstance(node, ast.Name):
             if node.id not in self.variables:
                 raise ExpressionError(
                     f"unknown variable {node.id!r}; allowed: {', '.join(self.variables)}"
                 )
-        elif isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
-            self._check(node.left, depth + 1)
-            self._check(node.right, depth + 1)
-        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-            self._check(node.operand, depth + 1)
-        elif isinstance(node, ast.Call):
+            return operator.itemgetter(node.id)
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+            op = _BINOPS[type(node.op)]
+            left = self._compile(node.left, depth + 1)
+            right = self._compile(node.right, depth + 1)
+            return lambda env: op(left(env), right(env))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+            operand = self._compile(node.operand, depth + 1)
+            if isinstance(node.op, ast.USub):
+                return lambda env: -operand(env)
+            return lambda env: +operand(env)
+        if isinstance(node, ast.Call):
             if not isinstance(node.func, ast.Name) or node.keywords:
                 raise ExpressionError("only plain calls to named functions are allowed")
             name = node.func.id
             if name in _FUNCS:
                 if len(node.args) != 1:
                     raise ExpressionError(f"{name}() takes exactly one argument")
-            elif name in ("min", "max"):
+            elif name in _FOLDS:
                 if len(node.args) < 2:
                     raise ExpressionError(f"{name}() takes two or more arguments")
             else:
                 raise ExpressionError(f"unknown function {name!r}")
-            for arg in node.args:
-                self._check(arg, depth + 1)
-        else:
-            raise ExpressionError(
-                f"disallowed syntax {type(node).__name__} in {self.source!r}"
-            )
+            args = [self._compile(arg, depth + 1) for arg in node.args]
+            if name in _FUNCS:
+                func, (arg,) = _FUNCS[name], args
+                return lambda env: func(arg(env))
+            fold = _FOLDS[name]
 
-    def _eval(self, node, env):
-        if isinstance(node, ast.Constant):
-            return node.value
-        if isinstance(node, ast.Name):
-            return env[node.id]
-        if isinstance(node, ast.BinOp):
-            return _BINOPS[type(node.op)](
-                self._eval(node.left, env), self._eval(node.right, env)
-            )
-        if isinstance(node, ast.UnaryOp):
-            val = self._eval(node.operand, env)
-            return -val if isinstance(node.op, ast.USub) else +val
-        # ast.Call, already validated
-        name = node.func.id
-        args = [self._eval(a, env) for a in node.args]
-        if name == "min":
-            out = args[0]
-            for a in args[1:]:
-                out = np.minimum(out, a)
-            return out
-        if name == "max":
-            out = args[0]
-            for a in args[1:]:
-                out = np.maximum(out, a)
-            return out
-        return _FUNCS[name](args[0])
+            def folded(env):
+                out, *rest = [arg(env) for arg in args]
+                for val in rest:
+                    out = fold(out, val)
+                return out
+            return folded
+        raise ExpressionError(
+            f"disallowed syntax {type(node).__name__} in {self.source!r}"
+        )
 
     def __call__(self, **env):
         missing = [v for v in self.variables if v not in env]
         if missing:
             raise ExpressionError(f"missing variables: {', '.join(missing)}")
-        return self._eval(self._tree, env)
+        return self._fn(env)
 
     def __repr__(self):
         return f"Expression({self.source!r})"

@@ -32,7 +32,8 @@ from .ensemble import (ControlSignal, TimeGrid, Trajectory, _integrate_batch,
                        _raise_divergence, _rk4_stages, _rk4_step, integrate)
 
 _MAGIC = b"ENOCVG1\n"
-_LEAF_BLOCK = 1 << 16          # states per terminal-cost call and oracle leaf block
+_LEAF_BLOCK = 1 << 16          # states per terminal-cost call and oracle leaf block,
+                               # argmin entries per chunk that ValueGrid.save widens
 
 
 def stack_state(phi: EnsembleState) -> np.ndarray:
@@ -191,22 +192,30 @@ def build_oracle_tree(p: ProblemSpec, s, phi, grid: TimeGrid,
     for j in range(grid.steps - 1):
         states.append(_children(fld, nodes[j], nodes[j + 1] - nodes[j], states[-1],
                                 controls[j]))
-    # the leaf level in blocks of whole nodes, each scanned, costed and dropped
+    # the leaf level in blocks of whole nodes, each scanned, costed and
+    # dropped; control k's leaves are costed straight into their strided rows
     K, parents = len(controls[-1]), states[-1]
+    t, h = nodes[-2], nodes[-1] - nodes[-2]
     per_atom = np.empty((parents.shape[0] * K, p.space.size))
     width = max(1, _LEAF_BLOCK // K)
     for lo in range(0, parents.shape[0], width):
-        leaves = _children(fld, nodes[-2], nodes[-1] - nodes[-2], parents[lo:lo + width],
-                           controls[-1])
-        # a state once non-finite stays so: the first bad leaf's chain holds
-        # the first non-finite node
-        if not np.isfinite(leaves).all():
-            r = int(np.flatnonzero(~np.isfinite(leaves).all(axis=(1, 2)))[0])
-            q = lo * K + r
+        block, bad = parents[lo:lo + width], []
+        for k, u in enumerate(controls[-1]):
+            with np.errstate(over="ignore", invalid="ignore"):
+                leaves = _rk4_step(fld, t, h, block, u)
+            finite = np.isfinite(leaves).all(axis=(1, 2))
+            if not finite.all():
+                r = int(np.argmin(finite))
+                bad.append(((lo + r) * K + k, leaves[r]))
+            elif not bad:
+                per_atom[lo * K + k:(lo + block.shape[0]) * K:K] = p.cost.values(leaves)
+        if bad:
+            # a state once non-finite stays so: the first bad leaf's chain
+            # holds the first non-finite node
+            q, leaf = min(bad, key=lambda pair: pair[0])
             chain = [level[q // math.prod(map(len, controls[j:]))]
                      for j, level in enumerate(states)]
-            _raise_divergence(grid.nodes[None], np.stack(chain + [leaves[r]])[:, None])
-        per_atom[lo * K:lo * K + leaves.shape[0]] = p.cost.values(leaves)
+            _raise_divergence(grid.nodes[None], np.stack(chain + [leaf])[:, None])
     values = [None] * (grid.steps + 1)
     values[grid.steps] = _weighted_costs(p, per_atom, "an enumerated endpoint, leaf")
     for j in range(grid.steps - 1, -1, -1):
@@ -364,7 +373,8 @@ class ValueGrid:
     grid: TimeGrid
     axes: list
     values: np.ndarray          # (steps + 1, *counts)
-    argmin: np.ndarray          # (steps, *counts) int32
+    argmin: np.ndarray          # (steps, *counts): value_dp's narrowest unsigned
+                                # type (_argmin_dtype), int32 after load
     tainted: np.ndarray         # (steps + 1, *counts) bool
     clamp_count: int
     coverage_radius: float
@@ -401,9 +411,12 @@ class ValueGrid:
     def save(self, path):
         """Documented binary layout: magic, u64 header length, JSON header
         (grid, axes, counters), then C-order float64 values, int32 argmin and
-        one byte (0 or 1) per taint flag.  Each table is written from its own
-        memory through a byte view, so saving copies nothing but a table that
-        is not already contiguous in that dtype."""
+        one byte (0 or 1) per taint flag.  The values and the taint are written
+        from their own memory through a byte view, so saving copies neither
+        unless it is not already contiguous in that dtype.  The argmin, of any
+        integer dtype in memory, is flattened (a view when contiguous) and
+        widened to int32 in chunks of _LEAF_BLOCK entries, so the file is the
+        same whatever that dtype."""
         header = {
             "s": self.grid.s, "T": self.grid.T, "steps": self.grid.steps,
             "axes": [[ax.lo, ax.hi, ax.count] for ax in self.axes],
@@ -417,16 +430,18 @@ class ValueGrid:
             fh.write(_MAGIC)
             fh.write(struct.pack("<Q", len(blob)))
             fh.write(blob)
-            for table in (np.ascontiguousarray(self.values, dtype="<f8"),
-                          np.ascontiguousarray(self.argmin, dtype="<i4"),
-                          np.ascontiguousarray(self.tainted, dtype=bool).view(np.uint8)):
-                fh.write(memoryview(table).cast("B"))
+            fh.write(memoryview(np.ascontiguousarray(self.values, dtype="<f8")).cast("B"))
+            arg = np.ravel(self.argmin)
+            for lo in range(0, arg.size, _LEAF_BLOCK):
+                fh.write(memoryview(arg[lo:lo + _LEAF_BLOCK].astype("<i4")).cast("B"))
+            fh.write(memoryview(np.ascontiguousarray(self.tainted, dtype=bool)
+                                .view(np.uint8)).cast("B"))
 
     @classmethod
     def load(cls, path):
         """Read exactly the bytes :meth:`save` writes, each table straight
-        into its own array; a short read or a trailing byte raises ValueError
-        naming the file."""
+        into its own array (the argmin as the file's int32); a short read or a
+        trailing byte raises ValueError naming the file."""
         with open(path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
 
@@ -474,6 +489,11 @@ def _check_atomwise(fld, t, Xb, u):
                 f"t={t:.6g}, u={np.asarray(u).tolist()} depends on other atoms")
 
 
+def _argmin_dtype(sets):
+    """The narrowest unsigned type that holds every control index of ``sets``."""
+    return np.min_scalar_type(max(len(pts) for pts in sets) - 1)
+
+
 def value_dp(p: ProblemSpec, axes, grid: TimeGrid, phi_radius=None) -> ValueGrid:
     """Backward one-step recursion over the stacked-coordinate tensor grid.
 
@@ -500,7 +520,9 @@ def value_dp(p: ProblemSpec, axes, grid: TimeGrid, phi_radius=None) -> ValueGrid
     its slices.  The candidates are then applied one after the other, so no
     (K, Q) buffer is held: candidate 0 writes step j's value and taint slices
     directly, the others fold in through a running minimum and first argmin.
-    The arithmetic of every node is that of one control at a time.
+    The arithmetic of every node is that of one control at a time.  The
+    argmin table holds the narrowest unsigned type for the largest control
+    set on the grid (uint8 up to 256 controls).
     """
     axes = _as_axes(axes)
     M, n = p.space.size, p.n
@@ -531,7 +553,8 @@ def value_dp(p: ProblemSpec, axes, grid: TimeGrid, phi_radius=None) -> ValueGrid
 
     N = grid.steps
     values = np.empty((N + 1,) + shape)
-    argmin = np.empty((N,) + shape, dtype=np.int32)
+    argmin = np.empty((N,) + shape, dtype=_argmin_dtype(
+        [p.controls.active_set(t) for t in grid.nodes[:-1]]))
     tainted = np.zeros((N + 1,) + shape, dtype=bool)
     values[N] = _terminal_sums(p, X, "grid node", finite=True).reshape(shape)
 
@@ -606,6 +629,7 @@ class AdjointResult:
     iterations: int
     history: list
     gradient_norm: float
+    trajectory: Trajectory      # the accepted control's forward pass
 
 
 def _objective_and_gradient(p, grid, phi, U, need_grad=True):
@@ -659,7 +683,7 @@ def value_adjoint(p: ProblemSpec, s, phi: EnsembleState, grid: TimeGrid,
         raise ValueError(f"grid starts at {grid.s}, expected {s}")
     U = p.controls.project(grid.nodes[:-1], np.stack(
         [p.controls.active_set(grid.nodes[j]).mean(axis=0) for j in range(grid.steps)]))
-    J, G, _ = _objective_and_gradient(p, grid, phi, U)
+    J, G, states = _objective_and_gradient(p, grid, phi, U)
     history = [J]
     alpha = 1.0
     accepted = 0
@@ -681,14 +705,16 @@ def value_adjoint(p: ProblemSpec, s, phi: EnsembleState, grid: TimeGrid,
         if not improved:
             break
         U = trial
-        J, G, _ = _objective_and_gradient(p, grid, phi, U)
+        J, G, states = _objective_and_gradient(p, grid, phi, U)
         history.append(J)
         accepted += 1
         alpha *= 2.0
     gnorm = float(np.abs(G).max()) if G is not None else 0.0
-    return AdjointResult(value=J, control=ControlSignal(grid, U),
-                         iterations=accepted, history=history,
-                         gradient_norm=gnorm)
+    sig = ControlSignal(grid, U)
+    return AdjointResult(value=J, control=sig, iterations=accepted, history=history,
+                         gradient_norm=gnorm,
+                         trajectory=Trajectory(grid=grid, states=states, control=sig,
+                                               space=phi.space))
 
 
 # -- method-agnostic queries ---------------------------------------------------
@@ -701,12 +727,11 @@ def greedy_rollout(p: ProblemSpec, vg: ValueGrid, phi: EnsembleState):
     vals = np.empty((grid.steps, p.m))
     states = np.empty((grid.steps + 1, p.space.size, p.n))
     states[0] = phi.values
+    # the nearest node in Python floats: numpy scalars cost more per call
+    spans = [(float(ax.lo), ax.spacing, ax.count - 1) for ax in vg.axes]
     for j in range(grid.steps):
-        z = states[j].reshape(-1)
-        node = tuple(
-            int(np.clip(round((z[k] - ax.lo) / ax.spacing), 0, ax.count - 1))
-            for k, ax in enumerate(vg.axes)
-        )
+        node = tuple(min(max(round((z - lo) / dz), 0), top)
+                     for z, (lo, dz, top) in zip(states[j].reshape(-1).tolist(), spans))
         u = p.controls.active_set(grid.nodes[j])[int(vg.argmin[j][node])]
         vals[j] = u
         with np.errstate(over="ignore", invalid="ignore"):
@@ -742,17 +767,20 @@ def _physical_memory():
 class QueryResult:
     value: float
     control: ControlSignal
+    trajectory: Trajectory       # the control's path from (s, phi)
     grid: object = None          # ValueGrid for the dp method
+    table_value: float = None    # dp: the interpolated table value at (s, phi)
 
 
 def compute_value(p: ProblemSpec, query: ValueQuery) -> QueryResult:
     """Evaluate one query by the selected method.
 
     The oracle is exact for the discretized problem, dp tabulates and
-    interpolates, adjoint descends; all three return an admissible control.
-    The oracle's and the adjoint's controls realize their reported values.
-    The dp control is the nearest-node greedy rollout of the argmin table and
-    need not realize the interpolated table value it is reported with.
+    interpolates, adjoint descends; all three return an admissible control
+    and its trajectory, integrated once, and every reported value is the
+    terminal functional its control realizes.  The dp control is the
+    nearest-node greedy rollout of the argmin table; the interpolated table
+    value at (s, phi) is kept as ``table_value``.
     """
     if not (0.0 <= query.s < p.horizon):
         raise ValueError(f"query time {query.s} outside [0, {p.horizon})")
@@ -763,9 +791,11 @@ def compute_value(p: ProblemSpec, query: ValueQuery) -> QueryResult:
     if query.method in ("dp", "adjoint"):
         if query.method == "dp" and query.axes is None:
             raise ValueError("the dp method needs state axes")
-        # per time node: dp's float64 value, int32 argmin and taint byte per
-        # grid node; the adjoint's state history and the time grid itself
-        per_node = (13 * math.prod(ax.count for ax in _as_axes(query.axes))
+        # per time node: dp's float64 value, argmin and taint byte per grid
+        # node (the schedule's largest set bounds the argmin type); the
+        # adjoint's state history and the time grid itself
+        per_node = ((8 + _argmin_dtype(p.controls.sets).itemsize + 1)
+                    * math.prod(ax.count for ax in _as_axes(query.axes))
                     if query.method == "dp" else 8 * (p.space.size * p.n + 1))
         need, have = (query.steps + 1) * per_node, _physical_memory()
         if have is not None and need > have:
@@ -775,17 +805,20 @@ def compute_value(p: ProblemSpec, query: ValueQuery) -> QueryResult:
     grid = TimeGrid(query.s, p.horizon, query.steps)
     if query.method == "oracle":
         res = value_oracle(p, query.s, query.phi, grid, budget=query.budget)
-        return QueryResult(value=res.value, control=res.best)
+        return QueryResult(value=res.value, control=res.best,
+                           trajectory=integrate(p, query.s, query.phi, res.best))
     if query.method == "dp":
         with np.errstate(over="ignore"):        # a norm past 1.3e154 reads as inf
             phi_radius = float(np.linalg.norm(query.phi.values, axis=1).max())
         vg = value_dp(p, query.axes, grid, phi_radius=phi_radius)
-        sig, _ = greedy_rollout(p, vg, query.phi)
-        return QueryResult(value=vg.value_at(query.s, stack_state(query.phi)),
-                           control=sig, grid=vg)
+        sig, traj = greedy_rollout(p, vg, query.phi)
+        return QueryResult(value=terminal_functional(p, traj.terminal), control=sig,
+                           trajectory=traj, grid=vg,
+                           table_value=vg.value_at(query.s, stack_state(query.phi)))
     if query.method == "adjoint":
         res = value_adjoint(p, query.s, query.phi, grid)
-        return QueryResult(value=res.value, control=res.control)
+        return QueryResult(value=res.value, control=res.control,
+                           trajectory=res.trajectory)
     raise ValueError(f"unknown method {query.method!r}")
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import csv
 import inspect
 import io
 import json
@@ -11,8 +12,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import enoc.cli
-from enoc import (ControlSchedule, DynamicsSpec, GridCoverageWarning,
-                  ParameterSpace, ProblemSpec, TerminalCostSpec, builtin)
+from enoc import (ControlSchedule, ControlSignal, DynamicsSpec, EnsembleState,
+                  GridCoverageWarning, ParameterSpace, ProblemSpec,
+                  TerminalCostSpec, TimeGrid, builtin, integrate, load_problem)
 from enoc.cli import _dpp_check, main
 from enoc.library import _BUILTINS
 
@@ -60,11 +62,45 @@ def test_solve_all_methods_cross_check(tmp_path):
     assert rc == 0
     manifest = json.loads((out / "manifest.json").read_text())
     vals = manifest["values"]
-    assert set(vals) == {"oracle", "dp", "adjoint"}
-    # dp is first-order accurate; oracle and adjoint agree much tighter
+    assert set(vals) == {"oracle", "dp", "dp_table", "adjoint"}
+    # the dp table is first-order accurate; oracle and adjoint agree much
+    # tighter, and dp's rollout realizes a cost no lower than the oracle's
     assert abs(vals["oracle"] - vals["adjoint"]) < 1e-6
-    assert abs(vals["oracle"] - vals["dp"]) < 5.0 * (1.0 / 8 + 10.0 / 40)
+    assert abs(vals["oracle"] - vals["dp_table"]) < 5.0 * (1.0 / 8 + 10.0 / 40)
+    assert vals["oracle"] <= vals["dp"]
     assert (out / "value_grid.bin").exists()
+
+
+@pytest.mark.parametrize("case", ["builtin", "expression"])
+@pytest.mark.filterwarnings("ignore:axes do not cover")
+def test_trajectory_csvs_are_the_integrated_controls(tmp_path, sine_drift_doc, case):
+    # each solver returns its control's trajectory, which solve writes as is
+    if case == "builtin":
+        p = builtin("linear-ensemble", a=[0.5, -0.3], c=[2.0, 1.0])
+        problem = ["--problem", "linear-ensemble", "--param", "a=[0.5,-0.3]",
+                   "--param", "c=[2.0,1.0]"]
+        methods = ["oracle", "dp", "adjoint"]
+    else:
+        doc = dict(sine_drift_doc, cost={"expression": "(x1 - w1) ** 2",
+                                         "lower_bound_a": 0.0, "lower_bound_b": 0.0})
+        doc["dynamics"] = {"expressions": ["w1 * x1 * cos(3 * t) + u1"],
+                           "growth_c": 1.0, "lipschitz_k": 1.0}
+        path = tmp_path / "expr.json"
+        path.write_text(json.dumps(doc))
+        p, problem = load_problem(str(path)), ["--problem", str(path)]
+        methods = ["oracle", "dp"]          # an expression problem has no Jacobians
+    phi = EnsembleState(np.array([[0.3], [-0.2]]), p.space)
+    for method in methods:
+        out = tmp_path / method
+        assert run(["solve", *problem, "--method", method, "--steps", "6",
+                    "--phi", "0.3,-0.2", "--grid=-3:3:31", "--out", str(out)]) == 0
+        with open(out / f"control_{method}.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        sig = ControlSignal(TimeGrid(0.0, p.horizon, 6),
+                            [[float(v) for v in row[3:]] for row in rows])
+        integrate(p, 0.0, phi, sig).to_csv(tmp_path / "want.csv")
+        assert ((out / f"trajectory_{method}.csv").read_bytes()
+                == (tmp_path / "want.csv").read_bytes())
 
 
 def test_solve_dp_dimension_guard_exits_2(tmp_path):

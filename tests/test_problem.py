@@ -491,6 +491,32 @@ def test_expression_evaluates_elementwise():
     np.testing.assert_allclose(out, [0.5, 2.5])
 
 
+def test_compiled_expression_is_the_written_out_numpy_bitwise():
+    # every grammar node: literals, names, + - * / **, unary - and +, the
+    # one-argument functions and min/max folding three or more arguments
+    rng = np.random.default_rng(4)
+    t, x1, x2, u1 = rng.uniform(-2.0, 2.0, (4, 5, 3))
+    env = {"t": t, "x1": x1, "x2": x2, "u1": u1}
+    cases = [
+        ("min(x1, x2, u1, 0.25) - max(-x1, t ** 2, 3)",
+         lambda: np.subtract(np.minimum(np.minimum(np.minimum(x1, x2), u1), 0.25),
+                             np.maximum(np.maximum(-x1, np.power(t, 2.0)), 3.0))),
+        ("exp(-t) * sin(x1) / (2 + cos(x2)) + abs(u1) ** 0.5",
+         lambda: np.add(np.divide(np.multiply(np.exp(-t), np.sin(x1)),
+                                  np.add(2.0, np.cos(x2))),
+                        np.power(np.abs(u1), 0.5))),
+        ("+x1 - -x2 * 1.5e-3 + 7",
+         lambda: np.add(np.subtract(+x1, np.multiply(-x2, 1.5e-3)), 7.0)),
+        ("w * x1 * cos(3 * t) + u1",
+         lambda: np.add(np.multiply(np.multiply(0.5, x1), np.cos(np.multiply(3.0, t))),
+                        u1)),
+    ]
+    for source, written in cases:
+        got = Expression(source, ["t", "x1", "x2", "u1", "w"])(w=0.5, **env)
+        want = written()
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), source
+
+
 def test_expression_literals_are_floats():
     assert Expression("2**-1", [])() == 0.5
     assert Expression("3**40", [])() == 3.0 ** 40

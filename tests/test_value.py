@@ -469,7 +469,7 @@ def first_divergence_by_signal(p, phi, grid):
     return None, None
 
 
-@pytest.mark.parametrize("leaf_block", [4, 1 << 16])
+@pytest.mark.parametrize("leaf_block", [4, 16, 120, 1 << 16])
 @pytest.mark.parametrize("x0, until, t", [
     ([-0.1, -0.3], np.inf, 1.0), ([0.3, -0.3], np.inf, 1.0), ([-0.4, 0.5], np.inf, 1.0),
     ([0.1, -0.3], 0.5, 0.4),        # a held level's node is the first non-finite one
@@ -481,7 +481,8 @@ def test_divergence_in_a_later_block_is_the_reference_error(monkeypatch, x0, unt
     phi = EnsembleState(np.array(x0)[:, None], p.space)
     grid = TimeGrid(0.0, 1.0, 5)
     q, want = first_divergence_by_signal(p, phi, grid)
-    # blocks of 1 node x 3 controls: the first bad leaf is past the first block
+    # blocks of 1, 5, 40 or all 81 nodes x 3 controls, each control stepped
+    # apart: the first bad leaf is past the first block
     assert q is not None and q >= 3 and want[0] == pytest.approx(t)
     with pytest.raises(DivergenceError) as exc:
         build_oracle_tree(p, 0.0, phi, grid)
@@ -777,7 +778,8 @@ def test_batched_sweep_is_the_per_candidate_sweep_bitwise(make, axes, steps):
     vg = value_dp(p, axes, grid)
     values, argmin, tainted, clamp_count = per_candidate_value_dp(p, axes, grid)
     assert vg.values.tobytes() == values.tobytes()
-    assert vg.argmin.tobytes() == argmin.tobytes()
+    # the table holds the narrowest unsigned type, the reference int32
+    assert vg.argmin.dtype == np.uint8 and np.array_equal(vg.argmin, argmin)
     assert vg.tainted.tobytes() == tainted.tobytes()
     assert vg.clamp_count == clamp_count
 
@@ -915,28 +917,44 @@ def test_value_grid_load_reads_exactly_the_saved_bytes(tmp_path, lin2):
 
 
 def test_value_grid_save_writes_the_tables_without_copies(tmp_path):
-    # a 16 MB value table, a 4 MB argmin and a 2 MB taint table
+    # a 16 MB value table, a 4 MB int32 (or 1 MB uint8) argmin and a 2 MB
+    # taint table; the argmin is written as int32 either way
     rng = np.random.default_rng(2)
     grid, axes = TimeGrid(0.0, 1.0, 1), [Axis(-1.0, 1.0, 1024)] * 2
-    vg = ValueGrid(grid=grid, axes=axes, values=rng.standard_normal((2, 1024, 1024)),
-                   argmin=rng.integers(0, 3, (1, 1024, 1024), dtype=np.int32),
-                   tainted=rng.random((2, 1024, 1024)) < 0.3, clamp_count=5,
-                   coverage_radius=1.0, coverage_ok=True)
-    path = tmp_path / "grid.bin"
-    tracemalloc.start()
-    try:
-        vg.save(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert vg.values.nbytes >= 16 * 2 ** 20 and peak < 2 ** 20
-    tables = (vg.values.astype("<f8").tobytes() + vg.argmin.astype("<i4").tobytes()
-              + vg.tainted.astype("u1").tobytes())
-    blob = path.read_bytes()
-    assert blob.endswith(tables)
-    header = json.loads(blob[16:len(blob) - len(tables)])
-    assert blob[:16] == b"ENOCVG1\n" + struct.pack("<Q", len(blob) - 16 - len(tables))
-    assert header["axes"] == [[-1.0, 1.0, 1024]] * 2 and header["clamp_count"] == 5
+    blobs = []
+    for dtype in (np.int32, np.uint8):
+        vg = ValueGrid(grid=grid, axes=axes, values=rng.standard_normal((2, 1024, 1024)),
+                       argmin=rng.integers(0, 3, (1, 1024, 1024), dtype=dtype),
+                       tainted=rng.random((2, 1024, 1024)) < 0.3, clamp_count=5,
+                       coverage_radius=1.0, coverage_ok=True)
+        path = tmp_path / "grid.bin"
+        tracemalloc.start()
+        try:
+            vg.save(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert vg.values.nbytes >= 16 * 2 ** 20 and peak < 2 ** 20
+        tables = (vg.values.astype("<f8").tobytes() + vg.argmin.astype("<i4").tobytes()
+                  + vg.tainted.astype("u1").tobytes())
+        blob = path.read_bytes()
+        assert blob.endswith(tables)
+        header = json.loads(blob[16:len(blob) - len(tables)])
+        assert blob[:16] == b"ENOCVG1\n" + struct.pack("<Q", len(blob) - 16 - len(tables))
+        assert header["axes"] == [[-1.0, 1.0, 1024]] * 2 and header["clamp_count"] == 5
+        blobs.append(len(blob))
+    assert blobs[0] == blobs[1]
+
+
+def test_value_grid_save_load_save_is_byte_identical(tmp_path, lin2):
+    vg = value_dp(lin2, [Axis(-2.0, 2.0, 9)] * 2, TimeGrid(0.0, 1.0, 4))
+    first, second = tmp_path / "first.bin", tmp_path / "second.bin"
+    vg.save(first)
+    back = ValueGrid.load(first)
+    back.save(second)
+    # the narrow table in memory, int32 after a load, one file for both
+    assert vg.argmin.dtype == np.uint8 and back.argmin.dtype == np.int32
+    assert first.read_bytes() == second.read_bytes()
 
 
 def test_value_grid_load_reads_each_table_once(tmp_path):
@@ -1136,4 +1154,37 @@ def test_compute_value_dispatch(lin2):
         compute_value(lin2, ValueQuery(s=0.0, phi=phi, method="nope"))
     with pytest.raises(ValueError, match="axes"):
         compute_value(lin2, ValueQuery(s=0.0, phi=phi, method="dp"))
+
+
+@pytest.mark.filterwarnings("ignore::enoc.errors.GridCoverageWarning")
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("make, axes", [
+    (lambda: builtin("linear-ensemble", a=[0.5, -0.3], c=[2.0, 1.0]),
+     [Axis(-3.0, 3.0, 25)] * 2),
+    (lambda: builtin("bilinear"), [Axis(-2.0, 2.0, 21)] * 2),
+    (lambda: builtin("decoupled-quadratic", M=3, tau=[0.3, -0.2, 0.5]),
+     [Axis(-1.0, 1.0, 9)] * 3),
+    (lambda: problem_from_dict(_EXPR_T_DEPENDENT), [Axis(-2.0, 2.0, 41)] * 2),
+], ids=["linear", "bilinear", "quadratic-M3", "expr-t-dependent"])
+def test_dp_reports_the_cost_its_control_realizes(make, axes, seed):
+    from enoc import ValueQuery, compute_value
+    p = make()
+    phi = EnsembleState(np.random.default_rng(seed).uniform(-0.5, 0.5, (p.space.size, p.n)),
+                        p.space)
+    oracle = compute_value(p, ValueQuery(s=0.0, phi=phi, method="oracle", steps=4))
+    dp = compute_value(p, ValueQuery(s=0.0, phi=phi, method="dp", steps=4, axes=axes))
+    assert dp.value == reduced_cost(p, 0.0, phi, dp.control)
+    assert dp.table_value == dp.grid.value_at(0.0, stack_state(phi))
+    # on the same time grid the rollout's control is one of the oracle's signals
+    assert oracle.value <= dp.value
+
+
+def test_dp_memory_refusal_counts_the_narrow_argmin(monkeypatch, lin2):
+    from enoc import ValueQuery, compute_value
+    monkeypatch.setattr(enoc.value, "_physical_memory", lambda: 1000)
+    phi = EnsembleState([[0.3], [0.4]], lin2.space)
+    # 5 time nodes x 25 grid nodes x (8 value + 1 uint8 argmin + 1 taint) bytes
+    with pytest.raises(CapacityError, match="needs 1250 bytes for 4 steps"):
+        compute_value(lin2, ValueQuery(s=0.0, phi=phi, method="dp", steps=4,
+                                       axes=[Axis(-1.0, 1.0, 5)] * 2))
 
