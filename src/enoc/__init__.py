@@ -7,11 +7,10 @@ __version__ = "0.1.0"
 from .errors import (CapabilityError, CapacityError, DimensionMismatchError,
                      DivergenceError, EnocError, GridCoverageWarning,
                      ScheduleError, TerminalValueError)
-from .measure import (EnsembleState, ParameterSpace, ball_average,
-                      ball_average_norm_bound, ball_mass, l2_inner, l2_norm)
-from .problem import (CheckReport, ControlSchedule, DynamicsSpec,
-                      HamiltonianResult, ProblemSpec, TerminalCostSpec,
-                      hamiltonian, modulus_check, validate_cost_bound,
+from .measure import (EnsembleState, ParameterSpace, ball_average, ball_mass,
+                      l2_inner, l2_norm)
+from .problem import (CheckReport, ControlSchedule, DynamicsSpec, ProblemSpec,
+                      TerminalCostSpec, modulus_check, validate_cost_bound,
                       validate_growth, validate_lipschitz)
 from .library import (builtin, closed_form, cost_lipschitz_bound, load_problem,
                       problem_from_dict)
@@ -19,8 +18,8 @@ from .ensemble import (ControlSignal, TimeGrid, Trajectory, integrate,
                        trajectory_bound_suite, random_signal)
 from .value import (AdjointResult, Axis, OracleResult, OracleTree, QueryResult,
                     ValueGrid, ValueQuery, build_oracle_tree,
-                    compute_value, dpp_residual, greedy_rollout, reduced_cost,
-                    stack_state, terminal_functional, unstack_state,
-                    value_adjoint, value_dp, value_oracle)
+                    compute_value, dpp_residual, greedy_rollout, stack_state,
+                    terminal_functional, unstack_state, value_adjoint, value_dp,
+                    value_oracle)
 from .verify import (epigraph_invariance, hjb_residual, oscillation_diagnostic,
                      terminal_limit)

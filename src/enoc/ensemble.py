@@ -86,20 +86,6 @@ class ControlSignal:
     def m(self):
         return self.values.shape[1]
 
-    def check_admissible(self, p: ProblemSpec, tol=1e-9):
-        """Verify each value lies in the convex hull of the set active then.
-
-        Hull containment (not exact set membership) is the invariant: the
-        descent solver legitimately returns hull points, while enumeration
-        and grid solvers only ever construct exact set members.
-        """
-        for j in range(self.grid.steps):
-            if not p.controls.hull_contains(self.grid.nodes[j], self.values[j], tol):
-                raise ValueError(
-                    f"control value on interval {j} is outside the admissible hull"
-                )
-        return True
-
 
 @dataclass
 class Trajectory:
@@ -129,31 +115,6 @@ class Trajectory:
                     wr.writerow([_FLOAT_FMT % self.grid.nodes[j], i]
                                 + [_FLOAT_FMT % v for v in self.states[j, i]]
                                 + [_FLOAT_FMT % v for v in u])
-
-    @classmethod
-    def from_csv(cls, path, space):
-        with open(path, newline="") as fh:
-            rd = csv.reader(fh)
-            header = next(rd)
-            n = sum(1 for h in header if h.startswith("x"))
-            m = sum(1 for h in header if h.startswith("u"))
-            rows = [(float(r[0]), int(r[1]),
-                     [float(v) for v in r[2:2 + n]],
-                     [float(v) for v in r[2 + n:2 + n + m]]) for r in rd]
-        ts = sorted({r[0] for r in rows})
-        M = space.size
-        states = np.empty((len(ts), M, n))
-        controls = np.empty((len(ts) - 1, m))
-        t_index = {t: j for j, t in enumerate(ts)}
-        for t, atom, x, u in rows:
-            j = t_index[t]
-            states[j, atom] = x
-            if j < len(ts) - 1:
-                controls[j] = u
-        grid = TimeGrid(ts[0], ts[-1], len(ts) - 1, _nodes=np.array(ts))
-        sig = ControlSignal(grid, controls)
-        return cls(grid=grid, states=states, control=sig, space=space)
-
 
 def _rk4_stages(fld, t, h, X, u):
     """The RK4 tableau, held once: the stage times, stage points and first three

@@ -16,6 +16,7 @@ from __future__ import annotations
 import inspect
 import itertools
 import json
+import math
 import numbers
 import operator
 import os
@@ -253,6 +254,10 @@ def builtin(name, **parameters) -> ProblemSpec:
     # build object arrays
     parameters = {key: float(val) if isinstance(accepted[key].default, float) else val
                   for key, val in parameters.items()}
+    # the control grid spans [-rho, rho]: np.linspace overflows when 2|rho| does
+    if not math.isfinite(2.0 * parameters.get("rho", 1.0)):
+        raise ValueError(f"builtin parameter 'rho' must have a finite span 2|rho|, "
+                         f"got {parameters['rho']!r}")
     M, n, levels = (parameters.get(key, accepted[key].default)
                     for key in ("M", "n", "levels"))
     # given weights or coords set the atom count (the factories take M from
@@ -312,10 +317,6 @@ class LinearEnsembleClosedForm:
         """Weighted switching profile, shape (n,)."""
         e = np.exp(self.a * (self.T - sigma))
         return (self.w[:, None] * self.c * e[:, None]).sum(axis=0)
-
-    def optimal_control(self, sigma):
-        """Pointwise minimizer -rho * sign(psi(sigma)) (0 on exact ties)."""
-        return -self.rho * np.sign(self.psi(sigma))
 
     def optimal_value(self, s, phi) -> float:
         """Exact infimal cost from (s, phi) over measurable box controls."""

