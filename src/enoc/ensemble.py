@@ -120,7 +120,8 @@ def _rk4_stages(fld, t, h, X, u):
     """The RK4 tableau, held once: the stage times, stage points and first three
     slopes of one step from (t, X); t and h are scalars or of X's lead shape."""
     hx = h[..., None, None] if np.ndim(h) else h
-    ts, xs, ks = (t, t + 0.5 * h, t + 0.5 * h, t + h), [X], []
+    mid = t + 0.5 * h
+    ts, xs, ks = (t, mid, mid, t + h), [X], []
     for a, t_i in zip((0.5, 0.5, 1.0), ts):         # the tableau's subdiagonal
         ks.append(fld(t_i, xs[-1], u))
         xs.append(X + a * hx * ks[-1])
@@ -207,8 +208,9 @@ def random_signal(p: ProblemSpec, grid: TimeGrid, rng) -> ControlSignal:
     return ControlSignal(grid, p.controls.sample(grid.nodes[:-1], rng))
 
 
-def _weighted_norm(w, d):
-    return np.sqrt(float(np.einsum("i,ij,ij->", w, d, d)))
+def _weighted_norms(w, D):
+    """Mass-weighted norms of the (M, n) states stacked in D (B, M, n)."""
+    return np.sqrt(np.einsum("i,bij,bij->b", w, D, D))
 
 
 def trajectory_bound_suite(p: ProblemSpec, trials: int, steps=200, seed=0,
@@ -241,7 +243,9 @@ def trajectory_bound_suite(p: ProblemSpec, trials: int, steps=200, seed=0,
     trajectories of all its trials together; the shifted row's nodes are
     clamped below at tau, so its zero-length steps hold phi until tau.  A
     divergence raises the error the sequential order would: first trial, x
-    before xbar before the shift.
+    before xbar before the shift.  Last, it scores all its trials at once,
+    one batched norm or exp per term on the trials' gathered states, with
+    each trial's arithmetic that of one trial alone.
     """
     rng = np.random.default_rng(seed)
     M, n = p.space.size, p.n
@@ -256,40 +260,42 @@ def trajectory_bound_suite(p: ProblemSpec, trials: int, steps=200, seed=0,
     # trials per batch: the held states stay near 2**21 floats (16 MB)
     per_batch = max(1, 2 ** 21 // (3 * (steps + 1) * M * n))
     for first in range(0, trials, per_batch):
-        draws, nodes, X0, U = [], [], [], []
-        for trial in range(first, min(first + per_batch, trials)):
+        batch = slice(first, min(first + per_batch, trials))
+        nodes, X0, U, picks = [], [], [], []
+        for _ in range(batch.start, batch.stop):
             s = rng.uniform(0.0, 0.5 * p.horizon)
             grid = TimeGrid(s, p.horizon, steps)
             j_tau = int(rng.integers(0, steps))
             j_t = int(rng.integers(j_tau, steps)) + 1
             phi = phi_scale * rng.standard_normal((M, n))
             phibar = phi_scale * rng.standard_normal((M, n))
-            sig = random_signal(p, grid, rng)
+            u = p.controls.sample(grid.nodes[:-1], rng)        # random_signal's draw
             # rows x, xbar and the shift (x again when tau = s), in the sequential order
-            draws.append((trial, grid, j_tau, j_t, phi, phibar, len(X0)))
-            shifted = np.maximum(grid.nodes, grid.nodes[j_tau])
-            for x0, row_nodes in ((phi, grid.nodes), (phibar, grid.nodes), (phi, shifted)):
-                nodes.append(row_nodes)
-                X0.append(x0)
-                U.append(sig.values)
-        states = _integrate_batch(p, np.stack(nodes), np.stack(X0), np.stack(U))
+            nodes += (grid.nodes, grid.nodes, np.maximum(grid.nodes, grid.nodes[j_tau]))
+            X0 += (phi, phibar, phi)
+            U += (u, u, u)
+            picks.append((j_tau, j_t))
+        nodes, X0 = np.stack(nodes), np.stack(X0)
+        states = _integrate_batch(p, nodes, X0, np.stack(U))
 
-        for trial, grid, j_tau, j_t, phi, phibar, row in draws:
-            s, tau, t = grid.s, grid.nodes[j_tau], grid.nodes[j_t]
-            x_t = states[j_t, row]
-            norm_phi = _weighted_norm(w, phi)
-            evaluated[trial, 2] = j_tau > 0
-            lhs[trial] = (
-                _weighted_norm(w, x_t),
-                _weighted_norm(w, x_t - states[j_t, row + 1]),
-                _weighted_norm(w, states[j_t, row + 2] - x_t),
-                _weighted_norm(w, x_t - states[j_tau, row]))
-            rhs[trial] = (
-                np.exp(c * (t - s)) * (norm_phi + c * (t - s) * mu),
-                np.exp(k * (t - s)) * _weighted_norm(w, phi - phibar),
-                c * np.exp(k * (t - tau)) * np.exp(c * (tau - s))
-                * (mu + norm_phi) * (tau - s),
-                c * np.exp(c * (t - s)) * (mu + norm_phi) * (t - tau))
+        # every trial of the batch scored at once: row 3 i is trial i's x
+        j_tau, j_t = np.array(picks).T
+        row = np.arange(0, nodes.shape[0], 3)
+        s, tau, t = nodes[row, 0], nodes[row, j_tau], nodes[row, j_t]
+        phi, x_t = X0[row], states[j_t, row]
+        norm_phi = _weighted_norms(w, phi)
+        evaluated[batch, 2] = j_tau > 0
+        lhs[batch] = np.stack([
+            _weighted_norms(w, x_t),
+            _weighted_norms(w, x_t - states[j_t, row + 1]),
+            _weighted_norms(w, states[j_t, row + 2] - x_t),
+            _weighted_norms(w, x_t - states[j_tau, row])], axis=1)
+        rhs[batch] = np.stack([
+            np.exp(c * (t - s)) * (norm_phi + c * (t - s) * mu),
+            np.exp(k * (t - s)) * _weighted_norms(w, phi - X0[row + 1]),
+            c * np.exp(k * (t - tau)) * np.exp(c * (tau - s))
+            * (mu + norm_phi) * (tau - s),
+            c * np.exp(c * (t - s)) * (mu + norm_phi) * (t - tau)], axis=1)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(rhs <= 0.0, np.where(lhs <= 1e-12, 0.0, np.inf), lhs / rhs)

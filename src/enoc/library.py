@@ -79,6 +79,17 @@ def _per_atom_vectors(val, M, n, name):
     return arr
 
 
+def _rho_term(rho, scale):
+    """rho * scale, a growth certificate's control term; ValueError naming
+    ``rho`` when the product overflows though rho's span 2|rho| is finite."""
+    with np.errstate(over="ignore"):
+        term = rho * scale
+    if not np.isfinite(term):
+        raise ValueError(f"builtin parameter 'rho' must keep the growth certificate "
+                         f"finite, got {rho!r} (times {float(scale):.6g})")
+    return term
+
+
 def linear_ensemble(M=2, n=1, a=None, c=None, weights=None, coords=None,
                     rho=1.0, levels=3, T=1.0, box_radius=5.0):
     """Scalar-gain linear family: xdot = a_i x + u, terminal cost c_i . x.
@@ -114,7 +125,7 @@ def linear_ensemble(M=2, n=1, a=None, c=None, weights=None, coords=None,
         return np.broadcast_to(cvec, np.shape(X))
 
     amax = float(np.abs(a).max())
-    growth_c = max(amax, rho * np.sqrt(n))
+    growth_c = max(amax, _rho_term(rho, np.sqrt(n)))
     lipschitz_k = amax if amax > 0 else 1.0
     L_a = _coeff_lipschitz(a, space.metric)
     with np.errstate(over="ignore"):        # an infinite gain is a vacuous modulus
@@ -166,7 +177,7 @@ def decoupled_quadratic(M=1, n=1, tau=None, weights=None, coords=None,
         return 2.0 * (X - tau)
 
     dyn = DynamicsSpec(eval_ens=f_ens, jac_x_ens=jac_x, jac_u_ens=jac_u,
-                       growth_c=max(rho * np.sqrt(n), 1e-6), lipschitz_k=1.0,
+                       growth_c=max(_rho_term(rho, np.sqrt(n)), 1e-6), lipschitz_k=1.0,
                        omega_modulus=lambda r: 0.0)
     cost = TerminalCostSpec(eval_ens=g_ens, grad_ens=g_grad,
                             lower_bound_a=np.zeros(M), lower_bound_b=0.0)
@@ -205,7 +216,7 @@ def bilinear(M=2, n=1, a=None, weights=None, coords=None,
         return 2.0 * X
 
     amax = float(np.abs(a).max())
-    cert = max(rho * amax, 1.0)
+    cert = max(_rho_term(rho, amax), 1.0)
     L_a = _coeff_lipschitz(a, space.metric)
     with np.errstate(over="ignore"):        # an infinite gain is a vacuous modulus
         gain = T * rho * L_a * box_radius       # a zero gain stays 0, not 0 * inf

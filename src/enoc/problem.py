@@ -210,9 +210,12 @@ class ControlSchedule:
         times = np.asarray(times, dtype=float)
         idx = np.searchsorted(self.breakpoints, times, side="right") - 1
         out = np.empty((times.size, self.m))
-        starts = np.flatnonzero(np.diff(idx, prepend=-2))
-        for lo, hi in zip(starts, np.r_[starts[1:], times.size]):
-            pts = self.active_set(times[lo])     # ScheduleError before the first set
+        # the first time of each run (none for no times), in plain ints
+        starts = [0, *(np.flatnonzero(idx[1:] != idx[:-1]) + 1).tolist()][:times.size]
+        for lo, hi in zip(starts, starts[1:] + [times.size]):
+            if idx[lo] < 0:
+                raise ScheduleError(f"no control set active before t={self.breakpoints[0]}")
+            pts = self.sets[idx[lo]]
             out[lo:hi] = pts[rng.integers(pts.shape[0], size=hi - lo)]
         return out
 

@@ -322,27 +322,36 @@ def _interpolate(tensor, taint, axes, Y):
 
 
 def _kron_apply(table, ops, out, scratch, mul=np.multiply, add=np.add):
-    """Apply one block operator per mode of ``table`` (N_0, ..., N_{M-1}).
+    """Apply one block operator per mode of ``table`` (N_0, ..., N_{M-1}), for
+    a batch of w candidates at once.
 
-    ``ops[i]`` is block i's stencil, a list of (index, weight) corner pairs
-    of shape (N_i,) each: mode i of the result at r reads the table at
-    ``index[r]`` along axis i with ``weight[r]``.  The modes apply one after
-    the other, so the whole is the Kronecker product of the block operators.
-    Every gather runs along the leading axis, whose rows are contiguous: mode
-    i views its input as (N_i, rest), gathers and weights whole rows, sums
-    the corners (the first one writes the sum, no zero fill) and rotates the
-    sum to (rest, N_i), so that mode i + 1 leads.  After M rotations the
-    result is back in the table's order (the shuffle order of Kronecker
-    products).  ``mul`` and ``add`` pick the semiring (logical_and and
+    ``ops[i]`` is block i's stencil for the batch, a list of (index, weight)
+    corner pairs of shape (w * N_i,) each, candidate after candidate: mode i
+    of candidate k's result at r reads its input at ``index[k * N_i + r]``
+    along axis i with ``weight[k * N_i + r]``.  Mode 0 reads the shared
+    table, so its indices are below N_0; later modes read each candidate's
+    own slab of the running result, so their indices are offset by k * N_i.
+    The modes apply one after the other, so the whole is the Kronecker
+    product of the block operators.  Every gather runs along the leading
+    axis, whose rows are contiguous: mode i views its input as (w N_i, rest)
+    (the table as (N_0, rest)), gathers and weights whole rows, sums the
+    corners (the first one writes the sum, no zero fill) and rotates each
+    candidate's sum to (rest, N_i), so that mode i + 1 leads.  After M
+    rotations each candidate's result is back in the table's order (the
+    shuffle order of Kronecker products), and the batch's is (w, N_0, ...,
+    N_{M-1}).  ``mul`` and ``add`` pick the semiring (logical_and and
     logical_or apply the operator's support to a boolean table).  The result
-    is written to ``out``; ``scratch`` holds three flat arrays of the
-    table's size and dtype, so no call allocates.
+    is written to ``out``; ``scratch`` holds three flat arrays of at least w
+    times the table's size, in its dtype, so no call allocates.
     """
     buf, acc, rot = scratch
+    size = table.size
+    w = out.size // size                    # candidates in the batch
     src = table
     for i, ((idx, wgt), *corners) in enumerate(ops):
-        rows = src.reshape(idx.shape[0], -1)
-        total, term = acc.reshape(rows.shape), buf.reshape(rows.shape)
+        rows = src.reshape(-1, size // table.shape[i])
+        total = acc[:w * size].reshape(idx.shape[0], rows.shape[1])
+        term = buf[:w * size].reshape(total.shape)
         # indices are in range; mode="raise" would copy through a buffer
         np.take(rows, idx, axis=0, out=total, mode="clip")
         mul(total, wgt[:, None], out=total)
@@ -350,8 +359,9 @@ def _kron_apply(table, ops, out, scratch, mul=np.multiply, add=np.add):
             np.take(rows, idx, axis=0, out=term, mode="clip")
             mul(term, wgt[:, None], out=term)
             add(total, term, out=total)
-        src = out if i == len(ops) - 1 else rot
-        np.copyto(src.reshape(total.shape[::-1]), total.T)
+        src = out if i == len(ops) - 1 else rot[:w * size]
+        lead = total.reshape(w, -1, total.shape[1])
+        np.copyto(src.reshape(w, lead.shape[2], lead.shape[1]), lead.transpose(0, 2, 1))
     return out
 
 
@@ -512,12 +522,15 @@ def value_dp(p: ProblemSpec, axes, grid: TimeGrid, phi_radius=None) -> ValueGrid
     Each step makes one field call for all K controls, on the block nodes
     repeated per control (K, rows, M, n) with u of shape (K, rows, m), and
     builds one stencil per block over all K x rows feet; candidate k takes
-    its slices.  The candidates are then applied one after the other, so no
-    (K, Q) buffer is held: candidate 0 writes step j's value and taint slices
-    directly, the others fold in through a running minimum and first argmin.
-    The arithmetic of every node is that of one control at a time.  The
-    argmin table holds the narrowest unsigned type for the largest control
-    set on the grid (uint8 up to 256 controls).
+    its slices.  The candidates are applied in batches of max(1, _LEAF_BLOCK
+    // Q), the oracle's leaf-block rule, so a batch's buffers hold at most
+    _LEAF_BLOCK nodes or one candidate: on a small grid one batch takes all
+    K, on a large one each candidate runs alone and a lone candidate 0
+    writes step j's value and taint slices directly.  The candidates of a
+    batch then fold in, one after the other, through a running minimum and
+    first argmin.  The arithmetic of every node is that of one control at a
+    time.  The argmin table holds the narrowest unsigned type for the
+    largest control set on the grid (uint8 up to 256 controls).
     """
     axes = _as_axes(axes)
     M, n = p.space.size, p.n
@@ -547,9 +560,9 @@ def value_dp(p: ProblemSpec, axes, grid: TimeGrid, phi_radius=None) -> ValueGrid
     X = Z.reshape(Q, M, n)
 
     N = grid.steps
+    sets = [p.controls.active_set(t) for t in grid.nodes[:-1]]
     values = np.empty((N + 1,) + shape)
-    argmin = np.empty((N,) + shape, dtype=_argmin_dtype(
-        [p.controls.active_set(t) for t in grid.nodes[:-1]]))
+    argmin = np.empty((N,) + shape, dtype=_argmin_dtype(sets))
     tainted = np.zeros((N + 1,) + shape, dtype=bool)
     values[N] = _terminal_sums(p, X, "grid node", finite=True).reshape(shape)
 
@@ -561,17 +574,19 @@ def value_dp(p: ProblemSpec, axes, grid: TimeGrid, phi_radius=None) -> ValueGrid
     rows = max(sizes)
     Xb = np.stack([mesh[np.arange(rows) % mesh.shape[0]] for mesh in meshes], axis=1)
     fld = p.dynamics.field
-    for u in p.controls.active_set(grid.nodes[N - 1]):
+    for u in sets[N - 1]:
         _check_atomwise(fld, grid.nodes[N - 1], Xb, u)
 
-    cand, mask = np.empty(sizes), np.empty(sizes, dtype=bool)
+    # candidates per batch, the oracle's leaf-block rule
+    width = min(max(1, _LEAF_BLOCK // Q), max(len(pts) for pts in sets))
+    cand, mask = np.empty((width,) + sizes), np.empty((width,) + sizes, dtype=bool)
     better = np.empty(Q, dtype=bool)
-    scratch = np.empty((3, Q)), np.empty((3, Q), dtype=bool)
+    scratch = np.empty((3, width * Q)), np.empty((3, width * Q), dtype=bool)
     clamp_total = 0
     for j in range(N - 1, -1, -1):
         t = grid.nodes[j]
         h = grid.nodes[j + 1] - grid.nodes[j]
-        pts = p.controls.active_set(t)
+        pts = sets[j]
         K = pts.shape[0]
         # one field call and one stencil per block serve all K candidates:
         # candidate k owns rows k * size_i up to (k + 1) * size_i of block i
@@ -579,7 +594,12 @@ def value_dp(p: ProblemSpec, axes, grid: TimeGrid, phi_radius=None) -> ValueGrid
         F = fld(t, XK, np.broadcast_to(pts[:, None, :], (K, rows, p.m)))
         stencils = [_stencil(blk, (XK[:, :size, i] + h * F[:, :size, i]).reshape(-1, n))
                     for i, (blk, size) in enumerate(zip(blk_axes, sizes))]
-        supports = [[(idx, wgt > 0.0) for idx, wgt in corners] for corners, _ in stencils]
+        # past mode 0, candidate k reads its own slab of its batch's result
+        offsets = [np.repeat(np.arange(K) % width * size, size) if i else 0
+                   for i, size in enumerate(sizes)]
+        ops = [[(idx + off, wgt) for idx, wgt in corners]
+               for (corners, _), off in zip(stencils, offsets)]
+        supports = [[(idx, wgt > 0.0) for idx, wgt in corners] for corners in ops]
         nxt, nxt_taint = values[j + 1].reshape(sizes), tainted[j + 1].reshape(sizes)
         vals, taint = values[j].reshape(sizes), tainted[j].reshape(sizes)
         arg = argmin[j].reshape(-1)
@@ -587,27 +607,33 @@ def value_dp(p: ProblemSpec, axes, grid: TimeGrid, phi_radius=None) -> ValueGrid
         inside = np.prod([size - clamped.reshape(K, size).sum(axis=1)
                           for (_, clamped), size in zip(stencils, sizes)], axis=0)
         clamp_total += int((Q - inside).sum())
-        for k in range(K):
-            cut = [slice(k * size, (k + 1) * size) for size in sizes]
-            # candidate 0 writes step j's slices; the others fold into them
-            # through a running min and first argmin, and a node is
+        for lo in range(0, K, width):
+            hi = min(lo + width, K)
+            cut = [slice(lo * size, hi * size) for size in sizes]
+            # a lone candidate 0 writes step j's slices; the others fold into
+            # them through a running min and first argmin, and a node is
             # trustworthy only if every candidate branch is
-            v_out, t_out = (vals, taint) if k == 0 else (cand, mask)
+            v_out, t_out = ((vals[None], taint[None]) if hi == 1
+                            else (cand[:hi - lo], mask[:hi - lo]))
             _kron_apply(nxt, [[(idx[c], wgt[c]) for idx, wgt in corners]
-                              for (corners, _), c in zip(stencils, cut)],
+                              for corners, c in zip(ops, cut)],
                         v_out, scratch[0])
             _kron_apply(nxt_taint, [[(idx[c], sup[c]) for idx, sup in corners]
                                     for corners, c in zip(supports, cut)],
                         t_out, scratch[1], np.logical_and, np.logical_or)
             for i, ((_, clamped), c) in enumerate(zip(stencils, cut)):
-                t_out |= clamped[c].reshape((-1,) + (1,) * (M - 1 - i))
-            if k == 0:
-                arg[:] = 0
-                continue
-            np.less(cand, vals, out=better.reshape(sizes))
-            np.copyto(arg, k, where=better)
-            np.minimum(vals, cand, out=vals)
-            taint |= mask
+                t_out |= clamped[c].reshape((hi - lo,) + (1,) * i + (-1,)
+                                            + (1,) * (M - 1 - i))
+            for k in range(lo, hi):
+                if k == 0:
+                    if hi > 1:
+                        vals[...], taint[...] = cand[0], mask[0]
+                    arg[:] = 0
+                    continue
+                np.less(cand[k - lo], vals, out=better.reshape(sizes))
+                np.copyto(arg, k, where=better)
+                np.minimum(vals, cand[k - lo], out=vals)
+                taint |= mask[k - lo]
 
     return ValueGrid(grid=grid, axes=axes, values=values, argmin=argmin,
                      tainted=tainted, clamp_count=clamp_total,

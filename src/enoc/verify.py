@@ -18,6 +18,8 @@ difference, missing capabilities).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import CapabilityError
@@ -27,6 +29,8 @@ from .ensemble import (TimeGrid, _check_start, _integrate_batch, integrate,
                        random_signal)
 from .value import (ValueGrid, _node_mesh, build_oracle_tree,
                     terminal_functional, value_oracle)
+
+_SLAB = 2 ** 18        # floats one slab of hjb_residual's slices works with (2 MB)
 
 
 # -- finite-difference residual of the terminal-value recursion --------------
@@ -46,6 +50,14 @@ def hjb_residual(vg: ValueGrid, p: ProblemSpec, kappa=5.0,
     residual over them is at most kappa * (dt + max axis spacing), or ``tol``
     when given; with no node evaluated the report fails and says the
     evidence is insufficient, and a NaN residual is the worst there is.
+
+    The interior time slices run in slabs of whole slices, whose nodes work
+    with at most _SLAB floats together (or one slice, when it alone needs
+    more), so no temporary grows with the number of slices.  A slab builds
+    its kink and taint masks at once; the slopes, gradients and Hamiltonian
+    are formed at its evaluated nodes only, with one ``min_pairing`` call per
+    run of slices sharing an active control set (t given per row).  Every
+    node's arithmetic is that of one slice at a time.
     """
     N = vg.grid.steps
     counts = vg.shape
@@ -53,7 +65,6 @@ def hjb_residual(vg: ValueGrid, p: ProblemSpec, kappa=5.0,
     if N < 2 or min(counts) < 3:
         raise ValueError("need at least 3 time nodes and 3 nodes per axis")
 
-    interior = tuple(slice(1, c - 1) for c in counts)
     Z = _node_mesh([ax.nodes[1:-1] for ax in vg.axes])
     Qi = Z.shape[0]
     X = Z.reshape(Qi, p.space.size, p.n)
@@ -62,14 +73,26 @@ def hjb_residual(vg: ValueGrid, p: ProblemSpec, kappa=5.0,
     if tol is None:
         tol = kappa * (dt + dz)
 
-    inner_shape = tuple(c - 2 for c in counts)
+    # the interior block of a stack of slices, and its (up, down) neighbors
+    # along each axis
+    interior = (slice(None),) + tuple(slice(1, c - 1) for c in counts)
 
     def shifted(ax_i, lo):
-        return tuple(slice(lo, c - 2 + lo) if a == ax_i else slice(1, c - 1)
-                     for a, c in enumerate(counts))
+        return (slice(None),) + tuple(slice(lo, c - 2 + lo) if a == ax_i
+                                      else slice(1, c - 1) for a, c in enumerate(counts))
 
-    # (up, down) neighbors of the interior block along each axis
     shifts = [(shifted(ax_i, 2), shifted(ax_i, 0)) for ax_i in range(d)]
+    # an interior node's flat index in a slice, and one step along each axis
+    flat = np.arange(math.prod(counts)).reshape(counts)[interior[1:]].reshape(-1)
+    steps = [math.prod(counts[a + 1:]) for a in range(d)]
+    V = vg.values.reshape(N + 1, -1)
+    nodes = vg.grid.nodes
+    active = np.array([p.controls.active_index(t) for t in nodes[:N]])
+    K = max(p.controls.sets[a].shape[0] for a in set(active[1:].tolist()))
+    # an evaluated node of a slab holds its row, gradient, velocity and their
+    # product (d floats each), K pairings twice (listed, then stacked) and
+    # six slopes, residuals and indices
+    per_slab = max(1, _SLAB // (Qi * (4 * d + 2 * K + 6)))
 
     # per time slice: the worst evaluated node and how many were evaluated
     slice_worst = np.zeros(N - 1)
@@ -77,34 +100,45 @@ def hjb_residual(vg: ValueGrid, p: ProblemSpec, kappa=5.0,
     slice_count = np.zeros(N - 1, dtype=int)
     skipped = 0
     skipped_boundary = 0
-    for j in range(1, N):
-        xi_t = ((vg.values[j + 1] - vg.values[j - 1]) / (2.0 * dt))[interior].reshape(-1)
-        grads = np.empty((Qi, d))
-        arg = vg.argmin[j]
-        kink = np.zeros(inner_shape, dtype=bool)
+    for lo in range(1, N, per_slab):
+        hi = min(lo + per_slab, N)                      # slices lo .. hi - 1
+        arg, tnt = vg.argmin[lo:hi], vg.tainted[lo:hi]
         # boundary influence: the node itself, a time neighbor, or a spatial
         # finite-difference neighbor depends on a clamped lookup
-        taint = (vg.tainted[j - 1][interior] | vg.tainted[j][interior]
-                 | vg.tainted[j + 1][interior])
-        for ax_i, (up, dn) in enumerate(shifts):
-            grads[:, ax_i] = ((vg.values[j][up] - vg.values[j][dn])
-                              / (2.0 * vg.axes[ax_i].spacing)).reshape(-1)
-            # kink suspicion: argmin differs from any axis neighbor
+        taint = (vg.tainted[lo - 1:hi - 1][interior] | tnt[interior]
+                 | vg.tainted[lo + 1:hi + 1][interior])
+        # kink suspicion: argmin differs from any axis neighbor
+        kink = np.zeros(taint.shape, dtype=bool)
+        for up, dn in shifts:
             kink |= (arg[up] != arg[interior]) | (arg[dn] != arg[interior])
-            taint |= vg.tainted[j][up] | vg.tainted[j][dn]
-        kink = kink.reshape(-1)
-        taint = taint.reshape(-1)
-
-        t = vg.grid.nodes[j]
-        ham, _ = p.dynamics.min_pairing(t, X, grads.reshape(X.shape),
-                                        p.controls.active_set(t))
-        res = np.abs(xi_t + ham)
-
-        mask = ~kink & ~taint
+            taint |= tnt[up] | tnt[dn]
+        kink, taint = kink.reshape(hi - lo, Qi), taint.reshape(hi - lo, Qi)
         skipped += int(kink.sum())
         skipped_boundary += int((taint & ~kink).sum())
-        q = int(np.argmax(np.where(mask, res, -np.inf)))     # a NaN is the maximum
-        slice_worst[j - 1], slice_node[j - 1], slice_count[j - 1] = res[q], q, mask.sum()
+        b, q = np.nonzero(~kink & ~taint)               # slice-major
+        j, f = b + lo, flat[q]
+        xi_t = (V[j + 1, f] - V[j - 1, f]) / (2.0 * dt)
+        grads = np.empty((q.size, d))
+        for ax_i, step in enumerate(steps):
+            grads[:, ax_i] = ((V[j, f + step] - V[j, f - step])
+                              / (2.0 * vg.axes[ax_i].spacing))
+        # slice lo + i holds rows starts[i] up to ends[i]
+        count = np.bincount(b, minlength=hi - lo)
+        ends = np.cumsum(count)
+        starts = ends - count
+        res = np.empty(q.size)
+        runs = [0, *(np.flatnonzero(np.diff(active[lo:hi])) + 1).tolist(), hi - lo]
+        for r_lo, r_hi in zip(runs[:-1], runs[1:]):
+            rows = slice(starts[r_lo], ends[r_hi - 1])
+            if rows.stop > rows.start:
+                ham, _ = p.dynamics.min_pairing(
+                    nodes[j[rows]], X[q[rows]], grads[rows].reshape(-1, *X.shape[1:]),
+                    p.controls.sets[active[lo + r_lo]])
+                res[rows] = np.abs(xi_t[rows] + ham)
+        for i in np.flatnonzero(count):
+            k = starts[i] + int(np.argmax(res[starts[i]:ends[i]]))   # a NaN is the maximum
+            slice_worst[lo + i - 1], slice_node[lo + i - 1] = res[k], q[k]
+        slice_count[lo - 1:hi - 1] = count
 
     return _sampled_report(
         p, "hjb_residual", tol, slice_worst,

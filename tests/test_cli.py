@@ -543,6 +543,29 @@ def test_rho_whose_span_overflows_exits_2(tmp_path, capsys, name):
     assert "'rho'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, params", [
+    ("linear-ensemble", ["n=5", "M=1"]),
+    ("decoupled-quadratic", ["n=5"]),
+    ("bilinear", ["M=1", "a=[3.0]"]),
+], ids=["linear-ensemble", "decoupled-quadratic", "bilinear"])
+def test_rho_whose_growth_certificate_overflows_exits_2(tmp_path, name, params):
+    # 2|rho| is finite, rho * sqrt(5) and rho * 3 are not; a subprocess under
+    # -W error sees a warning the CLI's own handler would not
+    import os
+    import subprocess
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(enoc.cli.__file__)))
+    argv = ["solve", "--problem", name, "--param", "rho=8.98e307", "--method", "oracle",
+            "--steps", "1", "--out", str(tmp_path / "x")]
+    argv += [arg for param in params for arg in ("--param", param)]
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "enoc.cli",
+                           *argv], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 2
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "'rho'" in errors[0], proc.stderr
+
+
 _LONG = json.dumps([1.0] * 1001)
 
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import struct
 import tracemalloc
 
@@ -766,16 +767,31 @@ def test_rollout_divergence_is_the_batched_integrators_error(x0):
     assert want.value.t > grid.nodes[1]
 
 
-@pytest.mark.parametrize("make, axes, steps", _DP_PROBLEMS + [
+_SWEEP_PROBLEMS = _DP_PROBLEMS + [
     (lambda: builtin("linear-ensemble", M=4, a=[0.5, -0.3, 0.1, 0.9],
                      c=[2.0, 1.0, -1.0, 0.5]),
      [Axis(-1.0, 1.0, 5), Axis(-1.0, 1.0, 6), Axis(-1.0, 1.0, 7), Axis(-1.0, 1.0, 4)], 5),
     (lambda: builtin("bilinear", M=1, n=2, a=[1.2]),
      [Axis(-1.0, 1.0, 9), Axis(-1.5, 1.5, 13)], 8),
-], ids=_DP_IDS + ["four-modes", "one-atom"])
-def test_batched_sweep_is_the_per_candidate_sweep_bitwise(make, axes, steps):
+]
+_SWEEP_IDS = _DP_IDS + ["four-modes", "one-atom"]
+
+
+# every problem here has K = 3 or 9 controls and fewer than _LEAF_BLOCK / K
+# nodes, so by default one batch holds all K candidates; a batch of two
+# leaves a partial last batch
+@pytest.mark.parametrize("make, axes, steps, width", [
+    case + (width,) for width in (None, 1, 2) for case in _SWEEP_PROBLEMS],
+    ids=[name + ("" if width is None else f"-batch{width}")
+         for width in (None, 1, 2) for name in _SWEEP_IDS])
+def test_batched_sweep_is_the_per_candidate_sweep_bitwise(make, axes, steps, width,
+                                                          monkeypatch):
     p = make()
     grid = TimeGrid(0.0, 1.0, steps)
+    Q = math.prod(ax.count for ax in axes)
+    assert len(p.controls.active_set(0.0)) * Q <= enoc.value._LEAF_BLOCK
+    if width is not None:
+        monkeypatch.setattr(enoc.value, "_LEAF_BLOCK", width * Q)
     vg = value_dp(p, axes, grid)
     values, argmin, tainted, clamp_count = per_candidate_value_dp(p, axes, grid)
     assert vg.values.tobytes() == values.tobytes()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from enoc import (Axis, CapabilityError, ControlSchedule, ControlSignal,
                   terminal_limit, terminal_functional, trajectory_bound_suite,
                   value_dp, value_oracle)
 from enoc.cli import _dpp_check
+from enoc.problem import _sampled_report
+from enoc.value import _node_mesh
 
 
 def drift_free_smooth():
@@ -88,6 +92,136 @@ def test_hjb_matches_pointwise_hamiltonian_operation(lin2):
             for u in lin2.controls.active_set(t))
     assert rep.worst > 0.0
     assert rep.worst == pytest.approx(abs(xi_t + h), abs=1e-12)
+
+
+def per_slice_hjb(vg, p, kappa=5.0):
+    """hjb_residual one time slice at a time: the Hamiltonian at every
+    interior node of the slice, then the masks pick the evaluated ones.
+    hjb_residual works in slabs of slices at the evaluated nodes only; on the
+    same per-node arithmetic it must give the same report."""
+    N, counts, d = vg.grid.steps, vg.shape, len(vg.axes)
+    interior = tuple(slice(1, c - 1) for c in counts)
+    Z = _node_mesh([ax.nodes[1:-1] for ax in vg.axes])
+    Qi = Z.shape[0]
+    X = Z.reshape(Qi, p.space.size, p.n)
+    dt, dz = vg.grid.dt, max(ax.spacing for ax in vg.axes)
+
+    def shifted(ax_i, lo):
+        return tuple(slice(lo, c - 2 + lo) if a == ax_i else slice(1, c - 1)
+                     for a, c in enumerate(counts))
+
+    shifts = [(shifted(ax_i, 2), shifted(ax_i, 0)) for ax_i in range(d)]
+    slice_worst, slice_node = np.zeros(N - 1), np.zeros(N - 1, dtype=int)
+    slice_count = np.zeros(N - 1, dtype=int)
+    skipped = skipped_boundary = 0
+    for j in range(1, N):
+        xi_t = ((vg.values[j + 1] - vg.values[j - 1]) / (2.0 * dt))[interior].reshape(-1)
+        grads = np.empty((Qi, d))
+        arg = vg.argmin[j]
+        kink = np.zeros(tuple(c - 2 for c in counts), dtype=bool)
+        taint = (vg.tainted[j - 1][interior] | vg.tainted[j][interior]
+                 | vg.tainted[j + 1][interior])
+        for ax_i, (up, dn) in enumerate(shifts):
+            grads[:, ax_i] = ((vg.values[j][up] - vg.values[j][dn])
+                              / (2.0 * vg.axes[ax_i].spacing)).reshape(-1)
+            kink |= (arg[up] != arg[interior]) | (arg[dn] != arg[interior])
+            taint |= vg.tainted[j][up] | vg.tainted[j][dn]
+        kink, taint = kink.reshape(-1), taint.reshape(-1)
+        t = vg.grid.nodes[j]
+        ham, _ = p.dynamics.min_pairing(t, X, grads.reshape(X.shape),
+                                        p.controls.active_set(t))
+        res = np.abs(xi_t + ham)
+        mask = ~kink & ~taint
+        skipped += int(kink.sum())
+        skipped_boundary += int((taint & ~kink).sum())
+        q = int(np.argmax(np.where(mask, res, -np.inf)))
+        slice_worst[j - 1], slice_node[j - 1], slice_count[j - 1] = res[q], q, mask.sum()
+    return _sampled_report(
+        p, "hjb_residual", kappa * (dt + dz), slice_worst,
+        lambda i: {"t": float(vg.grid.nodes[i + 1]), "z": Z[slice_node[i]].tolist(),
+                   "time_index": i + 1},
+        None, evaluated=slice_count, why_empty="every node was skipped",
+        skipped_kinks=skipped, skipped_boundary=skipped_boundary,
+        kappa=kappa, dt=dt, dz=dz)
+
+
+_T_DEPENDENT = {
+    "format": "enoc-problem/1",
+    "space": {"format": "enoc-space/1",
+              "atoms": [{"id": "a", "coords": [0.5]}, {"id": "b", "coords": [1.0]}],
+              "weights": [0.5, 0.5]},
+    "n": 1, "m": 1, "horizon": 1.0,
+    "dynamics": {"expressions": ["w1 * x1 * cos(3 * t) + u1"],
+                 "growth_c": 2.0, "lipschitz_k": 1.0},
+    "cost": {"expression": "(x1 - w1) ** 2"},
+    "controls": {"breakpoints": [0.0], "sets": [[[-1.0], [0.0], [1.0]]]},
+}
+# three control sets of 3, 2 and 5 points, switched twice inside the horizon
+_SWITCHING = dict(_T_DEPENDENT, controls={
+    "breakpoints": [0.0, 0.37, 0.71],
+    "sets": [[[-1.0], [0.0], [1.0]], [[-0.5], [0.5]],
+             [[-1.0], [-0.5], [0.0], [0.5], [1.0]]]})
+
+_HJB_CASES = [
+    (lambda: builtin("linear-ensemble"), [Axis(-5.0, 5.0, 41)] * 2, 50),
+    (lambda: builtin("bilinear"), [Axis(-2.0, 2.0, 31)] * 2, 20),
+    (lambda: builtin("decoupled-quadratic"), [Axis(-2.0, 2.0, 61)], 40),
+    (lambda: builtin("linear-ensemble", M=2, n=2, a=[0.5, -0.3], c=[2.0, 1.0]),
+     [Axis(-2.0, 2.0, 9)] * 4, 8),
+    (lambda: builtin("linear-ensemble", M=4), [Axis(-2.0, 2.0, 7)] * 4, 8),
+    (lambda: problem_from_dict(_T_DEPENDENT), [Axis(-2.0, 2.0, 41)] * 2, 30),
+    (lambda: problem_from_dict(_SWITCHING), [Axis(-2.0, 2.0, 41)] * 2, 30),
+    # 199^2 interior nodes: one slice per slab
+    (lambda: builtin("linear-ensemble"), [Axis(-5.0, 5.0, 201)] * 2, 20),
+]
+_HJB_IDS = ["linear-ensemble", "bilinear", "decoupled-quadratic", "linear-M2-n2",
+            "linear-M4", "expr-t-dependent", "expr-switching", "slice-per-slab"]
+
+
+def assert_same_report(rep, ref):
+    assert rep.worst == ref.worst or (np.isnan(rep.worst) and np.isnan(ref.worst))
+    assert (rep.witness, rep.details, rep.passed) == (ref.witness, ref.details, ref.passed)
+
+
+@pytest.mark.parametrize("make, axes, steps", _HJB_CASES, ids=_HJB_IDS)
+def test_hjb_is_the_per_slice_loop(make, axes, steps):
+    p = make()
+    vg = value_dp(p, axes, TimeGrid(0.0, p.horizon, steps))
+    rep = hjb_residual(vg, p)
+    assert rep.details["evaluated"] > 0
+    assert_same_report(rep, per_slice_hjb(vg, p))
+
+
+@pytest.mark.parametrize("slices", [1, 2, 7])
+def test_hjb_slabs_split_runs_of_one_control_set(slices, monkeypatch):
+    # slabs of one slice, of two, and of seven, which end inside a run of one
+    # active set as often as at a switch; a NaN node must win its slice.  A
+    # slab's node works with 4 d + 2 K + 6 = 24 floats (d = 2, K = 5)
+    p = problem_from_dict(_SWITCHING)
+    vg = value_dp(p, [Axis(-2.0, 2.0, 41)] * 2, TimeGrid(0.0, 1.0, 30))
+    monkeypatch.setattr(enoc.verify, "_SLAB", slices * 39 ** 2 * 24)
+    assert_same_report(hjb_residual(vg, p), per_slice_hjb(vg, p))
+    vg.values[12][20, 21] = np.nan
+    rep = hjb_residual(vg, p)
+    assert np.isnan(rep.worst) and rep.witness["time_index"] in (11, 12, 13)
+    assert_same_report(rep, per_slice_hjb(vg, p))
+
+
+def test_hjb_memory_is_set_by_the_slab_not_the_slices():
+    # a 201^2 x 100-step table holds 32 MB of values; a slab works with at
+    # most _SLAB floats, or with one slice when a slice alone needs more:
+    # here 199^2 interior nodes x 20 floats (d = 2, K = 3), about 6 MB
+    p = builtin("linear-ensemble")
+    vg = value_dp(p, [Axis(-5.0, 5.0, 201)] * 2, TimeGrid(0.0, 1.0, 100))
+    tracemalloc.start()
+    try:
+        rep = hjb_residual(vg, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.details["evaluated"] > 0
+    slab_bytes = 8 * max(enoc.verify._SLAB, 199 ** 2 * 20)
+    assert peak < 1.5 * slab_bytes < vg.values.nbytes / 3
 
 
 # -- invariance ---------------------------------------------------------------
