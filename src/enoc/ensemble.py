@@ -120,11 +120,11 @@ def _rk4_stages(fld, t, h, X, u):
     """The RK4 tableau, held once: the stage times, stage points and first three
     slopes of one step from (t, X); t and h are scalars or of X's lead shape."""
     hx = h[..., None, None] if np.ndim(h) else h
-    mid = t + 0.5 * h
+    mid, half = t + 0.5 * h, 0.5 * hx
     ts, xs, ks = (t, mid, mid, t + h), [X], []
-    for a, t_i in zip((0.5, 0.5, 1.0), ts):         # the tableau's subdiagonal
+    for a_h, t_i in zip((half, half, hx), ts):      # the tableau's subdiagonal, times h
         ks.append(fld(t_i, xs[-1], u))
-        xs.append(X + a * hx * ks[-1])
+        xs.append(X + a_h * ks[-1])
     return ts, xs, ks
 
 

@@ -30,7 +30,7 @@ from .ensemble import (TimeGrid, _check_start, _integrate_batch, integrate,
 from .value import (ValueGrid, _node_mesh, build_oracle_tree,
                     terminal_functional, value_oracle)
 
-_SLAB = 2 ** 18        # floats one slab of hjb_residual's slices works with (2 MB)
+_SLAB = 2 ** 17        # floats one slab of hjb_residual's slices works with (1 MB)
 
 
 # -- finite-difference residual of the terminal-value recursion --------------
