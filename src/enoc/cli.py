@@ -237,12 +237,13 @@ def cmd_solve(args) -> int:
         query = ValueQuery(s=s, phi=phi, method=method, steps=int(cfg["steps"]),
                            axes=_dp_axes(cfg, p) if method == "dp" else None,
                            budget=int(cfg["budget"]))
-        res = compute_value(p, query)
+        # dp streams its table into the value grid file as it makes it
+        res = compute_value(p, query, os.path.join(out, "value_grid.bin")
+                            if method == "dp" else None)
         values[method] = res.value
         if res.grid is not None:
             # dp's value is the cost its rollout realizes; the table's is kept
             values["dp_table"] = res.table_value
-            res.grid.save(os.path.join(out, "value_grid.bin"))
             artifacts.append("value_grid.bin")
         timings[method] = time.perf_counter() - t0
         cname = f"control_{method}.csv"
@@ -362,7 +363,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_query(args) -> int:
-    vg = ValueGrid.load(args.grid_file)
+    # the mapped grid reads the header and the one slice value_at interpolates
+    vg = ValueGrid.map(args.grid_file)
     z = np.array([float(v) for v in args.state.split(",")])
     val = vg.value_at(float(args.time), z)
     print(_FMT % val)

@@ -439,11 +439,15 @@ def _expression_problem(doc, base_dir) -> ProblemSpec:
 
     exprs = _get(doc, "dynamics.expressions", compile_dynamics)
     coords = space.coords if d else np.zeros((space.size, 0))
+    # the variable names and the atoms' coordinate columns, built once
+    x_names = [f"x{k+1}" for k in range(n)]
+    u_names = [f"u{k+1}" for k in range(m)]
+    w_columns = {f"w{k+1}": coords[:, k] for k in range(d)}
 
     def env_for(X):
         X = np.asarray(X, dtype=float)
-        env = {f"x{k+1}": X[..., k] for k in range(n)}
-        env.update({f"w{k+1}": coords[:, k] for k in range(d)})
+        env = {name: X[..., k] for k, name in enumerate(x_names)}
+        env.update(w_columns)
         return env
 
     def f_ens(t, X, u):
@@ -452,9 +456,12 @@ def _expression_problem(doc, base_dir) -> ProblemSpec:
         env = env_for(X)
         env["t"] = t if np.ndim(t) == 0 else np.asarray(t)[..., None]
         uu = np.asarray(u, dtype=float)
-        env.update({f"u{k+1}": uu[..., k, None] for k in range(m)})
-        comps = [np.broadcast_to(e(**env), np.shape(X)[:-1]) for e in exprs]
-        return np.stack(comps, axis=-1).astype(float)
+        env.update({name: uu[..., k, None] for k, name in enumerate(u_names)})
+        # each component broadcasts over X's lead shape as it is assigned
+        out = np.empty(np.shape(X))
+        for k, e in enumerate(exprs):
+            out[..., k] = e(**env)
+        return out
 
     texpr = _get(doc, "dynamics.omega_modulus",
                  lambda src: None if src is None else Expression(src, ["r"]), None)

@@ -15,8 +15,11 @@ extrapolated.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
 import math
+import mmap
 import os
 import struct
 import warnings
@@ -267,6 +270,18 @@ def _node_mesh(coords):
     return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
 
+def _clamped(axes, Y):
+    """The clamp test of :func:`_stencil`: the mask of query rows Y (Q, d)
+    outside the box of ``axes``.  A NaN coordinate raises ValueError."""
+    if np.isnan(Y).any():
+        raise ValueError("interpolation query has a NaN coordinate")
+    clamped = np.zeros(Y.shape[0], dtype=bool)
+    for ax, y in zip(axes, Y.T):
+        fi = (y - ax.lo) / ax.spacing
+        clamped |= (fi < 0.0) | (fi > ax.count - 1.0)
+    return clamped
+
+
 def _stencil(axes, Y):
     """Multilinear stencil of the query rows Y (Q, d) in a C-order table over
     ``axes``, with boundary clamping.
@@ -276,17 +291,13 @@ def _stencil(axes, Y):
     within 1e-12 of a node snap to it, so queries at grid nodes reproduce
     node values and every per-axis weight is 0 or at least about 1e-12.
     """
-    if np.isnan(Y).any():
-        raise ValueError("interpolation query has a NaN coordinate")
+    clamped = _clamped(axes, Y)
     d = len(axes)
     strides = [math.prod(ax.count for ax in axes[k + 1:]) for k in range(d)]
-    clamped = np.zeros(Y.shape[0], dtype=bool)
     base = np.zeros(Y.shape[0], dtype=np.intp)
     pairs = []
     for ax, y, stride in zip(axes, Y.T, strides):
-        fi = (y - ax.lo) / ax.spacing
-        clamped |= (fi < 0.0) | (fi > ax.count - 1.0)
-        fi = np.clip(fi, 0.0, ax.count - 1.0)
+        fi = np.clip((y - ax.lo) / ax.spacing, 0.0, ax.count - 1.0)
         i0 = np.minimum(np.floor(fi).astype(np.intp), ax.count - 2)
         frac = fi - i0
         frac[frac < 1e-12] = 0.0
@@ -372,7 +383,8 @@ class ValueGrid:
     ``tainted[j]`` marks nodes whose value depends on at least one clamped
     (out-of-grid) lookup anywhere later in the recursion; residual checks
     treat them as boundary-influenced rather than as evidence about the
-    equation.
+    equation.  The tables are arrays in memory, or read-only views of a
+    mapped value-grid file (:meth:`map`).
     """
 
     grid: TimeGrid
@@ -414,33 +426,19 @@ class ValueGrid:
     # -- persistence ----------------------------------------------------
 
     def save(self, path):
-        """Documented binary layout: magic, u64 header length, JSON header
-        (grid, axes, counters), then C-order float64 values, int32 argmin and
-        one byte (0 or 1) per taint flag.  The values and the taint are written
-        from their own memory through a byte view, so saving copies neither
-        unless it is not already contiguous in that dtype.  The argmin, of any
-        integer dtype in memory, is flattened (a view when contiguous) and
-        widened to int32 in chunks of _LEAF_BLOCK entries, so the file is the
-        same whatever that dtype."""
-        header = {
-            "s": self.grid.s, "T": self.grid.T, "steps": self.grid.steps,
-            "axes": [[ax.lo, ax.hi, ax.count] for ax in self.axes],
-            "clamp_count": self.clamp_count,
-            "coverage_radius": self.coverage_radius,
-            "coverage_ok": self.coverage_ok,
-            "meta": self.meta,
-        }
-        blob = json.dumps(header, sort_keys=True).encode()
-        with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<Q", len(blob)))
-            fh.write(blob)
-            fh.write(memoryview(np.ascontiguousarray(self.values, dtype="<f8")).cast("B"))
-            arg = np.ravel(self.argmin)
-            for lo in range(0, arg.size, _LEAF_BLOCK):
-                fh.write(memoryview(arg[lo:lo + _LEAF_BLOCK].astype("<i4")).cast("B"))
-            fh.write(memoryview(np.ascontiguousarray(self.tainted, dtype=bool)
-                                .view(np.uint8)).cast("B"))
+        """Write the ENOCVG1 file (see :class:`_Layout`) slice by slice
+        through :func:`_grid_writer`, which writes the values and the taint
+        from their own memory and widens the argmin, of any integer dtype in
+        memory, to int32 in chunks, so the file is the same whatever that
+        dtype.  The file is made under a temporary name and then replaces
+        ``path``, so saving onto the file a grid is mapped from does not
+        truncate it under the mapping."""
+        header = _grid_header(self.grid, self.axes, self.clamp_count,
+                              self.coverage_radius, self.coverage_ok, self.meta)
+        with _grid_writer(path, header) as write:
+            for j in range(self.grid.steps + 1):
+                write(j, self.values[j], self.tainted[j],
+                      self.argmin[j] if j < self.grid.steps else None)
 
     @classmethod
     def load(cls, path):
@@ -448,33 +446,130 @@ class ValueGrid:
         into its own array (the argmin as the file's int32); a short read or a
         trailing byte raises ValueError naming the file."""
         with open(path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
+            header, layout = _read_header(fh, path)
+            tables = []
+            for _, dtype, count in layout.tables.values():
+                tables.append(np.empty((count,) + layout.shape, dtype))
+                fh.readinto(memoryview(tables[-1]).cast("B"))
+        # any nonzero taint byte reads as True, as astype(bool) would
+        taint = tables[2].view(np.uint8)
+        np.minimum(taint, 1, out=taint)
+        return cls._from_header(header, *tables)
 
-            def read(shape, dtype=np.uint8):
-                if fh.tell() + math.prod(shape) * np.dtype(dtype).itemsize > size:
-                    raise ValueError(f"{path} is truncated at {size} bytes")
-                table = np.empty(shape, dtype)
-                fh.readinto(memoryview(table).cast("B"))
-                return table
+    @classmethod
+    def map(cls, path):
+        """Map a file :meth:`save` writes read-only, after the checks of
+        :meth:`load`: every table is a view of the mapping, so a reader
+        touches only the pages it reads.  The argmin is the file's int32 and
+        the taint its bytes as bool (numpy's boolean operations read any
+        nonzero byte as True)."""
+        with open(path, "rb") as fh:
+            header, layout = _read_header(fh, path)
+            buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        size = math.prod(layout.shape)
+        return cls._from_header(header, *(
+            np.frombuffer(buf, dtype, count * size, at).reshape((count,) + layout.shape)
+            for at, dtype, count in layout.tables.values()))
 
-            if fh.read(len(_MAGIC)) != _MAGIC:
-                raise ValueError(f"{path} is not a value-grid file")
-            (hlen,) = struct.unpack("<Q", read((8,)))
-            header = json.loads(read((hlen,)).tobytes())
-            axes = [Axis(*trip) for trip in header["axes"]]
-            shape = tuple(ax.count for ax in axes)
-            values = read((header["steps"] + 1,) + shape, "<f8")
-            argmin = read((header["steps"],) + shape, "<i4")
-            taint = read((header["steps"] + 1,) + shape)
-            # any nonzero byte reads as True, as astype(bool) would
-            tainted = np.minimum(taint, 1, out=taint).view(bool)
-            if fh.tell() != size:
-                raise ValueError(f"{path} has {size - fh.tell()} trailing bytes")
-        grid = TimeGrid(header["s"], header["T"], header["steps"])
-        return cls(grid=grid, axes=axes, values=values, argmin=argmin,
-                   tainted=tainted, clamp_count=header["clamp_count"],
+    @classmethod
+    def _from_header(cls, header, values, argmin, tainted):
+        return cls(grid=TimeGrid(header["s"], header["T"], header["steps"]),
+                   axes=[Axis(*trip) for trip in header["axes"]], values=values,
+                   argmin=argmin, tainted=tainted, clamp_count=header["clamp_count"],
                    coverage_radius=header["coverage_radius"],
                    coverage_ok=header["coverage_ok"], meta=header.get("meta", {}))
+
+
+def _grid_header(grid, axes, clamp_count, coverage_radius, coverage_ok, meta):
+    return {"s": grid.s, "T": grid.T, "steps": grid.steps,
+            "axes": [[ax.lo, ax.hi, ax.count] for ax in axes],
+            "clamp_count": clamp_count, "coverage_radius": coverage_radius,
+            "coverage_ok": coverage_ok, "meta": meta}
+
+
+class _Layout:
+    """The ENOCVG1 file: magic, u64 header length and JSON header, then the
+    tables from offset ``start`` on: C-order float64 values (steps + 1
+    slices), int32 argmin (steps slices) and one byte (0 or 1) per taint flag
+    (steps + 1 slices), each slice of ``shape``.  ``tables`` maps each table
+    to (offset, dtype, slices), and every slice sits at a fixed offset, so a
+    slice is written or read alone."""
+
+    def __init__(self, start, steps, shape):
+        self.shape = tuple(shape)
+        self.tables = {}
+        for name, dtype, count in (("values", "<f8", steps + 1), ("argmin", "<i4", steps),
+                                   ("tainted", "?", steps + 1)):
+            self.tables[name] = (start, np.dtype(dtype), count)
+            start += count * self.slice_bytes(name)
+        self.size = start
+
+    def slice_bytes(self, name):
+        return math.prod(self.shape) * self.tables[name][1].itemsize
+
+    def offset(self, name, j):
+        return self.tables[name][0] + j * self.slice_bytes(name)
+
+
+@contextlib.contextmanager
+def _grid_writer(path, header):
+    """Write an ENOCVG1 file slice by slice: yields ``write(j, values,
+    tainted, argmin=None)``, which puts slice j of each given table at its
+    offset, in any order.  The values and the taint are written from their
+    own memory through a byte view (no copy when already contiguous in that
+    dtype); the argmin is widened to int32 in chunks of _LEAF_BLOCK entries.
+    The file is made under a temporary name next to ``path`` and replaces it
+    when the block ends; if the block raises, it is deleted."""
+    blob = json.dumps(header, sort_keys=True).encode()
+    layout = _Layout(len(_MAGIC) + 8 + len(blob), header["steps"],
+                     [trip[2] for trip in header["axes"]])
+    tmp = os.fspath(path) + ".part"
+
+    def write(fh, j, values, tainted, argmin=None):
+        fh.seek(layout.offset("values", j))
+        fh.write(memoryview(np.ascontiguousarray(values, dtype="<f8")).cast("B"))
+        if argmin is not None:
+            fh.seek(layout.offset("argmin", j))
+            arg = np.ravel(argmin)
+            for lo in range(0, arg.size, _LEAF_BLOCK):
+                fh.write(memoryview(arg[lo:lo + _LEAF_BLOCK].astype("<i4")).cast("B"))
+        fh.seek(layout.offset("tainted", j))
+        fh.write(memoryview(np.ascontiguousarray(tainted, dtype=bool)
+                            .view(np.uint8)).cast("B"))
+
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_MAGIC + struct.pack("<Q", len(blob)) + blob)
+            yield functools.partial(write, fh)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
+def _read_header(fh, path):
+    """The header and :class:`_Layout` of the value-grid file open as ``fh``,
+    whose size must be exactly the layout's: a short file or a trailing byte
+    raises ValueError naming ``path``."""
+    size = os.fstat(fh.fileno()).st_size
+
+    def read(count):
+        if fh.tell() + count > size:
+            raise ValueError(f"{path} is truncated at {size} bytes")
+        return fh.read(count)
+
+    if fh.read(len(_MAGIC)) != _MAGIC:
+        raise ValueError(f"{path} is not a value-grid file")
+    (hlen,) = struct.unpack("<Q", read(8))
+    header = json.loads(read(hlen))
+    layout = _Layout(fh.tell(), header["steps"],
+                     [Axis(*trip).count for trip in header["axes"]])
+    if layout.size > size:
+        raise ValueError(f"{path} is truncated at {size} bytes")
+    if layout.size < size:
+        raise ValueError(f"{path} has {size - layout.size} trailing bytes")
+    return header, layout
 
 
 def _check_atomwise(fld, t, Xb, u):
@@ -499,7 +594,30 @@ def _argmin_dtype(sets):
     return np.min_scalar_type(max(len(pts) for pts in sets) - 1)
 
 
-def value_dp(p: ProblemSpec, axes, grid: TimeGrid, phi_radius=None) -> ValueGrid:
+def _feet(fld, t, h, Xb, pts, sizes):
+    """Feet of one explicit Euler substep from the block nodes Xb (rows, M,
+    n) under every control of pts (K, m), in one field call on the nodes
+    repeated per control (K, rows, M, n) with u of shape (K, rows, m): block
+    i's feet (K * size_i, n), control k owning rows k * size_i up to
+    (k + 1) * size_i."""
+    K, rows, _, n = (len(pts),) + Xb.shape
+    XK = np.repeat(Xb[None], K, axis=0)
+    F = fld(t, XK, np.broadcast_to(pts[:, None, :], (K, rows, pts.shape[1])))
+    return [(XK[:, :size, i] + h * F[:, :size, i]).reshape(-1, n)
+            for i, size in enumerate(sizes)]
+
+
+def _clamps(masks, sizes):
+    """Clamped lookups of one step from the per-block clamp masks (K *
+    size_i,): a node's lookup clamps unless every block's foot is inside."""
+    K = masks[0].size // sizes[0]
+    inside = math.prod(size - mask.reshape(K, size).sum(axis=1)
+                       for mask, size in zip(masks, sizes))
+    return int((math.prod(sizes) - inside).sum())
+
+
+def value_dp(p: ProblemSpec, axes, grid: TimeGrid, phi_radius=None,
+             path=None) -> ValueGrid:
     """Backward one-step recursion over the stacked-coordinate tensor grid.
 
     ``phi_radius``, when given, is the largest per-atom state norm of the
@@ -531,6 +649,15 @@ def value_dp(p: ProblemSpec, axes, grid: TimeGrid, phi_radius=None) -> ValueGrid
     first argmin.  The arithmetic of every node is that of one control at a
     time.  The argmin table holds the narrowest unsigned type for the
     largest control set on the grid (uint8 up to 256 controls).
+
+    The recursion needs only slice j + 1 to make slice j.  With ``path``,
+    each finished slice of the values, argmin and taint goes into that
+    ENOCVG1 file (see :meth:`ValueGrid.save`) as it is made, so the sweep
+    holds two value and taint slices and one argmin slice instead of the
+    tables; the file's header holds the clamp count, which a pre-pass counts
+    from the feet with the sweep's clamp test first.  The result then maps
+    the file read-only (:meth:`ValueGrid.map`), and a sweep that raises
+    leaves no file.  Without it the tables are held in memory.
     """
     axes = _as_axes(axes)
     M, n = p.space.size, p.n
@@ -561,10 +688,14 @@ def value_dp(p: ProblemSpec, axes, grid: TimeGrid, phi_radius=None) -> ValueGrid
 
     N = grid.steps
     sets = [p.controls.active_set(t) for t in grid.nodes[:-1]]
-    values = np.empty((N + 1,) + shape)
-    argmin = np.empty((N,) + shape, dtype=_argmin_dtype(sets))
-    tainted = np.zeros((N + 1,) + shape, dtype=bool)
-    values[N] = _terminal_sums(p, X, "grid node", finite=True).reshape(shape)
+    # step j writes slot j % slots of the values and the taint and slot
+    # j % len(argmin) of the argmin: the whole table in memory, a two-slot
+    # ring and one argmin slice when the slices stream into a file
+    slots = N + 1 if path is None else 2
+    values = np.empty((slots,) + shape)
+    argmin = np.empty((N if path is None else 1,) + shape, dtype=_argmin_dtype(sets))
+    tainted = np.zeros((slots,) + shape, dtype=bool)
+    values[N % slots] = _terminal_sums(p, X, "grid node", finite=True).reshape(shape)
 
     # block i lists the node mesh of atom i's n axes; shorter blocks repeat
     # their nodes cyclically up to the longest
@@ -582,59 +713,70 @@ def value_dp(p: ProblemSpec, axes, grid: TimeGrid, phi_radius=None) -> ValueGrid
     cand, mask = np.empty((width,) + sizes), np.empty((width,) + sizes, dtype=bool)
     better = np.empty(Q, dtype=bool)
     scratch = np.empty((3, width * Q)), np.empty((3, width * Q), dtype=bool)
-    clamp_total = 0
-    for j in range(N - 1, -1, -1):
-        t = grid.nodes[j]
-        h = grid.nodes[j + 1] - grid.nodes[j]
-        pts = sets[j]
-        K = pts.shape[0]
-        # one field call and one stencil per block serve all K candidates:
-        # candidate k owns rows k * size_i up to (k + 1) * size_i of block i
-        XK = np.repeat(Xb[None], K, axis=0)
-        F = fld(t, XK, np.broadcast_to(pts[:, None, :], (K, rows, p.m)))
-        stencils = [_stencil(blk, (XK[:, :size, i] + h * F[:, :size, i]).reshape(-1, n))
-                    for i, (blk, size) in enumerate(zip(blk_axes, sizes))]
-        # past mode 0, candidate k reads its own slab of its batch's result
-        offsets = [np.repeat(np.arange(K) % width * size, size) if i else 0
-                   for i, size in enumerate(sizes)]
-        ops = [[(idx + off, wgt) for idx, wgt in corners]
-               for (corners, _), off in zip(stencils, offsets)]
-        supports = [[(idx, wgt > 0.0) for idx, wgt in corners] for corners in ops]
-        nxt, nxt_taint = values[j + 1].reshape(sizes), tainted[j + 1].reshape(sizes)
-        vals, taint = values[j].reshape(sizes), tainted[j].reshape(sizes)
-        arg = argmin[j].reshape(-1)
-        # a node's lookup clamps unless every block's foot is inside
-        inside = np.prod([size - clamped.reshape(K, size).sum(axis=1)
-                          for (_, clamped), size in zip(stencils, sizes)], axis=0)
-        clamp_total += int((Q - inside).sum())
-        for lo in range(0, K, width):
-            hi = min(lo + width, K)
-            cut = [slice(lo * size, hi * size) for size in sizes]
-            # a lone candidate 0 writes step j's slices; the others fold into
-            # them through a running min and first argmin, and a node is
-            # trustworthy only if every candidate branch is
-            v_out, t_out = ((vals[None], taint[None]) if hi == 1
-                            else (cand[:hi - lo], mask[:hi - lo]))
-            _kron_apply(nxt, [[(idx[c], wgt[c]) for idx, wgt in corners]
-                              for corners, c in zip(ops, cut)],
-                        v_out, scratch[0])
-            _kron_apply(nxt_taint, [[(idx[c], sup[c]) for idx, sup in corners]
-                                    for corners, c in zip(supports, cut)],
-                        t_out, scratch[1], np.logical_and, np.logical_or)
-            for i, ((_, clamped), c) in enumerate(zip(stencils, cut)):
-                t_out |= clamped[c].reshape((hi - lo,) + (1,) * i + (-1,)
-                                            + (1,) * (M - 1 - i))
-            for k in range(lo, hi):
-                if k == 0:
-                    if hi > 1:
-                        vals[...], taint[...] = cand[0], mask[0]
-                    arg[:] = 0
-                    continue
-                np.less(cand[k - lo], vals, out=better.reshape(sizes))
-                np.copyto(arg, k, where=better)
-                np.minimum(vals, cand[k - lo], out=vals)
-                taint |= mask[k - lo]
 
+    def feet(j):
+        return _feet(fld, grid.nodes[j], grid.nodes[j + 1] - grid.nodes[j], Xb, sets[j],
+                     sizes)
+
+    clamp_total = 0
+    if path is not None:
+        # the file's header holds the clamp count, so a pre-pass counts it
+        # from the feet before the first slice is written
+        clamp_total = sum(_clamps([_clamped(blk, Y) for blk, Y in zip(blk_axes, feet(j))],
+                                  sizes) for j in range(N))
+    writer = (contextlib.nullcontext() if path is None else _grid_writer(
+        path, _grid_header(grid, axes, clamp_total, float(coverage_radius), coverage_ok,
+                           dict(p.meta))))
+    with writer as write:
+        if write:
+            write(N, values[N % slots], tainted[N % slots])
+        for j in range(N - 1, -1, -1):
+            K = sets[j].shape[0]
+            stencils = [_stencil(blk, Y) for blk, Y in zip(blk_axes, feet(j))]
+            if path is None:
+                clamp_total += _clamps([clamped for _, clamped in stencils], sizes)
+            # past mode 0, candidate k reads its own slab of its batch's result
+            offsets = [np.repeat(np.arange(K) % width * size, size) if i else 0
+                       for i, size in enumerate(sizes)]
+            ops = [[(idx + off, wgt) for idx, wgt in corners]
+                   for (corners, _), off in zip(stencils, offsets)]
+            supports = [[(idx, wgt > 0.0) for idx, wgt in corners] for corners in ops]
+            nxt = values[(j + 1) % slots].reshape(sizes)
+            nxt_taint = tainted[(j + 1) % slots].reshape(sizes)
+            vals, taint = values[j % slots].reshape(sizes), tainted[j % slots].reshape(sizes)
+            arg = argmin[j % len(argmin)].reshape(-1)
+            for lo in range(0, K, width):
+                hi = min(lo + width, K)
+                cut = [slice(lo * size, hi * size) for size in sizes]
+                # a lone candidate 0 writes step j's slices; the others fold
+                # into them through a running min and first argmin, and a
+                # node is trustworthy only if every candidate branch is
+                v_out, t_out = ((vals[None], taint[None]) if hi == 1
+                                else (cand[:hi - lo], mask[:hi - lo]))
+                _kron_apply(nxt, [[(idx[c], wgt[c]) for idx, wgt in corners]
+                                  for corners, c in zip(ops, cut)],
+                            v_out, scratch[0])
+                _kron_apply(nxt_taint, [[(idx[c], sup[c]) for idx, sup in corners]
+                                        for corners, c in zip(supports, cut)],
+                            t_out, scratch[1], np.logical_and, np.logical_or)
+                for i, ((_, clamped), c) in enumerate(zip(stencils, cut)):
+                    t_out |= clamped[c].reshape((hi - lo,) + (1,) * i + (-1,)
+                                                + (1,) * (M - 1 - i))
+                for k in range(lo, hi):
+                    if k == 0:
+                        if hi > 1:
+                            vals[...], taint[...] = cand[0], mask[0]
+                        arg[:] = 0
+                        continue
+                    np.less(cand[k - lo], vals, out=better.reshape(sizes))
+                    np.copyto(arg, k, where=better)
+                    np.minimum(vals, cand[k - lo], out=vals)
+                    taint |= mask[k - lo]
+            if write:
+                write(j, vals, taint, arg)
+
+    if path is not None:
+        return ValueGrid.map(path)
     return ValueGrid(grid=grid, axes=axes, values=values, argmin=argmin,
                      tainted=tainted, clamp_count=clamp_total,
                      coverage_radius=float(coverage_radius),
@@ -793,7 +935,7 @@ class QueryResult:
     table_value: float = None    # dp: the interpolated table value at (s, phi)
 
 
-def compute_value(p: ProblemSpec, query: ValueQuery) -> QueryResult:
+def compute_value(p: ProblemSpec, query: ValueQuery, path=None) -> QueryResult:
     """Evaluate one query by the selected method.
 
     The oracle is exact for the discretized problem, dp tabulates and
@@ -802,9 +944,16 @@ def compute_value(p: ProblemSpec, query: ValueQuery) -> QueryResult:
     terminal functional its control realizes.  The dp control is the
     nearest-node greedy rollout of the argmin table; the interpolated table
     value at (s, phi) is kept as ``table_value``.
+
+    ``path``, dp only, names the file the table streams into as
+    :func:`value_dp` makes it; the result's grid then maps that file, and a
+    failure anywhere in the query leaves no file there.  Without it the table
+    is held in memory.
     """
     if not (0.0 <= query.s < p.horizon):
         raise ValueError(f"query time {query.s} outside [0, {p.horizon})")
+    if path is not None and query.method != "dp":
+        raise ValueError(f"the {query.method} method writes no value grid")
     if query.method == "oracle" and query.steps > query.budget:
         # every level holds a node, so this fails before the grid is allocated
         raise CapacityError(f"enumeration needs {query.steps} levels, budget "
@@ -831,11 +980,16 @@ def compute_value(p: ProblemSpec, query: ValueQuery) -> QueryResult:
     if query.method == "dp":
         with np.errstate(over="ignore"):        # a norm past 1.3e154 reads as inf
             phi_radius = float(np.linalg.norm(query.phi.values, axis=1).max())
-        vg = value_dp(p, query.axes, grid, phi_radius=phi_radius)
-        sig, traj = greedy_rollout(p, vg, query.phi)
-        return QueryResult(value=terminal_functional(p, traj.terminal), control=sig,
-                           trajectory=traj, grid=vg,
-                           table_value=vg.value_at(query.s, stack_state(query.phi)))
+        vg = value_dp(p, query.axes, grid, phi_radius=phi_radius, path=path)
+        try:
+            sig, traj = greedy_rollout(p, vg, query.phi)
+            return QueryResult(value=terminal_functional(p, traj.terminal), control=sig,
+                               trajectory=traj, grid=vg,
+                               table_value=vg.value_at(query.s, stack_state(query.phi)))
+        except BaseException:
+            if path is not None:
+                os.unlink(path)
+            raise
     if query.method == "adjoint":
         res = value_adjoint(p, query.s, query.phi, grid)
         return QueryResult(value=res.value, control=res.control,

@@ -5,6 +5,7 @@ import inspect
 import io
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import enoc.cli
-from enoc import (ControlSchedule, ControlSignal, DynamicsSpec, EnsembleState,
-                  GridCoverageWarning, ParameterSpace, ProblemSpec,
-                  TerminalCostSpec, TimeGrid, builtin, integrate, load_problem)
+import enoc.value
+from enoc import (ControlSchedule, ControlSignal, DivergenceError, DynamicsSpec,
+                  EnsembleState, GridCoverageWarning, ParameterSpace, ProblemSpec,
+                  TerminalCostSpec, TimeGrid, ValueGrid, builtin, integrate,
+                  load_problem)
 from enoc.cli import _dpp_check, main
 from enoc.library import _BUILTINS
 
@@ -444,6 +447,75 @@ def test_query_rejects_truncated_and_padded_grid_files(small_grid_file, tmp_path
         assert rc == 2
         captured = capsys.readouterr()
         assert captured.out == "" and str(bad) in captured.err
+
+
+def test_query_reads_one_slice_of_the_grid(tmp_path, capsys):
+    # a 201^2 x 100 grid, 52.9 MB on disk; the query interpolates slice 0
+    out = tmp_path / "big"
+    assert run(["solve", "--problem", "linear-ensemble", "--method", "dp",
+                "--steps", "100", "--grid=-4:4:201", "--out", str(out)]) == 0
+    path = out / "value_grid.bin"
+    assert path.stat().st_size > 50e6
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        rc = run(["query", "--grid-file", str(path), "--time", "0", "--state", "0.3,-0.4"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0 and peak < 2 * 2 ** 20
+    want = ValueGrid.load(path).value_at(0.0, np.array([0.3, -0.4]))
+    assert capsys.readouterr().out == "%.17g\n" % want
+
+
+def _nan_field_mid_horizon():
+    """x' = -x + u, whose velocity is NaN at t = 0.5 only (no warning)."""
+    def field(t, X, u):
+        mid = (np.asarray(t) >= 0.4) & (np.asarray(t) < 0.6)
+        return np.where(mid[..., None, None], np.nan, -X + np.asarray(u)[..., None, :])
+    space = ParameterSpace(weights=[0.5, 0.5], coords=[[0.0], [1.0]])
+    return ProblemSpec(space=space, n=1, m=1,
+                       dynamics=DynamicsSpec(eval_ens=field, growth_c=2.0, lipschitz_k=1.0),
+                       cost=TerminalCostSpec(eval_ens=lambda X: X[..., 0] ** 2,
+                                             lower_bound_a=np.zeros(2), lower_bound_b=0.0),
+                       controls=ControlSchedule.constant([[-1.0], [1.0]]), horizon=1.0)
+
+
+@pytest.mark.parametrize("failure", ["nan-foot", "terminal-overflow", "mid-sweep",
+                                     "rollout"])
+@pytest.mark.filterwarnings("ignore:axes do not cover")
+def test_failed_dp_solve_leaves_no_value_grid(tmp_path, monkeypatch, capsys, failure):
+    argv = ["solve", "--problem", "linear-ensemble", "--method", "dp", "--steps", "4",
+            "--grid=-2:2:9"]
+    if failure == "nan-foot":
+        monkeypatch.setattr(enoc.cli, "_build_problem", lambda cfg: _nan_field_mid_horizon())
+        message = "NaN coordinate"
+    elif failure == "terminal-overflow":
+        argv.append("--param=weights=[1e308,1e308]")
+        message = "terminal cost overflows"
+    elif failure == "mid-sweep":
+        # two operator calls per step: the third step fails after the
+        # terminal slice and two steps went to the file
+        apply, calls = enoc.value._kron_apply, []
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == 5:
+                assert (out / "value_grid.bin.part").is_file()
+                raise OSError("no space left on device")
+            return apply(*args)
+        monkeypatch.setattr(enoc.value, "_kron_apply", failing)
+        message = "no space left"
+    else:
+        # the table is complete, its rollout diverges
+        def diverging(p, vg, phi):
+            raise DivergenceError(0.25, 1)
+        monkeypatch.setattr(enoc.value, "greedy_rollout", diverging)
+        message = "atom 1"
+    out = tmp_path / "x"
+    assert run(argv + ["--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert [f.name for f in out.iterdir()] == []
 
 
 def test_verify_single_grid_broadcasts_like_solve(tmp_path, small_verify_cfg):

@@ -556,6 +556,52 @@ def test_problem_file_with_expressions(tmp_path):
     assert modulus_check(p, pairs=1, x_radius=5.0).passed
 
 
+def _stacked_expression_field(exprs, coords, n, m):
+    """The expression field with its environment built per call and its
+    components stacked and copied by astype: the evaluator the problem
+    loader's field must reproduce bit for bit."""
+    def env_for(X):
+        X = np.asarray(X, dtype=float)
+        env = {f"x{k+1}": X[..., k] for k in range(n)}
+        env.update({f"w{k+1}": coords[:, k] for k in range(coords.shape[1])})
+        return env
+
+    def f_ens(t, X, u):
+        env = env_for(X)
+        env["t"] = t if np.ndim(t) == 0 else np.asarray(t)[..., None]
+        uu = np.asarray(u, dtype=float)
+        env.update({f"u{k+1}": uu[..., k, None] for k in range(m)})
+        comps = [np.broadcast_to(e(**env), np.shape(X)[:-1]) for e in exprs]
+        return np.stack(comps, axis=-1).astype(float)
+    return f_ens
+
+
+def test_expression_field_is_the_stacked_evaluator_bitwise():
+    # three components: t, both states, both controls and the coordinate,
+    # one without a control, and a constant that must broadcast
+    sources = ["w1 * x2 * cos(3 * t) + u1", "-x1 + u2 * sin(t) - x3 ** 2", "2.5"]
+    doc = dict(EXPR_DOC, n=3, m=2, dynamics=dict(EXPR_DOC["dynamics"], expressions=sources),
+               cost={"expression": "x1 ** 2"},
+               controls={"breakpoints": [0.0], "sets": [[[-1.0, 0.5], [1.0, -0.5]]]})
+    p = problem_from_dict(doc)
+    names = ["t", "x1", "x2", "x3", "u1", "u2", "w1"]
+    ref = _stacked_expression_field([Expression(s, names) for s in sources],
+                                    p.space.coords, 3, 2)
+    rng = np.random.default_rng(8)
+    X = rng.uniform(-2.0, 2.0, (4, 7, 2, 3))
+    U = rng.uniform(-1.0, 1.0, (4, 7, 2))
+    T = rng.uniform(0.0, 1.0, (4, 7))
+    cases = [(0.3, X[0, 0], U[0, 0]),       # one ensemble
+             (0.3, X[0], U[0, 0]),          # a batch, one control
+             (0.3, X, U),                   # a batch of controls, as value_dp calls
+             (T[0], X[0], U[0]),            # per-row times, as the integrator calls
+             (T, X, U)]
+    for t, states, u in cases:
+        got, want = p.dynamics.field(t, states, u), ref(t, states, u)
+        assert got.dtype == want.dtype == np.float64
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_problem_file_naming_builtin(tmp_path):
     doc = {"format": "enoc-problem/1", "builtin": "linear-ensemble",
            "parameters": {"M": 2, "a": [0.0, 0.0], "c": [1.0, 1.0]}}

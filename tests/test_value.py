@@ -1003,6 +1003,106 @@ def test_value_grid_load_reads_each_table_once(tmp_path):
     assert flags[-1, -1, -1] and flags.view(np.uint8).max() == 1
 
 
+# -- the value grid streamed into its file ------------------------------------------
+
+# three control sets of 3, 2 and 5 points, switched twice inside the horizon
+_EXPR_SWITCHING = dict(_EXPR_T_DEPENDENT, controls={
+    "breakpoints": [0.0, 0.37, 0.71],
+    "sets": [[[-1.0], [0.0], [1.0]], [[-0.5], [0.5]],
+             [[-1.0], [-0.5], [0.0], [0.5], [1.0]]]})
+
+_STREAM_CASES = [
+    (lambda: builtin("linear-ensemble", M=2, a=[0.5, -0.3], c=[2.0, 1.0]),
+     [Axis(-2.0, 2.0, 21)] * 2, 8, False),
+    (lambda: builtin("linear-ensemble", M=2, n=2, a=[0.5, -0.3], c=[2.0, 1.0]),
+     [Axis(-2.0, 2.0, 7)] * 4, 4, False),
+    # one atom: its block is the whole grid
+    (lambda: builtin("linear-ensemble", M=1, n=2, a=[0.5], c=[2.0, 1.0]),
+     [Axis(-2.0, 2.0, 15), Axis(-1.5, 1.5, 11)], 6, False),
+    (lambda: problem_from_dict(_EXPR_T_DEPENDENT), [Axis(-2.0, 2.0, 41)] * 2, 20, False),
+    (lambda: problem_from_dict(_EXPR_SWITCHING), [Axis(-2.0, 2.0, 41)] * 2, 30, False),
+    # fast drifts on a small box: most lookups clamp
+    (lambda: builtin("linear-ensemble", M=2, a=[3.0, -2.0], c=[2.0, 1.0]),
+     [Axis(-0.2, 0.2, 9)] * 2, 6, True),
+]
+_STREAM_IDS = ["linear-M2-n1", "linear-M2-n2", "linear-M1-n2", "expr-t-dependent",
+               "expr-switching", "heavily-clamped"]
+
+
+@pytest.mark.parametrize("make, axes, steps, clamped", _STREAM_CASES, ids=_STREAM_IDS)
+@pytest.mark.filterwarnings("ignore:axes do not cover")
+def test_streamed_grid_is_the_saved_table_bytewise(tmp_path, make, axes, steps, clamped):
+    p = make()
+    grid = TimeGrid(0.0, 1.0, steps)
+    held = value_dp(p, axes, grid, phi_radius=0.3)
+    held.save(tmp_path / "saved.bin")
+    streamed = value_dp(p, axes, grid, phi_radius=0.3, path=tmp_path / "streamed.bin")
+    assert ((tmp_path / "streamed.bin").read_bytes()
+            == (tmp_path / "saved.bin").read_bytes())
+    # the pre-pass counts the clamps the sweep counts
+    lookups = sum(len(p.controls.active_set(t)) for t in grid.nodes[:-1]) * math.prod(
+        ax.count for ax in axes)
+    assert streamed.clamp_count == held.clamp_count > 0
+    assert (held.clamp_count > lookups / 2) == clamped
+    # the result maps the file: the held tables, the argmin as int32
+    assert streamed.values.tobytes() == held.values.tobytes()
+    assert streamed.argmin.dtype == np.int32 and np.array_equal(streamed.argmin, held.argmin)
+    assert streamed.tainted.tobytes() == held.tainted.tobytes()
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["saved.bin", "streamed.bin"]
+
+
+def test_streamed_sweep_holds_two_slices_not_the_table(tmp_path):
+    # solve-expr's size: a 201^2 grid and 100 steps, a 32.6 MB value table
+    p = problem_from_dict(_EXPR_T_DEPENDENT)
+    axes, grid = [Axis(-4.0, 4.0, 201)] * 2, TimeGrid(0.0, 1.0, 100)
+    table = 8 * 101 * 201 ** 2
+    tracemalloc.start()
+    try:
+        vg = value_dp(p, axes, grid, path=tmp_path / "grid.bin")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table / 4
+    assert vg.values.shape == (101, 201, 201)
+    assert (tmp_path / "grid.bin").stat().st_size > table
+
+
+def test_saving_onto_the_mapped_file_keeps_the_mapping(tmp_path, lin2):
+    axes, grid = [Axis(-2.0, 2.0, 9)] * 2, TimeGrid(0.0, 1.0, 4)
+    path = tmp_path / "grid.bin"
+    held = value_dp(lin2, axes, grid)
+    mapped = value_dp(lin2, axes, grid, path=path)
+    blob = path.read_bytes()
+    # save reads the mapping while it writes the file the mapping was made from
+    mapped.save(path)
+    assert path.read_bytes() == blob
+    assert mapped.values.tobytes() == held.values.tobytes()
+    ValueGrid.map(path).save(path)
+    assert path.read_bytes() == blob
+    assert [f.name for f in tmp_path.iterdir()] == ["grid.bin"]
+
+
+def test_value_grid_map_reads_what_load_reads(tmp_path, lin2):
+    vg = value_dp(lin2, [Axis(-1.0, 1.0, 5)] * 2, TimeGrid(0.0, 1.0, 3))
+    path = tmp_path / "grid.bin"
+    vg.save(path)
+    # a nonzero taint byte other than 1 reads as True either way
+    blob = bytearray(path.read_bytes())
+    blob[-1] = 7
+    path.write_bytes(bytes(blob))
+    loaded, mapped = ValueGrid.load(path), ValueGrid.map(path)
+    assert mapped.values.tobytes() == loaded.values.tobytes()
+    assert mapped.argmin.dtype == np.int32 and np.array_equal(mapped.argmin, loaded.argmin)
+    assert np.array_equal(mapped.tainted, loaded.tainted) and mapped.tainted[-1, -1, -1]
+    assert mapped.tainted.sum() == loaded.tainted.sum()
+    Z = np.random.default_rng(2).uniform(-1.2, 1.2, (50, 2))
+    for j in range(4):
+        got = _interpolate(mapped.values[j], mapped.tainted[j], mapped.axes, Z)
+        want = _interpolate(loaded.values[j], loaded.tainted[j], loaded.axes, Z)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert (mapped.clamp_count, mapped.meta) == (loaded.clamp_count, loaded.meta)
+
+
 # -- adjoint descent ---------------------------------------------------------------
 
 def test_adjoint_zero_gradient_converges_immediately():
