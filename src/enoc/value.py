@@ -16,7 +16,6 @@ extrapolated.
 from __future__ import annotations
 
 import contextlib
-import functools
 import json
 import math
 import mmap
@@ -433,9 +432,8 @@ class ValueGrid:
         dtype.  The file is made under a temporary name and then replaces
         ``path``, so saving onto the file a grid is mapped from does not
         truncate it under the mapping."""
-        header = _grid_header(self.grid, self.axes, self.clamp_count,
-                              self.coverage_radius, self.coverage_ok, self.meta)
-        with _grid_writer(path, header) as write:
+        with _grid_writer(path, self.grid, self.axes, self.clamp_count,
+                          self.coverage_radius, self.coverage_ok, self.meta) as write:
             for j in range(self.grid.steps + 1):
                 write(j, self.values[j], self.tainted[j],
                       self.argmin[j] if j < self.grid.steps else None)
@@ -480,13 +478,6 @@ class ValueGrid:
                    coverage_ok=header["coverage_ok"], meta=header.get("meta", {}))
 
 
-def _grid_header(grid, axes, clamp_count, coverage_radius, coverage_ok, meta):
-    return {"s": grid.s, "T": grid.T, "steps": grid.steps,
-            "axes": [[ax.lo, ax.hi, ax.count] for ax in axes],
-            "clamp_count": clamp_count, "coverage_radius": coverage_radius,
-            "coverage_ok": coverage_ok, "meta": meta}
-
-
 class _Layout:
     """The ENOCVG1 file: magic, u64 header length and JSON header, then the
     tables from offset ``start`` on: C-order float64 values (steps + 1
@@ -512,20 +503,23 @@ class _Layout:
 
 
 @contextlib.contextmanager
-def _grid_writer(path, header):
-    """Write an ENOCVG1 file slice by slice: yields ``write(j, values,
-    tainted, argmin=None)``, which puts slice j of each given table at its
-    offset, in any order.  The values and the taint are written from their
-    own memory through a byte view (no copy when already contiguous in that
-    dtype); the argmin is widened to int32 in chunks of _LEAF_BLOCK entries.
-    The file is made under a temporary name next to ``path`` and replaces it
-    when the block ends; if the block raises, it is deleted."""
-    blob = json.dumps(header, sort_keys=True).encode()
-    layout = _Layout(len(_MAGIC) + 8 + len(blob), header["steps"],
-                     [trip[2] for trip in header["axes"]])
+def _grid_writer(path, grid, axes, clamp_count, coverage_radius, coverage_ok, meta):
+    """Write the ENOCVG1 file of a value grid slice by slice, its header
+    first: yields ``write(j, values, tainted, argmin=None)``, which puts
+    slice j of each given table at its offset, in any order.  The values
+    and the taint are written from their own memory through a byte view (no
+    copy when already contiguous in that dtype); the argmin is widened to
+    int32 in chunks of _LEAF_BLOCK entries.  The file is made under a
+    temporary name next to ``path`` and replaces it when the block ends; if
+    the block raises, it is deleted."""
+    blob = json.dumps({"s": grid.s, "T": grid.T, "steps": grid.steps,
+                       "axes": [[ax.lo, ax.hi, ax.count] for ax in axes],
+                       "clamp_count": clamp_count, "coverage_radius": coverage_radius,
+                       "coverage_ok": coverage_ok, "meta": meta}, sort_keys=True).encode()
+    layout = _Layout(len(_MAGIC) + 8 + len(blob), grid.steps, [ax.count for ax in axes])
     tmp = os.fspath(path) + ".part"
 
-    def write(fh, j, values, tainted, argmin=None):
+    def write(j, values, tainted, argmin=None):
         fh.seek(layout.offset("values", j))
         fh.write(memoryview(np.ascontiguousarray(values, dtype="<f8")).cast("B"))
         if argmin is not None:
@@ -540,7 +534,7 @@ def _grid_writer(path, header):
     try:
         with open(tmp, "wb") as fh:
             fh.write(_MAGIC + struct.pack("<Q", len(blob)) + blob)
-            yield functools.partial(write, fh)
+            yield write
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -725,8 +719,7 @@ def value_dp(p: ProblemSpec, axes, grid: TimeGrid, phi_radius=None,
         clamp_total = sum(_clamps([_clamped(blk, Y) for blk, Y in zip(blk_axes, feet(j))],
                                   sizes) for j in range(N))
     writer = (contextlib.nullcontext() if path is None else _grid_writer(
-        path, _grid_header(grid, axes, clamp_total, float(coverage_radius), coverage_ok,
-                           dict(p.meta))))
+        path, grid, axes, clamp_total, float(coverage_radius), coverage_ok, dict(p.meta)))
     with writer as write:
         if write:
             write(N, values[N % slots], tainted[N % slots])

@@ -1293,6 +1293,23 @@ def test_compute_value_dispatch(lin2):
 
 
 @pytest.mark.filterwarnings("ignore::enoc.errors.GridCoverageWarning")
+def test_compute_value_streams_the_dp_table_only(tmp_path, lin2):
+    from enoc import ValueQuery, compute_value
+    phi = EnsembleState([[0.3], [0.4]], lin2.space)
+    query = ValueQuery(s=0.0, phi=phi, method="dp", steps=20, axes=[Axis(-3.0, 3.0, 25)] * 2)
+    held = compute_value(lin2, query)
+    streamed = compute_value(lin2, query, tmp_path / "grid.bin")
+    assert (streamed.value, streamed.table_value) == (held.value, held.table_value)
+    assert streamed.control.values.tobytes() == held.control.values.tobytes()
+    held.grid.save(tmp_path / "saved.bin")
+    assert (tmp_path / "grid.bin").read_bytes() == (tmp_path / "saved.bin").read_bytes()
+    with pytest.raises(ValueError, match="oracle method writes no value grid"):
+        compute_value(lin2, ValueQuery(s=0.0, phi=phi, method="oracle", steps=4),
+                      tmp_path / "oracle.bin")
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["grid.bin", "saved.bin"]
+
+
+@pytest.mark.filterwarnings("ignore::enoc.errors.GridCoverageWarning")
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("make, axes", [
     (lambda: builtin("linear-ensemble", a=[0.5, -0.3], c=[2.0, 1.0]),
