@@ -35,7 +35,7 @@ from .ensemble import (ControlSignal, TimeGrid, Trajectory, _integrate_batch,
 
 _MAGIC = b"ENOCVG1\n"
 _LEAF_BLOCK = 1 << 16          # states per terminal-cost call and oracle leaf block,
-                               # argmin entries per chunk that ValueGrid.save widens
+                               # argmin entries per chunk that the grid writer widens
 
 
 def stack_state(phi: EnsembleState) -> np.ndarray:
