@@ -28,8 +28,8 @@ from .library import builtin, cost_lipschitz_bound, load_problem
 # integrate is bound here for the benchmark tracer, which wraps it by this name
 from .ensemble import (ControlSignal, TimeGrid, integrate,  # noqa: F401
                        trajectory_bound_suite)
-from .value import (Axis, ValueGrid, ValueQuery, compute_value, dpp_residual,
-                    unstack_state, value_dp)
+from .value import (Axis, ValueGrid, ValueQuery, _axis_triples, _number, compute_value,
+                    dpp_residual, unstack_state, value_dp)
 from .verify import (epigraph_invariance, hjb_residual, oscillation_diagnostic,
                      terminal_limit)
 
@@ -86,11 +86,6 @@ def _parse_axis(text):
     return [float(parts[0]), float(parts[1]), int(parts[2])]
 
 
-def _number(val, integer=False):
-    return (isinstance(val, int if integer else (int, float))
-            and not isinstance(val, bool))
-
-
 def _numbers(val):
     return isinstance(val, list) and all(_number(v) for v in val)
 
@@ -102,9 +97,7 @@ def _type_ok(key, val, default):
     [lo, hi, count] triples, ``tol`` null or a number, ``radii`` null or a
     list of numbers."""
     if key == "grid":
-        return val is None or isinstance(val, list) and all(
-            _numbers(ax) and len(ax) == 3 and _number(ax[2], integer=True)
-            for ax in val)
+        return val is None or _axis_triples(val)
     if default is None:
         return val is None or _type_ok(key, val, {"tol": 0.0, "radii": []}[key])
     if isinstance(default, list) or key == "phi" and isinstance(val, list):

@@ -269,18 +269,6 @@ def _node_mesh(coords):
     return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
 
-def _clamped(axes, Y):
-    """The clamp test of :func:`_stencil`: the mask of query rows Y (Q, d)
-    outside the box of ``axes``.  A NaN coordinate raises ValueError."""
-    if np.isnan(Y).any():
-        raise ValueError("interpolation query has a NaN coordinate")
-    clamped = np.zeros(Y.shape[0], dtype=bool)
-    for ax, y in zip(axes, Y.T):
-        fi = (y - ax.lo) / ax.spacing
-        clamped |= (fi < 0.0) | (fi > ax.count - 1.0)
-    return clamped
-
-
 def _stencil(axes, Y):
     """Multilinear stencil of the query rows Y (Q, d) in a C-order table over
     ``axes``, with boundary clamping.
@@ -288,15 +276,20 @@ def _stencil(axes, Y):
     Returns the 2^d corners as (flat index, weight) pairs, bit k of corner c
     picking axis k's upper node, and the mask of clamped queries.  Fractions
     within 1e-12 of a node snap to it, so queries at grid nodes reproduce
-    node values and every per-axis weight is 0 or at least about 1e-12.
+    node values and every per-axis weight is 0 or at least about 1e-12.  A
+    NaN coordinate raises ValueError.
     """
-    clamped = _clamped(axes, Y)
+    if np.isnan(Y).any():
+        raise ValueError("interpolation query has a NaN coordinate")
     d = len(axes)
     strides = [math.prod(ax.count for ax in axes[k + 1:]) for k in range(d)]
     base = np.zeros(Y.shape[0], dtype=np.intp)
+    clamped = np.zeros(Y.shape[0], dtype=bool)
     pairs = []
     for ax, y, stride in zip(axes, Y.T, strides):
-        fi = np.clip((y - ax.lo) / ax.spacing, 0.0, ax.count - 1.0)
+        fi = (y - ax.lo) / ax.spacing
+        clamped |= (fi < 0.0) | (fi > ax.count - 1.0)
+        fi = np.clip(fi, 0.0, ax.count - 1.0)
         i0 = np.minimum(np.floor(fi).astype(np.intp), ax.count - 2)
         frac = fi - i0
         frac[frac < 1e-12] = 0.0
@@ -383,14 +376,14 @@ class ValueGrid:
     (out-of-grid) lookup anywhere later in the recursion; residual checks
     treat them as boundary-influenced rather than as evidence about the
     equation.  The tables are arrays in memory, or read-only views of a
-    mapped value-grid file (:meth:`map`).
+    mapped value-grid file (:meth:`map`, the file's one reader).
     """
 
     grid: TimeGrid
     axes: list
     values: np.ndarray          # (steps + 1, *counts)
     argmin: np.ndarray          # (steps, *counts): value_dp's narrowest unsigned
-                                # type (_argmin_dtype), int32 after load
+                                # type (_argmin_dtype), the file's int32 when mapped
     tainted: np.ndarray         # (steps + 1, *counts) bool
     clamp_count: int
     coverage_radius: float
@@ -417,7 +410,7 @@ class ValueGrid:
     def value_at(self, t, z):
         """Value at a grid time node (matched within 1e-9) and stacked state."""
         j = int(np.argmin(np.abs(self.grid.nodes - t)))
-        if abs(self.grid.nodes[j] - t) > 1e-9:
+        if not abs(self.grid.nodes[j] - t) <= 1e-9:       # NaN is no node
             raise ValueError(f"t={t} is not a grid node of {self.grid}")
         vals, _ = self.evaluate(j, np.asarray(z, dtype=float)[None, :])
         return float(vals[0])
@@ -432,50 +425,31 @@ class ValueGrid:
         dtype.  The file is made under a temporary name and then replaces
         ``path``, so saving onto the file a grid is mapped from does not
         truncate it under the mapping."""
-        with _grid_writer(path, self.grid, self.axes, self.clamp_count,
-                          self.coverage_radius, self.coverage_ok, self.meta) as write:
+        with _grid_writer(path, self.grid, self.axes, self.coverage_radius,
+                          self.coverage_ok, self.meta) as (write, header):
+            header["clamp_count"] = self.clamp_count
             for j in range(self.grid.steps + 1):
                 write(j, self.values[j], self.tainted[j],
                       self.argmin[j] if j < self.grid.steps else None)
 
     @classmethod
-    def load(cls, path):
-        """Read exactly the bytes :meth:`save` writes, each table straight
-        into its own array (the argmin as the file's int32); a short read or a
-        trailing byte raises ValueError naming the file."""
-        with open(path, "rb") as fh:
-            header, layout = _read_header(fh, path)
-            tables = []
-            for _, dtype, count in layout.tables.values():
-                tables.append(np.empty((count,) + layout.shape, dtype))
-                fh.readinto(memoryview(tables[-1]).cast("B"))
-        # any nonzero taint byte reads as True, as astype(bool) would
-        taint = tables[2].view(np.uint8)
-        np.minimum(taint, 1, out=taint)
-        return cls._from_header(header, *tables)
-
-    @classmethod
     def map(cls, path):
         """Map a file :meth:`save` writes read-only, after the checks of
-        :meth:`load`: every table is a view of the mapping, so a reader
-        touches only the pages it reads.  The argmin is the file's int32 and
-        the taint its bytes as bool (numpy's boolean operations read any
-        nonzero byte as True)."""
+        :func:`_read_header`: every table is a view of the mapping, so a
+        reader touches only the pages it reads.  The argmin is the file's
+        int32 and the taint its bytes as bool (numpy's boolean operations
+        read any nonzero byte as True)."""
         with open(path, "rb") as fh:
-            header, layout = _read_header(fh, path)
+            header, grid, axes, layout = _read_header(fh, path)
             buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
         size = math.prod(layout.shape)
-        return cls._from_header(header, *(
+        values, argmin, tainted = (
             np.frombuffer(buf, dtype, count * size, at).reshape((count,) + layout.shape)
-            for at, dtype, count in layout.tables.values()))
-
-    @classmethod
-    def _from_header(cls, header, values, argmin, tainted):
-        return cls(grid=TimeGrid(header["s"], header["T"], header["steps"]),
-                   axes=[Axis(*trip) for trip in header["axes"]], values=values,
-                   argmin=argmin, tainted=tainted, clamp_count=header["clamp_count"],
+            for at, dtype, count in layout.tables.values())
+        return cls(grid=grid, axes=axes, values=values, argmin=argmin, tainted=tainted,
+                   clamp_count=header["clamp_count"],
                    coverage_radius=header["coverage_radius"],
-                   coverage_ok=header["coverage_ok"], meta=header.get("meta", {}))
+                   coverage_ok=header["coverage_ok"], meta=header["meta"])
 
 
 class _Layout:
@@ -503,20 +477,23 @@ class _Layout:
 
 
 @contextlib.contextmanager
-def _grid_writer(path, grid, axes, clamp_count, coverage_radius, coverage_ok, meta):
+def _grid_writer(path, grid, axes, coverage_radius, coverage_ok, meta):
     """Write the ENOCVG1 file of a value grid slice by slice, its header
-    first: yields ``write(j, values, tainted, argmin=None)``, which puts
-    slice j of each given table at its offset, in any order.  The values
-    and the taint are written from their own memory through a byte view (no
-    copy when already contiguous in that dtype); the argmin is widened to
-    int32 in chunks of _LEAF_BLOCK entries.  The file is made under a
-    temporary name next to ``path`` and replaces it when the block ends; if
-    the block raises, it is deleted."""
-    blob = json.dumps({"s": grid.s, "T": grid.T, "steps": grid.steps,
-                       "axes": [[ax.lo, ax.hi, ax.count] for ax in axes],
-                       "clamp_count": clamp_count, "coverage_radius": coverage_radius,
-                       "coverage_ok": coverage_ok, "meta": meta}, sort_keys=True).encode()
-    layout = _Layout(len(_MAGIC) + 8 + len(blob), grid.steps, [ax.count for ax in axes])
+    last: yields ``(write, header)``.  ``write(j, values, tainted,
+    argmin=None)`` puts slice j of each given table at its offset, in any
+    order.  The values and the taint are written from their own memory
+    through a byte view (no copy when already contiguous in that dtype); the
+    argmin is widened to int32 in chunks of _LEAF_BLOCK entries.  The block
+    sets ``header["clamp_count"]``, which a sweep knows only at its end: the
+    header's length is reserved for a 20-digit count, and when the block
+    ends the header is written there, padded with trailing JSON whitespace.
+    The file is made under a temporary name next to ``path`` and replaces it
+    when the block ends; if the block raises, it is deleted."""
+    header = {"s": grid.s, "T": grid.T, "steps": grid.steps,
+              "axes": [[ax.lo, ax.hi, ax.count] for ax in axes], "clamp_count": None,
+              "coverage_radius": coverage_radius, "coverage_ok": coverage_ok, "meta": meta}
+    hlen = len(json.dumps(dict(header, clamp_count=10 ** 20 - 1), sort_keys=True).encode())
+    layout = _Layout(len(_MAGIC) + 8 + hlen, grid.steps, [ax.count for ax in axes])
     tmp = os.fspath(path) + ".part"
 
     def write(j, values, tainted, argmin=None):
@@ -533,8 +510,15 @@ def _grid_writer(path, grid, axes, clamp_count, coverage_radius, coverage_ok, me
 
     try:
         with open(tmp, "wb") as fh:
-            fh.write(_MAGIC + struct.pack("<Q", len(blob)) + blob)
-            yield write
+            # fill the header's room now: left a hole until the end, it made a
+            # query on solve-grid's mapped file fault in 256 kB more pages
+            fh.write(bytes(layout.offset("values", 0)))
+            yield write, header
+            blob = json.dumps(header, sort_keys=True).encode()
+            if len(blob) > hlen:
+                raise ValueError(f"clamp count {header['clamp_count']} exceeds 20 digits")
+            fh.seek(0)
+            fh.write(_MAGIC + struct.pack("<Q", hlen) + blob.ljust(hlen))
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -542,28 +526,60 @@ def _grid_writer(path, grid, axes, clamp_count, coverage_radius, coverage_ok, me
         raise
 
 
+def _number(val, integer=False):
+    """Whether a JSON value is a number (an integer if ``integer``), not a bool."""
+    return (isinstance(val, int if integer else (int, float))
+            and not isinstance(val, bool))
+
+
+def _axis_triples(val):
+    """Whether a JSON value is a list of [lo, hi, count] axes."""
+    return isinstance(val, list) and all(
+        isinstance(ax, list) and len(ax) == 3 and all(map(_number, ax))
+        and _number(ax[2], integer=True) for ax in val)
+
+
+# each key of the value-grid header, and the test its value passes as written
+_HEADER = {"s": _number, "T": _number, "steps": lambda v: _number(v, True),
+           "clamp_count": lambda v: _number(v, True), "coverage_radius": _number,
+           "coverage_ok": lambda v: isinstance(v, bool),
+           "meta": lambda v: isinstance(v, dict), "axes": _axis_triples}
+
+
 def _read_header(fh, path):
-    """The header and :class:`_Layout` of the value-grid file open as ``fh``,
-    whose size must be exactly the layout's: a short file or a trailing byte
-    raises ValueError naming ``path``."""
+    """The header, time grid, axes and :class:`_Layout` of the value-grid
+    file open as ``fh``.  The header must be a JSON object with every key the
+    writer writes, each of the type it writes, and may end in whitespace (the
+    writer's padding, or none in files written before it); the file's size
+    must be exactly the layout's.  Any other file raises ValueError naming
+    ``path``."""
     size = os.fstat(fh.fileno()).st_size
 
     def read(count):
         if fh.tell() + count > size:
-            raise ValueError(f"{path} is truncated at {size} bytes")
+            raise ValueError(f"truncated at {size} bytes")
         return fh.read(count)
 
-    if fh.read(len(_MAGIC)) != _MAGIC:
-        raise ValueError(f"{path} is not a value-grid file")
-    (hlen,) = struct.unpack("<Q", read(8))
-    header = json.loads(read(hlen))
-    layout = _Layout(fh.tell(), header["steps"],
-                     [Axis(*trip).count for trip in header["axes"]])
-    if layout.size > size:
-        raise ValueError(f"{path} is truncated at {size} bytes")
-    if layout.size < size:
-        raise ValueError(f"{path} has {size - layout.size} trailing bytes")
-    return header, layout
+    try:
+        if fh.read(len(_MAGIC)) != _MAGIC:
+            raise ValueError("not a value-grid file")
+        (hlen,) = struct.unpack("<Q", read(8))
+        header = json.loads(read(hlen))
+        if not isinstance(header, dict):
+            raise ValueError("the header is not a JSON object")
+        for key, ok in _HEADER.items():
+            if not ok(header.get(key)):
+                raise ValueError(f"header key {key!r} is missing" if key not in header else
+                                 f"header key {key!r} is malformed: {header[key]!r:.60}")
+        axes = [Axis(*trip) for trip in header["axes"]]
+        layout = _Layout(fh.tell(), header["steps"], [ax.count for ax in axes])
+        if layout.size != size:
+            raise ValueError(f"truncated at {size} bytes" if layout.size > size
+                             else f"{size - layout.size} trailing bytes")
+        grid = TimeGrid(header["s"], header["T"], header["steps"])
+    except (ValueError, RecursionError) as exc:       # a deeply nested header
+        raise ValueError(f"{path}: {exc}") from None
+    return header, grid, axes, layout
 
 
 def _check_atomwise(fld, t, Xb, u):
@@ -599,15 +615,6 @@ def _feet(fld, t, h, Xb, pts, sizes):
     F = fld(t, XK, np.broadcast_to(pts[:, None, :], (K, rows, pts.shape[1])))
     return [(XK[:, :size, i] + h * F[:, :size, i]).reshape(-1, n)
             for i, size in enumerate(sizes)]
-
-
-def _clamps(masks, sizes):
-    """Clamped lookups of one step from the per-block clamp masks (K *
-    size_i,): a node's lookup clamps unless every block's foot is inside."""
-    K = masks[0].size // sizes[0]
-    inside = math.prod(size - mask.reshape(K, size).sum(axis=1)
-                       for mask, size in zip(masks, sizes))
-    return int((math.prod(sizes) - inside).sum())
 
 
 def value_dp(p: ProblemSpec, axes, grid: TimeGrid, phi_radius=None,
@@ -648,10 +655,10 @@ def value_dp(p: ProblemSpec, axes, grid: TimeGrid, phi_radius=None,
     each finished slice of the values, argmin and taint goes into that
     ENOCVG1 file (see :meth:`ValueGrid.save`) as it is made, so the sweep
     holds two value and taint slices and one argmin slice instead of the
-    tables; the file's header holds the clamp count, which a pre-pass counts
-    from the feet with the sweep's clamp test first.  The result then maps
-    the file read-only (:meth:`ValueGrid.map`), and a sweep that raises
-    leaves no file.  Without it the tables are held in memory.
+    tables; the file's header, which holds the clamp count, is written when
+    the sweep ends.  The result then maps the file read-only
+    (:meth:`ValueGrid.map`), and a sweep that raises leaves no file.
+    Without it the tables are held in memory.
     """
     axes = _as_axes(axes)
     M, n = p.space.size, p.n
@@ -708,26 +715,21 @@ def value_dp(p: ProblemSpec, axes, grid: TimeGrid, phi_radius=None,
     better = np.empty(Q, dtype=bool)
     scratch = np.empty((3, width * Q)), np.empty((3, width * Q), dtype=bool)
 
-    def feet(j):
-        return _feet(fld, grid.nodes[j], grid.nodes[j + 1] - grid.nodes[j], Xb, sets[j],
-                     sizes)
-
     clamp_total = 0
-    if path is not None:
-        # the file's header holds the clamp count, so a pre-pass counts it
-        # from the feet before the first slice is written
-        clamp_total = sum(_clamps([_clamped(blk, Y) for blk, Y in zip(blk_axes, feet(j))],
-                                  sizes) for j in range(N))
-    writer = (contextlib.nullcontext() if path is None else _grid_writer(
-        path, grid, axes, clamp_total, float(coverage_radius), coverage_ok, dict(p.meta)))
-    with writer as write:
+    writer = (contextlib.nullcontext((None, {})) if path is None else _grid_writer(
+        path, grid, axes, float(coverage_radius), coverage_ok, dict(p.meta)))
+    with writer as (write, header):
         if write:
             write(N, values[N % slots], tainted[N % slots])
         for j in range(N - 1, -1, -1):
             K = sets[j].shape[0]
-            stencils = [_stencil(blk, Y) for blk, Y in zip(blk_axes, feet(j))]
-            if path is None:
-                clamp_total += _clamps([clamped for _, clamped in stencils], sizes)
+            feet = _feet(fld, grid.nodes[j], grid.nodes[j + 1] - grid.nodes[j], Xb, sets[j],
+                         sizes)
+            stencils = [_stencil(blk, Y) for blk, Y in zip(blk_axes, feet)]
+            # a node's lookup clamps unless every block's foot is inside
+            inside = math.prod(size - clamped.reshape(K, size).sum(axis=1)
+                               for (_, clamped), size in zip(stencils, sizes))
+            clamp_total += int((Q - inside).sum())
             # past mode 0, candidate k reads its own slab of its batch's result
             offsets = [np.repeat(np.arange(K) % width * size, size) if i else 0
                        for i, size in enumerate(sizes)]
@@ -767,6 +769,7 @@ def value_dp(p: ProblemSpec, axes, grid: TimeGrid, phi_radius=None,
                     taint |= mask[k - lo]
             if write:
                 write(j, vals, taint, arg)
+        header["clamp_count"] = clamp_total
 
     if path is not None:
         return ValueGrid.map(path)

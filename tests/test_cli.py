@@ -4,6 +4,7 @@ import csv
 import inspect
 import io
 import json
+import struct
 import sys
 import tracemalloc
 
@@ -449,6 +450,80 @@ def test_query_rejects_truncated_and_padded_grid_files(small_grid_file, tmp_path
         assert captured.out == "" and str(bad) in captured.err
 
 
+@pytest.mark.parametrize("time", ["nan", "0.5"])
+def test_query_rejects_a_time_that_is_no_grid_node(small_grid_file, capsys, time):
+    rc = run(["query", "--grid-file", str(small_grid_file), "--time", time,
+              "--state", "0,0"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"t={time} is not a grid node" in captured.err
+
+
+def _with_header(blob, edit):
+    """The value-grid file ``blob`` with its JSON header replaced by
+    ``edit(header)`` (JSON, or bytes as they are), written without padding,
+    and the same tables."""
+    (hlen,) = struct.unpack("<Q", blob[8:16])
+    header = edit(json.loads(blob[16:16 + hlen]))
+    header = header if isinstance(header, bytes) else json.dumps(header).encode()
+    return blob[:8] + struct.pack("<Q", len(header)) + header + blob[16 + hlen:]
+
+
+def _set(key, value):
+    return lambda h: {**h, key: value}
+
+
+@pytest.mark.parametrize("edit, problem", [
+    (lambda h: {**h, "axes": [[-4.0, 4.0], h["axes"][1]]}, "'axes' is malformed"),
+    (lambda h: [h], "not a JSON object"),
+    (_set("steps", "3"), "'steps' is malformed"),
+    (_set("steps", 3.0), "'steps' is malformed"),
+    (lambda h: {**h, "axes": [[-4.0, 4.0, 5.0]] * 2}, "'axes' is malformed"),
+    (_set("axes", None), "'axes' is malformed"),
+    (_set("s", "0"), "'s' is malformed"),
+    (lambda h: {k: v for k, v in h.items() if k != "s"}, "'s' is missing"),
+    (_set("coverage_ok", 1), "'coverage_ok' is malformed"),
+    (_set("meta", []), "'meta' is malformed"),
+    (_set("s", 2.0), "need 0 <= s < T"),
+    (lambda h: {**h, "axes": [[4.0, -4.0, 5], h["axes"][1]]}, "axis needs lo < hi"),
+    (lambda h: b"[" * 10 ** 5 + b"]" * 10 ** 5, "maximum recursion depth"),
+    (lambda h: b"{\"s\": 0", "Expecting"),
+], ids=["axis-of-two", "list", "steps-string", "steps-float", "count-float", "axes-null",
+        "s-string", "s-missing", "coverage-int", "meta-list", "s-after-T", "axis-reversed",
+        "nested-deep", "not-json"])
+def test_query_rejects_a_malformed_grid_header(small_grid_file, tmp_path, capsys, edit,
+                                               problem):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(_with_header(small_grid_file.read_bytes(), edit))
+    rc = run(["query", "--grid-file", str(bad), "--time", "0", "--state", "0,0"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"error: {bad}: " in captured.err
+    assert problem in captured.err and "Traceback" not in captured.err
+
+
+def test_query_reads_a_grid_file_with_an_unpadded_header(small_grid_file, tmp_path,
+                                                         capsys):
+    # the header as written before the writer padded it
+    blob = small_grid_file.read_bytes()
+    (hlen,) = struct.unpack("<Q", blob[8:16])
+    assert blob[16:16 + hlen].endswith(b" ")
+    old = tmp_path / "old.bin"
+    old.write_bytes(_with_header(blob, lambda h: h))
+    assert len(old.read_bytes()) < len(blob)
+    new, back = ValueGrid.map(small_grid_file), ValueGrid.map(old)
+    for name in ("values", "argmin", "tainted"):
+        assert getattr(back, name).tobytes() == getattr(new, name).tobytes()
+    assert (back.clamp_count, back.meta) == (new.clamp_count, new.meta)
+    outs = []
+    for path in (small_grid_file, old):
+        capsys.readouterr()
+        assert run(["query", "--grid-file", str(path), "--time", "0",
+                    "--state", "0.3,-0.4"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] != ""
+
+
 def test_query_reads_one_slice_of_the_grid(tmp_path, capsys):
     # a 201^2 x 100 grid, 52.9 MB on disk; the query interpolates slice 0
     out = tmp_path / "big"
@@ -464,7 +539,7 @@ def test_query_reads_one_slice_of_the_grid(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert rc == 0 and peak < 2 * 2 ** 20
-    want = ValueGrid.load(path).value_at(0.0, np.array([0.3, -0.4]))
+    want = ValueGrid.map(path).value_at(0.0, np.array([0.3, -0.4]))
     assert capsys.readouterr().out == "%.17g\n" % want
 
 
@@ -762,7 +837,6 @@ _BUILTIN_PARAMS = [(name, key) for name, factory in sorted(_BUILTINS.items())
                    for key in inspect.signature(factory).parameters]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=80, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(param=st.sampled_from(_BUILTIN_PARAMS), value=_JSON)

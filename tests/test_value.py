@@ -908,7 +908,7 @@ def test_value_grid_round_trip(tmp_path, lin2):
     vg = value_dp(lin2, [Axis(-2.0, 2.0, 9)] * 2, TimeGrid(0.0, 1.0, 4))
     path = tmp_path / "grid.bin"
     vg.save(path)
-    back = ValueGrid.load(path)
+    back = ValueGrid.map(path)
     assert np.array_equal(back.values, vg.values)
     assert np.array_equal(back.argmin, vg.argmin)
     assert back.clamp_count == vg.clamp_count
@@ -918,7 +918,7 @@ def test_value_grid_round_trip(tmp_path, lin2):
     assert back.value_at(0.5, z) == vg.value_at(0.5, z)
 
 
-def test_value_grid_load_reads_exactly_the_saved_bytes(tmp_path, lin2):
+def test_value_grid_map_reads_exactly_the_saved_bytes(tmp_path, lin2):
     vg = value_dp(lin2, [Axis(-1.0, 1.0, 5)] * 2, TimeGrid(0.0, 1.0, 3))
     path = tmp_path / "grid.bin"
     vg.save(path)
@@ -927,10 +927,10 @@ def test_value_grid_load_reads_exactly_the_saved_bytes(tmp_path, lin2):
     for cut in range(len(blob)):
         bad.write_bytes(blob[:cut])
         with pytest.raises(ValueError, match="bad.bin"):
-            ValueGrid.load(bad)
+            ValueGrid.map(bad)
     bad.write_bytes(blob + b"\0")
-    with pytest.raises(ValueError, match="bad.bin has 1 trailing bytes"):
-        ValueGrid.load(bad)
+    with pytest.raises(ValueError, match="bad.bin: 1 trailing bytes"):
+        ValueGrid.map(bad)
 
 
 def test_value_grid_save_writes_the_tables_without_copies(tmp_path):
@@ -963,44 +963,15 @@ def test_value_grid_save_writes_the_tables_without_copies(tmp_path):
     assert blobs[0] == blobs[1]
 
 
-def test_value_grid_save_load_save_is_byte_identical(tmp_path, lin2):
+def test_value_grid_save_map_save_is_byte_identical(tmp_path, lin2):
     vg = value_dp(lin2, [Axis(-2.0, 2.0, 9)] * 2, TimeGrid(0.0, 1.0, 4))
     first, second = tmp_path / "first.bin", tmp_path / "second.bin"
     vg.save(first)
-    back = ValueGrid.load(first)
+    back = ValueGrid.map(first)
     back.save(second)
-    # the narrow table in memory, int32 after a load, one file for both
+    # the narrow table in memory, int32 when mapped, one file for both
     assert vg.argmin.dtype == np.uint8 and back.argmin.dtype == np.int32
     assert first.read_bytes() == second.read_bytes()
-
-
-def test_value_grid_load_reads_each_table_once(tmp_path):
-    # 16 MB of values, 4 MB of argmin and 2 MB of taint, read without a copy
-    rng = np.random.default_rng(3)
-    grid, axes = TimeGrid(0.0, 1.0, 1), [Axis(-1.0, 1.0, 1024)] * 2
-    vg = ValueGrid(grid=grid, axes=axes, values=rng.standard_normal((2, 1024, 1024)),
-                   argmin=rng.integers(0, 3, (1, 1024, 1024), dtype=np.int32),
-                   tainted=rng.random((2, 1024, 1024)) < 0.3, clamp_count=5,
-                   coverage_radius=1.0, coverage_ok=True)
-    path = tmp_path / "grid.bin"
-    vg.save(path)
-    tables = vg.values.nbytes + vg.argmin.nbytes + vg.tainted.nbytes
-    tracemalloc.start()
-    try:
-        back = ValueGrid.load(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= tables + 2 ** 20
-    assert back.values.tobytes() == vg.values.tobytes()
-    assert np.array_equal(back.argmin, vg.argmin)
-    assert np.array_equal(back.tainted, vg.tainted)
-    # a nonzero taint byte other than 1 still reads as a plain True
-    blob = bytearray(path.read_bytes())
-    blob[-1] = 7
-    path.write_bytes(bytes(blob))
-    flags = ValueGrid.load(path).tainted
-    assert flags[-1, -1, -1] and flags.view(np.uint8).max() == 1
 
 
 # -- the value grid streamed into its file ------------------------------------------
@@ -1039,7 +1010,7 @@ def test_streamed_grid_is_the_saved_table_bytewise(tmp_path, make, axes, steps, 
     streamed = value_dp(p, axes, grid, phi_radius=0.3, path=tmp_path / "streamed.bin")
     assert ((tmp_path / "streamed.bin").read_bytes()
             == (tmp_path / "saved.bin").read_bytes())
-    # the pre-pass counts the clamps the sweep counts
+    # the streamed sweep counts the clamps the held one counts
     lookups = sum(len(p.controls.active_set(t)) for t in grid.nodes[:-1]) * math.prod(
         ax.count for ax in axes)
     assert streamed.clamp_count == held.clamp_count > 0
@@ -1082,25 +1053,43 @@ def test_saving_onto_the_mapped_file_keeps_the_mapping(tmp_path, lin2):
     assert [f.name for f in tmp_path.iterdir()] == ["grid.bin"]
 
 
-def test_value_grid_map_reads_what_load_reads(tmp_path, lin2):
-    vg = value_dp(lin2, [Axis(-1.0, 1.0, 5)] * 2, TimeGrid(0.0, 1.0, 3))
+def test_value_grid_map_reads_what_the_held_grid_holds(tmp_path, lin2):
+    held = value_dp(lin2, [Axis(-1.0, 1.0, 5)] * 2, TimeGrid(0.0, 1.0, 3))
     path = tmp_path / "grid.bin"
-    vg.save(path)
-    # a nonzero taint byte other than 1 reads as True either way
+    held.save(path)
+    # a nonzero taint byte other than 1 reads as True
     blob = bytearray(path.read_bytes())
     blob[-1] = 7
     path.write_bytes(bytes(blob))
-    loaded, mapped = ValueGrid.load(path), ValueGrid.map(path)
-    assert mapped.values.tobytes() == loaded.values.tobytes()
-    assert mapped.argmin.dtype == np.int32 and np.array_equal(mapped.argmin, loaded.argmin)
-    assert np.array_equal(mapped.tainted, loaded.tainted) and mapped.tainted[-1, -1, -1]
-    assert mapped.tainted.sum() == loaded.tainted.sum()
+    held.tainted[-1, -1, -1] = True
+    mapped = ValueGrid.map(path)
+    assert mapped.values.tobytes() == held.values.tobytes()
+    assert mapped.argmin.dtype == np.int32 and np.array_equal(mapped.argmin, held.argmin)
+    assert np.array_equal(mapped.tainted, held.tainted) and mapped.tainted[-1, -1, -1]
+    assert mapped.tainted.sum() == held.tainted.sum()
     Z = np.random.default_rng(2).uniform(-1.2, 1.2, (50, 2))
     for j in range(4):
         got = _interpolate(mapped.values[j], mapped.tainted[j], mapped.axes, Z)
-        want = _interpolate(loaded.values[j], loaded.tainted[j], loaded.axes, Z)
+        want = _interpolate(held.values[j], held.tainted[j], held.axes, Z)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
-    assert (mapped.clamp_count, mapped.meta) == (loaded.clamp_count, loaded.meta)
+    assert (mapped.clamp_count, mapped.meta) == (held.clamp_count, held.meta)
+
+
+def test_streaming_adds_no_field_calls(tmp_path):
+    import dataclasses
+
+    p = builtin("linear-ensemble", M=2, a=[0.5, -0.3], c=[2.0, 1.0])
+    field, calls = p.dynamics.eval_ens, []
+
+    def counted(t, X, u):
+        calls.append(None)
+        return field(t, X, u)
+    p = dataclasses.replace(p, dynamics=dataclasses.replace(p.dynamics, eval_ens=counted))
+    axes, grid = [Axis(-2.0, 2.0, 21)] * 2, TimeGrid(0.0, 1.0, 8)
+    value_dp(p, axes, grid)
+    held = len(calls)
+    value_dp(p, axes, grid, path=tmp_path / "grid.bin")
+    assert len(calls) - held == held
 
 
 # -- adjoint descent ---------------------------------------------------------------
