@@ -10,8 +10,7 @@ from .errors import (CapabilityError, CapacityError, DimensionMismatchError,
 from .measure import (EnsembleState, ParameterSpace, ball_average, ball_mass,
                       l2_inner, l2_norm)
 from .problem import (CheckReport, ControlSchedule, DynamicsSpec, ProblemSpec,
-                      TerminalCostSpec, modulus_check, validate_cost_bound,
-                      validate_growth, validate_lipschitz)
+                      TerminalCostSpec)
 from .library import (builtin, closed_form, cost_lipschitz_bound, load_problem,
                       problem_from_dict)
 from .ensemble import (ControlSignal, TimeGrid, Trajectory, integrate,

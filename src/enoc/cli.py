@@ -311,10 +311,11 @@ def cmd_verify(args) -> int:
     seed = int(cfg["seed"])
     budget = int(cfg["budget"])
     tol = cfg["tol"]
-    cost_lipschitz = cost_lipschitz_bound(p, radius=vcfg["hjb_extent"])
+    extent = vcfg["hjb_extent"]     # the state box of the checks that sample states
+    cost_lipschitz = cost_lipschitz_bound(p, radius=extent)
     axes = (
         _dp_axes(cfg, p) if cfg["grid"] is not None
-        else [Axis(-vcfg["hjb_extent"], vcfg["hjb_extent"], int(vcfg["hjb_counts"]))]
+        else [Axis(-extent, extent, int(vcfg["hjb_counts"]))]
         * p.stacked_dim
     )
 
@@ -334,10 +335,12 @@ def cmd_verify(args) -> int:
             p, kappa=float(vcfg["kappa"]), tol=tol),
         lambda: terminal_limit(
             p, phi, vcfg["gaps"], steps=int(vcfg["terminal_steps"]),
-            budget=budget, cost_lipschitz=cost_lipschitz, tol=tol),
+            budget=budget, cost_lipschitz=cost_lipschitz, tol=tol, seed=seed,
+            x_radius=extent),
         lambda: oscillation_diagnostic(
-            p, s, phi, int(vcfg["osc_controls"]), vcfg["radii"] or _default_radii(p),
-            steps=int(vcfg["osc_steps"]), seed=seed, tol=tol),
+            p, s, phi, int(vcfg["osc_controls"]),
+            _default_radii(p) if vcfg["radii"] is None else vcfg["radii"],
+            steps=int(vcfg["osc_steps"]), seed=seed, tol=tol, x_radius=extent),
     ]
     reports = [check() for check in checks]
     n_pass = sum(rep.passed for rep in reports)
@@ -359,6 +362,10 @@ def cmd_query(args) -> int:
     # the mapped grid reads the header and the one slice value_at interpolates
     vg = ValueGrid.map(args.grid_file)
     z = np.array([float(v) for v in args.state.split(",")])
+    box = [[ax.lo, ax.hi] for ax in vg.axes]
+    # value_at clamps to the boundary; a query answers inside the box only
+    if z.size == len(box) and not all(lo <= x <= hi for x, (lo, hi) in zip(z, box)):
+        raise ValueError(f"state {args.state} lies outside the grid's box {box}")
     val = vg.value_at(float(args.time), z)
     print(_FMT % val)
     return 0

@@ -213,6 +213,11 @@ def _weighted_norms(w, D):
     return np.sqrt(np.einsum("i,bij,bij->b", w, D, D))
 
 
+def _atom_norms(D):
+    """Each atom's Euclidean norm of the states stacked in D (B, M, n)."""
+    return np.sqrt(np.vecdot(D, D))
+
+
 def trajectory_bound_suite(p: ProblemSpec, trials: int, steps=200, seed=0,
                            slack=1.05, phi_scale=1.0) -> CheckReport:
     """Randomized check of the four a-priori trajectory bounds.
@@ -229,8 +234,18 @@ def trajectory_bound_suite(p: ProblemSpec, trials: int, steps=200, seed=0,
 
     The constants follow from the certificates by the usual comparison
     argument applied to 1 + |x|; each bound is allowed the multiplicative
-    discretization slack.  A bound scores lhs / rhs (when rhs <= 0: 0 if
-    lhs <= 1e-12, else +inf); bound 3 is scored only when tau > s.  The
+    discretization slack.  Two more entries score the certificates
+    themselves, pointwise, at the states x(t) and xbar(t) with the control of
+    the step that reached t (the step's last RK4 stage point), each at its
+    worst atom i:
+
+    5. |f_i(t, x_i, u)|                  <= c (1 + |x_i|)
+    6. |f_i(t, x_i, u) - f_i(t, xbar_i, u)| <= k |x_i - xbar_i|
+
+    where an atom with |x_i - xbar_i| < 1e-9 is not evaluated.  They draw
+    nothing, so bounds 1-4 are those of the suite without them.  A bound
+    scores lhs / rhs (when rhs <= 0: 0 if lhs <= 1e-12, else +inf); bound 3
+    is scored only when tau > s, bound 6 only with an evaluated atom.  The
     sampled-report rule gives ``worst``, the largest ratio, ``witness``, the
     first trial and bound reaching it, and the verdict: no ratio above
     ``slack``, over at least one trial.  ``details`` holds ``trials``, the
@@ -245,7 +260,8 @@ def trajectory_bound_suite(p: ProblemSpec, trials: int, steps=200, seed=0,
     divergence raises the error the sequential order would: first trial, x
     before xbar before the shift.  Last, it scores all its trials at once,
     one batched norm or exp per term on the trials' gathered states, with
-    each trial's arithmetic that of one trial alone.
+    each trial's arithmetic that of one trial alone; bounds 5 and 6 take one
+    field call on all its x(t) and one on all its xbar(t).
     """
     rng = np.random.default_rng(seed)
     M, n = p.space.size, p.n
@@ -253,9 +269,9 @@ def trajectory_bound_suite(p: ProblemSpec, trials: int, steps=200, seed=0,
     k = p.dynamics.lipschitz_k
     mu = np.sqrt(p.space.mass)
     w = p.space.weights
-    bounds = ("growth", "stability", "shift", "time")
-    lhs, rhs = np.zeros((trials, 4)), np.ones((trials, 4))
-    evaluated = np.ones((trials, 4), dtype=bool)
+    bounds = ("growth", "stability", "shift", "time", "field_growth", "field_lipschitz")
+    lhs, rhs = np.zeros((trials, 6)), np.ones((trials, 6))
+    evaluated = np.ones((trials, 6), dtype=bool)
 
     # trials per batch: the held states stay near 2**21 floats (16 MB)
     per_batch = max(1, 2 ** 21 // (3 * (steps + 1) * M * n))
@@ -275,33 +291,46 @@ def trajectory_bound_suite(p: ProblemSpec, trials: int, steps=200, seed=0,
             X0 += (phi, phibar, phi)
             U += (u, u, u)
             picks.append((j_tau, j_t))
-        nodes, X0 = np.stack(nodes), np.stack(X0)
-        states = _integrate_batch(p, nodes, X0, np.stack(U))
+        nodes, X0, U = np.stack(nodes), np.stack(X0), np.stack(U)
+        states = _integrate_batch(p, nodes, X0, U)
 
         # every trial of the batch scored at once: row 3 i is trial i's x
         j_tau, j_t = np.array(picks).T
         row = np.arange(0, nodes.shape[0], 3)
         s, tau, t = nodes[row, 0], nodes[row, j_tau], nodes[row, j_t]
-        phi, x_t = X0[row], states[j_t, row]
+        phi, x_t, xbar_t = X0[row], states[j_t, row], states[j_t, row + 1]
         norm_phi = _weighted_norms(w, phi)
         evaluated[batch, 2] = j_tau > 0
-        lhs[batch] = np.stack([
+        lhs[batch, :4] = np.stack([
             _weighted_norms(w, x_t),
-            _weighted_norms(w, x_t - states[j_t, row + 1]),
+            _weighted_norms(w, x_t - xbar_t),
             _weighted_norms(w, states[j_t, row + 2] - x_t),
             _weighted_norms(w, x_t - states[j_tau, row])], axis=1)
-        rhs[batch] = np.stack([
+        rhs[batch, :4] = np.stack([
             np.exp(c * (t - s)) * (norm_phi + c * (t - s) * mu),
             np.exp(k * (t - s)) * _weighted_norms(w, phi - X0[row + 1]),
             c * np.exp(k * (t - tau)) * np.exp(c * (tau - s))
             * (mu + norm_phi) * (tau - s),
             c * np.exp(c * (t - s)) * (mu + norm_phi) * (t - tau)], axis=1)
+        # the certificates at each trial's worst atom (a NaN is the worst)
+        u_t = U[row, j_t - 1]
+        f_x = p.dynamics.field(t, x_t, u_t)
+        gap = _atom_norms(x_t - xbar_t)
+        far = gap >= 1e-9
+        evaluated[batch, 5] = far.any(axis=1)
+        for b, top, bottom, scored in (
+                (4, _atom_norms(f_x), c * (1.0 + _atom_norms(x_t)), True),
+                (5, _atom_norms(f_x - p.dynamics.field(t, xbar_t, u_t)), k * gap, far)):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                atom = np.argmax(np.where(scored, top / bottom, -np.inf), axis=1)
+            pick = (np.arange(atom.size), atom)
+            lhs[batch, b], rhs[batch, b] = top[pick], bottom[pick]
 
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(rhs <= 0.0, np.where(lhs <= 1e-12, 0.0, np.inf), lhs / rhs)
 
     def bound_row(q):
-        trial, b = divmod(int(q), 4)
+        trial, b = divmod(int(q), len(bounds))
         return {"bound": bounds[b], "trial": trial, "lhs": float(lhs[trial, b]),
                 "rhs": float(rhs[trial, b]), "ratio": float(ratio[trial, b])}
 

@@ -1,8 +1,8 @@
 """Built-in problem library, closed-form references, and problem files.
 
 Each builtin returns a fully certified :class:`~enoc.problem.ProblemSpec`
-whose declared constants pass all four validators, plus enough metadata to
-rebuild it from a manifest.  The scalar-coefficient linear family also ships
+whose declared constants pass the verify checks that read them, plus enough
+metadata to rebuild it from a manifest.  The scalar-coefficient linear family also ships
 a closed-form optimum used as an external reference by the solvers' tests.
 
 Problem files are JSON (format tag ``enoc-problem/1``) and either name a

@@ -1,8 +1,11 @@
-"""Problem specifications: dynamics, terminal cost, control schedule, validators.
+"""Problem specifications: dynamics, terminal cost, control schedule, and the
+report the verify checks return.
 
 The regularity certificates (growth constant, Lipschitz constant, parameter
-modulus, cost lower bound) are declared by whoever builds the problem and are
-spot-checked by the Monte Carlo validators below — a passing report is
+modulus, cost lower bound) are declared by whoever builds the problem.  The
+verify battery spot-checks each in the one check that reads it: growth and
+Lipschitz in the trajectory bound suite, the modulus in the oscillation
+diagnostic, the cost lower bound in the terminal limit.  A passing report is
 sampled evidence on its stated domain, never a proof.
 """
 
@@ -268,7 +271,7 @@ class ProblemSpec:
 @dataclass
 class CheckReport:
     """One certification outcome; ``worst`` and ``witness`` stay re-evaluable.
-    The four certificate validators below and the six verify checks return it."""
+    The six verify checks return it."""
 
     name: str
     instance: dict
@@ -292,13 +295,13 @@ def _instance_tag(p: ProblemSpec):
     return tag
 
 
-# -- certificate validators ---------------------------------------------------
+# -- the sampled-report rule ---------------------------------------------------
 #
-# The validators below, the trajectory bound suite and the battery's
-# two-stage, HJB and oscillation checks report under one rule: the witness
-# is the worst evaluated sample, ``passed = evaluated > 0 and worst <=
-# tolerance``, and a NaN score is the worst there is.  ``evaluated`` may
-# count the samples a score stands for (one HJB score per time slice).
+# The trajectory bound suite and the battery's two-stage, HJB and
+# oscillation checks report under one rule: the witness is the worst
+# evaluated sample, ``passed = evaluated > 0 and worst <= tolerance``, and a
+# NaN score is the worst there is.  ``evaluated`` may count the samples a
+# score stands for (one HJB score per time slice).
 
 def _sampled_report(p, name, tolerance, scores, witness_at, seed,
                     evaluated=None, why_empty=None, **details) -> CheckReport:
@@ -319,127 +322,3 @@ def _sampled_report(p, name, tolerance, scores, witness_at, seed,
                        worst=worst, witness=witness,
                        passed=count > 0 and worst <= tolerance,
                        details=dict(details, evaluated=count), seed=seed)
-
-
-def _norms(v):
-    """Row norms of (S, n), bitwise equal to ``np.linalg.norm`` of each row."""
-    return np.sqrt(np.vecdot(v, v))
-
-
-def _field_samples(p: ProblemSpec, samples, seed, x_radius, states):
-    """Draw times, admissible controls, ``states`` state arrays and atoms, in
-    that order from one Generator, and return them with the sampled atom's
-    velocity at each state array: one batched field call per array, on
-    ensembles whose atoms all sit at the sampled state."""
-    if samples <= 0:
-        raise ValueError("sampler budget must be positive")
-    rng = np.random.default_rng(seed)
-    ts = rng.uniform(0.0, p.horizon, size=samples)
-    us = p.controls.sample(ts, rng)
-    xs = [rng.uniform(-x_radius, x_radius, size=(samples, p.n)) for _ in range(states)]
-    idx = rng.integers(p.space.size, size=samples)
-    shape = (samples, p.space.size, p.n)
-    vs = [p.dynamics.field(ts, np.broadcast_to(x[:, None, :], shape), us)
-          [np.arange(samples), idx] for x in xs]
-    return ts, us, xs, idx, vs
-
-
-def validate_growth(p: ProblemSpec, samples: int, seed=0, x_radius=10.0) -> CheckReport:
-    """Check |f(t,x,u,w)| <= c (1 + |x|) on random samples; worst = largest ratio."""
-    ts, us, (xs,), idx, (v,) = _field_samples(p, samples, seed, x_radius, 1)
-    ratio = _norms(v) / (p.dynamics.growth_c * (1.0 + _norms(xs)))
-    return _sampled_report(
-        p, "growth", 1.0 + 1e-12, ratio,
-        lambda q: {"t": float(ts[q]), "x": xs[q].tolist(), "u": us[q].tolist(),
-                   "atom": int(idx[q]), "ratio": float(ratio[q])},
-        seed, samples=samples, domain={"t": [0.0, p.horizon], "x_radius": x_radius})
-
-
-def validate_lipschitz(p: ProblemSpec, samples: int, seed=0, x_radius=10.0) -> CheckReport:
-    """Check |f(t,x,u,w) - f(t,x',u,w)| <= k |x - x'| on random state pairs.
-
-    Pairs closer than 1e-9 are skipped; with every pair skipped the check
-    fails for lack of evidence.
-    """
-    ts, us, (xs, ys), idx, (vx, vy) = _field_samples(p, samples, seed, x_radius, 2)
-    gap = _norms(xs - ys)
-    ratio = _norms(vx - vy) / (p.dynamics.lipschitz_k * np.maximum(gap, 1e-9))
-    return _sampled_report(
-        p, "lipschitz", 1.0 + 1e-12, ratio,
-        lambda q: {"t": float(ts[q]), "x": xs[q].tolist(), "x2": ys[q].tolist(),
-                   "u": us[q].tolist(), "atom": int(idx[q]), "ratio": float(ratio[q])},
-        seed, evaluated=gap >= 1e-9, samples=samples,
-        domain={"t": [0.0, p.horizon], "x_radius": x_radius})
-
-
-def validate_cost_bound(p: ProblemSpec, samples: int, seed=0, x_radius=10.0) -> CheckReport:
-    """Check g(x, w_i) >= a_i - b |x|^2 on random samples; worst = largest
-    deficit a_i - b |x|^2 - g(x, w_i)."""
-    if samples <= 0:
-        raise ValueError("sampler budget must be positive")
-    rng = np.random.default_rng(seed)
-    xs = rng.uniform(-x_radius, x_radius, size=(samples, p.n))
-    idx = rng.integers(p.space.size, size=samples)
-    X = np.broadcast_to(xs[:, None, :], (samples, p.space.size, p.n))
-    g = p.cost.values(X)[np.arange(samples), idx]
-    deficit = (p.cost.lower_bound_a[idx]
-               - p.cost.lower_bound_b * (xs * xs).sum(axis=1)) - g
-    return _sampled_report(
-        p, "cost_bound", 1e-12, deficit,
-        lambda q: {"x": xs[q].tolist(), "atom": int(idx[q]),
-                   "deficit": float(deficit[q])},
-        seed, samples=samples, domain={"x_radius": x_radius})
-
-
-def modulus_check(p: ProblemSpec, pairs: int, seed=0, x_radius=5.0,
-                  state_samples=32, t_nodes=33) -> CheckReport:
-    """Check the declared parameter modulus against a sampled oscillation estimate.
-
-    For sampled atom pairs (i, j) the quantity
-    integral over [0,T] of max over sampled (x, u) of |f(t,x,u,w_i) - f(t,x,u,w_j)|
-    is estimated by composite trapezoid in t, and must not exceed
-    theta(d(w_i, w_j)); worst = the largest excess.  The two dynamics are
-    compared at the same state point: that is the oscillation the
-    trajectory-based compactness diagnostic needs, and the one a
-    state-linear field keeps finite on a box.  A single atom passes
-    vacuously.
-    """
-    if p.dynamics.omega_modulus is None:
-        raise CapabilityError("dynamics declares no parameter modulus")
-    if pairs <= 0:
-        raise ValueError("pair budget must be positive")
-    M = p.space.size
-    domain = {"t": [0.0, p.horizon], "x_radius": x_radius,
-              "state_samples": state_samples}
-    if M == 1:
-        return CheckReport(
-            name="modulus", instance=_instance_tag(p), tolerance=1e-12, worst=0.0,
-            witness={}, passed=True, seed=seed,
-            details={"samples": 0, "domain": domain, "evaluated": 0,
-                     "note": "single atom: vacuously true"})
-    rng = np.random.default_rng(seed)
-    all_pairs = [(i, j) for i in range(M) for j in range(i + 1, M)]
-    if pairs >= len(all_pairs):
-        chosen = all_pairs
-    else:
-        sel = rng.choice(len(all_pairs), size=pairs, replace=False)
-        chosen = [all_pairs[s] for s in sorted(sel)]
-    ts = np.linspace(0.0, p.horizon, t_nodes)
-    xs = rng.uniform(-x_radius, x_radius, size=(state_samples, p.n))
-    # every atom of sample ensemble q sits at xs[q]
-    X = np.broadcast_to(xs[:, None, :], (state_samples, M, p.n))
-    I, J = np.array(chosen).T
-    vals = np.zeros((len(chosen), t_nodes))
-    for q, t in enumerate(ts):
-        for u in p.controls.active_set(t):
-            V = p.dynamics.field(t, X, u)
-            gaps = np.linalg.norm(V[:, I] - V[:, J], axis=-1).max(axis=0)
-            vals[:, q] = np.maximum(vals[:, q], gaps)
-    est = np.array([float(np.trapezoid(row, ts)) for row in vals])
-    dist = p.space.metric[I, J]
-    bound = np.array([float(p.dynamics.omega_modulus(d)) for d in dist])
-    return _sampled_report(
-        p, "modulus", 1e-12, est - bound,
-        lambda q: {"atoms": list(chosen[q]), "estimate": float(est[q]),
-                   "bound": float(bound[q]), "distance": float(dist[q])},
-        seed, samples=len(chosen), domain=domain)

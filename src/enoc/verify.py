@@ -9,11 +9,14 @@ sampled starts and one suffix tree per split, its witness the (sample,
 split time) of the worst residual.
 The bound suite and the two-stage, HJB and oscillation checks pass by the
 one rule of ``_sampled_report``; ``epigraph_invariance`` (two tolerances)
-and ``terminal_limit`` (a slope and monotone decay) keep their own
-verdicts.  A ``tol`` replaces only the derived tolerance, never a
-tolerance-free condition (evidence, monotone decay, ball mass).  Checks
-never raise on a violation; they raise only on misuse (grids too small to
-difference, missing capabilities).
+and ``terminal_limit`` (a slope, monotone decay and the cost bound) keep
+their own verdicts.  A ``tol`` replaces only the derived tolerance, never a
+tolerance-free condition (evidence, monotone decay, ball mass, the cost
+bound).  Each declared certificate is checked in the one check that reads
+it: growth and Lipschitz constants in the bound suite, the cost lower bound
+in ``terminal_limit`` and the parameter modulus in
+``oscillation_diagnostic``.  Checks never raise on a violation; they raise
+only on misuse (grids too small to difference, missing capabilities).
 """
 
 from __future__ import annotations
@@ -31,6 +34,10 @@ from .value import (ValueGrid, _node_mesh, build_oracle_tree,
                     terminal_functional, value_oracle)
 
 _SLAB = 2 ** 17        # floats one slab of hjb_residual's slices works with (1 MB)
+_COST_SAMPLES = 256    # states terminal_limit checks the cost's lower bound at
+_MODULUS_STATES = 32   # states the modulus estimate compares two atoms at
+_MODULUS_TIMES = 33    # trapezoid nodes of its time integral over [0, T]
+_MODULUS_PAIRS = 64    # atom pairs it compares at most (drawn when there are more)
 
 
 # -- finite-difference residual of the terminal-value recursion --------------
@@ -212,8 +219,8 @@ def epigraph_invariance(p: ProblemSpec, s, phi: EnsembleState, grid: TimeGrid,
 # -- boundary behavior at the terminal time -----------------------------------
 
 def terminal_limit(p: ProblemSpec, phibar: EnsembleState, horizon_gaps,
-                   steps=8, budget=1_000_000,
-                   cost_lipschitz=None, tol=None) -> CheckReport:
+                   steps=8, budget=1_000_000, cost_lipschitz=None, tol=None,
+                   seed=0, x_radius=5.0) -> CheckReport:
     """Shrinking-horizon convergence of the value to the terminal functional.
 
     For each gap D in ``horizon_gaps`` the value from (T - D, phibar) is
@@ -223,6 +230,13 @@ def terminal_limit(p: ProblemSpec, phibar: EnsembleState, horizon_gaps,
     the local Lipschitz certificate of the cost (``cost_lipschitz``) and c
     the growth certificate.  ``tol`` replaces 2 L as the slope bound; the
     decay must stay monotone.
+
+    The cost's lower-bound certificate g(x, w_i) >= a_i - b |x|^2 is checked
+    too, at every atom of _COST_SAMPLES states drawn uniformly from the box
+    [-x_radius, x_radius]^n by ``default_rng(seed)``: the largest deficit
+    a_i - b |x|^2 - g must be at most 1e-12 (a NaN is the worst), whatever
+    ``tol``.  ``details`` holds it as ``cost_deficit`` and its state and atom
+    as ``cost_witness``.
     """
     if cost_lipschitz is None:
         raise ValueError("terminal_limit needs a local cost Lipschitz certificate")
@@ -245,29 +259,95 @@ def terminal_limit(p: ProblemSpec, phibar: EnsembleState, horizon_gaps,
     monotone = bool(np.all(np.diff(diffs) <= 1e-12))
     if tol is None:
         tol = 2.0 * L
-    passed = slope <= tol and monotone
+
+    xs = x_radius * np.random.default_rng(seed).uniform(-1.0, 1.0, (_COST_SAMPLES, p.n))
+    X = np.broadcast_to(xs[:, None, :], (_COST_SAMPLES, p.space.size, p.n))
+    g = p.cost.values(X)
+    with np.errstate(over="ignore", invalid="ignore"):     # past 1e154, |x|^2 is inf
+        deficit = (p.cost.lower_bound_a
+                   - p.cost.lower_bound_b * (xs * xs).sum(axis=1)[:, None] - g)
+    q, atom = np.unravel_index(int(np.argmax(deficit)), deficit.shape)  # NaN first
+    worst_deficit = float(deficit[q, atom])
+
+    passed = slope <= tol and monotone and worst_deficit <= 1e-12
     worst_i = int(np.argmax(diffs / gaps_arr))
     return CheckReport(
         name="terminal_limit", instance=_instance_tag(p), tolerance=tol,
-        worst=slope, witness=table[worst_i], passed=passed,
+        worst=slope, witness=table[worst_i], passed=passed, seed=seed,
         details={"terminal_functional": jcal, "derived_constant": L,
                  "empirical_slope": slope, "monotone_decay": monotone,
-                 "table": table})
+                 "table": table, "cost_deficit": worst_deficit,
+                 "cost_witness": {"x": xs[q].tolist(), "atom": int(atom)},
+                 "cost_samples": _COST_SAMPLES, "x_radius": x_radius})
 
 
 # -- mean-oscillation compactness diagnostic ----------------------------------
 
+def _modulus_excess(p: ProblemSpec, seed, x_radius):
+    """The declared parameter modulus against a sampled oscillation estimate.
+
+    For atom pairs (i, j) the integral over [0, T] of the largest
+    |f(t, x, u, w_i) - f(t, x, u, w_j)| over the admissible u and
+    _MODULUS_STATES states x is estimated by the trapezoid rule on
+    _MODULUS_TIMES nodes; returns the excesses estimate - theta(d(w_i, w_j))
+    and a witness per pair.  The two atoms are compared at the same state: the
+    oscillation the trajectory diagnostic needs, and the one a state-linear
+    field keeps finite on a box.  All pairs are compared, or _MODULUS_PAIRS of
+    them drawn, and then the states uniformly on [-x_radius, x_radius]^n,
+    from ``default_rng(seed)``; one atom has no pair.  One field call takes
+    every control and state at a run of time nodes sharing an active set, up
+    to about _SLAB floats of velocities.
+    """
+    M, S = p.space.size, _MODULUS_STATES
+    rng = np.random.default_rng(seed)
+    I, J = np.triu_indices(M, 1)
+    if I.size > _MODULUS_PAIRS:
+        keep = np.sort(rng.choice(I.size, size=_MODULUS_PAIRS, replace=False))
+        I, J = I[keep], J[keep]
+    xs = x_radius * rng.uniform(-1.0, 1.0, (S, p.n))
+    ts = np.linspace(0.0, p.horizon, _MODULUS_TIMES)
+    active = np.array([p.controls.active_index(t) for t in ts])
+    vals = np.empty((I.size, ts.size))
+    runs = [0, *(np.flatnonzero(np.diff(active)) + 1).tolist(), ts.size]
+    for r_lo, r_hi in zip(runs[:-1], runs[1:]):
+        pts = p.controls.sets[active[r_lo]]
+        per_call = max(1, _SLAB // (pts.shape[0] * S * (M + 2 * I.size) * p.n))
+        for lo in range(r_lo, r_hi, per_call):
+            hi = min(lo + per_call, r_hi)
+            lead = (hi - lo, pts.shape[0], S)
+            V = p.dynamics.field(np.broadcast_to(ts[lo:hi, None, None], lead),
+                                 np.broadcast_to(xs[:, None, :], lead + (M, p.n)),
+                                 np.broadcast_to(pts[:, None, :], lead + (p.m,)))
+            # a gap past the float range reads inf (or NaN) and fails
+            with np.errstate(over="ignore", invalid="ignore"):
+                vals[:, lo:hi] = np.linalg.norm(V[..., I, :] - V[..., J, :],
+                                                axis=-1).max(axis=(1, 2)).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        est = np.trapezoid(vals, ts, axis=1)
+    dist = p.space.metric[I, J]
+    bound = np.array([float(p.dynamics.omega_modulus(d)) for d in dist])
+    witnesses = [{"atoms": [int(i), int(j)], "estimate": float(e), "bound": float(b),
+                  "distance": float(d)} for i, j, e, b, d in zip(I, J, est, bound, dist)]
+    return est - bound, witnesses
+
+
 def oscillation_diagnostic(p: ProblemSpec, s, phi: EnsembleState, controls,
-                           radii, steps=100, seed=0, tol=None) -> CheckReport:
+                           radii, steps=100, seed=0, tol=None,
+                           x_radius=5.0) -> CheckReport:
     """Mean oscillation of the accumulated velocity against the modulus bound.
 
     For each sampled signal the integral of the velocity along the
     trajectory is the integrator's displacement x(T) - phi, RK4's own
     quadrature of the field on the same path; for each radius r the
     mass-weighted squared deviation from its own ball average must stay
-    below mass * theta(r)^2 (up to ``tol``, 1e-12 unless given), and every
-    ball must carry positive mass: one without scores +inf.  With no radius
-    the report fails for lack of evidence.
+    below mass * theta(r)^2, and every ball must carry positive mass: one
+    without scores +inf.  The same report scores the modulus itself: for
+    each atom pair, a sampled estimate of the field's integrated oscillation
+    on the state box [-x_radius, x_radius]^n must stay below theta of the
+    pair's distance (:func:`_modulus_excess`, drawn from its own
+    ``default_rng(seed)``, so the signals' draws are those without it).
+    Every excess must be at most ``tol``, 1e-12 unless given.  No radius
+    raises ValueError, as no signal does.
     ``controls`` is a count of random signals on one grid or a list of
     signals with a common number of steps; they are integrated as one batch.
     """
@@ -275,6 +355,8 @@ def oscillation_diagnostic(p: ProblemSpec, s, phi: EnsembleState, controls,
     if theta is None:
         raise CapabilityError("oscillation diagnostic needs a parameter modulus")
     radii = np.asarray(list(radii), dtype=float)
+    if radii.size == 0:
+        raise ValueError("need one or more radii")
     if np.any(radii <= 0):
         raise ValueError("radii must be positive")
     if isinstance(controls, int):
@@ -308,7 +390,10 @@ def oscillation_diagnostic(p: ProblemSpec, s, phi: EnsembleState, controls,
                            "bound": bound, "ball_mass": h_vals[r]})
             # a ball without mass fails under any finite tolerance
             excess[sig_i, r_i] = osc - bound if h_vals[r] > 0 else np.inf
+    modulus, pairs = _modulus_excess(p, seed, x_radius)
+    witnesses = curves + pairs
     return _sampled_report(
-        p, "oscillation", 1e-12 if tol is None else tol, excess.reshape(-1),
-        lambda q: curves[q], seed, curves=curves, ball_mass=h_vals,
-        signals=len(signals))
+        p, "oscillation", 1e-12 if tol is None else tol,
+        np.concatenate([excess.reshape(-1), modulus]), lambda q: witnesses[q], seed,
+        curves=curves, ball_mass=h_vals, signals=len(signals), modulus=pairs,
+        x_radius=x_radius)

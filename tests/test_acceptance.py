@@ -11,7 +11,7 @@ import numpy as np
 
 from enoc import (Axis, EnsembleState, TimeGrid, builtin, closed_form,
                   cost_lipschitz_bound, dpp_residual, epigraph_invariance,
-                  hjb_residual, integrate, trajectory_bound_suite, modulus_check,
+                  hjb_residual, integrate, trajectory_bound_suite,
                   oscillation_diagnostic, terminal_limit, value_adjoint,
                   value_dp, value_oracle)
 from enoc.cli import main as cli_main
@@ -143,14 +143,15 @@ def test_criterion_7_terminal_limit_linear_decay():
 def test_criterion_8_oscillation_diagnostic():
     p = builtin("linear-ensemble", M=4, a=np.linspace(-1.0, 1.0, 4),
                 c=[1.0, 1.0, 1.0, 1.0])
-    assert modulus_check(p, pairs=6, seed=0).passed
     phi = EnsembleState(np.full((4, 1), 0.5), p.space)
     radii = [0.2, 0.5, 0.85, 1.2]
     rep = oscillation_diagnostic(p, 0.0, phi, 5, radii, steps=100, seed=0)
     h_ok = all(v > 0 for v in rep.details["ball_mass"].values())
-    _report(8, rep.passed and h_ok,
+    pairs = rep.details["modulus"]
+    _report(8, rep.passed and h_ok and len(pairs) == 6,
             f"oscillation stays below mass*theta(r)^2 at all {len(radii)} "
-            f"radii for 5 sampled controls; min ball mass "
+            f"radii for 5 sampled controls and the sampled modulus estimate "
+            f"below theta(d) for all {len(pairs)} atom pairs; min ball mass "
             f"{min(rep.details['ball_mass'].values()):.3f} > 0")
 
 

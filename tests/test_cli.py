@@ -459,6 +459,28 @@ def test_query_rejects_a_time_that_is_no_grid_node(small_grid_file, capsys, time
     assert captured.out == "" and f"t={time} is not a grid node" in captured.err
 
 
+@pytest.mark.parametrize("state", ["100,100", "inf,0", "0,-4.5", "nan,0"])
+def test_query_rejects_a_state_outside_the_grid(small_grid_file, capsys, state):
+    # the grid would clamp it to the boundary and answer the corner's value
+    rc = run(["query", "--grid-file", str(small_grid_file), "--time", "0",
+              f"--state={state}"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"state {state} lies outside the grid's box "
+            "[[-4.0, 4.0], [-4.0, 4.0]]") in captured.err
+
+
+@pytest.mark.parametrize("state", ["4,4", "-4,4", "0,0"])
+def test_query_answers_a_state_on_the_grid_box(small_grid_file, capsys, state):
+    rc = run(["query", "--grid-file", str(small_grid_file), "--time", "0",
+              f"--state={state}"])
+    assert rc == 0
+    vg = ValueGrid.map(small_grid_file)
+    z = np.array([float(v) for v in state.split(",")])
+    assert capsys.readouterr().out == "%.17g\n" % vg.value_at(0.0, z)
+
+
 def _with_header(blob, edit):
     """The value-grid file ``blob`` with its JSON header replaced by
     ``edit(header)`` (JSON, or bytes as they are), written without padding,
@@ -881,6 +903,16 @@ def test_any_json_in_a_space_file_exits_0_or_2(tmp_path, sine_drift_doc, space):
     rc, err = _solve_with_space_file(tmp_path, sine_drift_doc, json.dumps(space).encode())
     assert rc in (0, 2)
     assert "Traceback" not in err
+
+
+def test_verify_runs_an_empty_radius_list_as_given(tmp_path, capsys):
+    # only null means the default radii; an empty list is no radius: exit 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"verify": {"radii": [], "trials": 2, "dpp_phis": 1,
+                                          "hjb_steps": 4, "hjb_counts": 5}}))
+    rc = run(["verify", "--config", str(cfg), "--out", str(tmp_path / "v")])
+    assert rc == 2
+    assert "need one or more radii" in capsys.readouterr().err
 
 
 def _default_radii_by_unique(p):

@@ -224,7 +224,8 @@ def sequential_suite(p, trials, steps, seed, slack=1.05, phi_scale=1.0):
     rng = np.random.default_rng(seed)
     c, k = p.dynamics.growth_c, p.dynamics.lipschitz_k
     mu = np.sqrt(p.space.mass)
-    max_ratio = {"growth": 0.0, "stability": 0.0, "shift": 0.0, "time": 0.0}
+    max_ratio = {"growth": 0.0, "stability": 0.0, "shift": 0.0, "time": 0.0,
+                 "field_growth": 0.0, "field_lipschitz": 0.0}
     violations = []
 
     def norm(d):
@@ -263,6 +264,20 @@ def sequential_suite(p, trials, steps, seed, slack=1.05, phi_scale=1.0):
                   * (mu + nphi) * (tau - s), trial)
         track("time", norm(x[j_t] - x[j_tau]),
               c * np.exp(c * (t - s)) * (mu + nphi) * (t - tau), trial)
+        # the certificates atom by atom at x(t) and xbar(t), with the control
+        # of the step that reached t; the first worst atom counts
+        u = sig.values[j_t - 1]
+        f, fbar = p.dynamics.field(t, x[j_t], u), p.dynamics.field(t, xbar[j_t], u)
+        atoms = range(p.space.size)
+        growth = [(np.linalg.norm(f[i]), c * (1.0 + np.linalg.norm(x[j_t, i])))
+                  for i in atoms]
+        track("field_growth", *max(growth, key=lambda lr: lr[0] / lr[1]), trial)
+        lipschitz = [(np.linalg.norm(f[i] - fbar[i]),
+                      k * np.linalg.norm(x[j_t, i] - xbar[j_t, i])) for i in atoms
+                     if np.linalg.norm(x[j_t, i] - xbar[j_t, i]) >= 1e-9]
+        if lipschitz:
+            track("field_lipschitz", *max(lipschitz, key=lambda lr: lr[0] / lr[1]),
+                  trial)
     return max_ratio, violations, not violations
 
 

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from enoc import (CapabilityError, CheckReport, ControlSchedule,
                   DimensionMismatchError, DynamicsSpec, EnocError,
                   EnsembleState, ParameterSpace, ProblemSpec, ScheduleError,
-                  TerminalCostSpec, builtin, closed_form, load_problem,
-                  modulus_check, problem_from_dict, validate_cost_bound,
-                  validate_growth, validate_lipschitz)
+                  TerminalCostSpec, builtin, closed_form, cost_lipschitz_bound,
+                  load_problem, oscillation_diagnostic, problem_from_dict,
+                  terminal_limit, trajectory_bound_suite)
+from enoc.cli import _default_radii
 from enoc.expr import Expression, ExpressionError
 from enoc.library import _BUILTINS
 from enoc.problem import _corners_present
@@ -110,33 +111,59 @@ def test_per_atom_eval_is_rejected():
                          lower_bound_b=0.0)
 
 
+# -- the certificates, each in the check that reads it ----------------------------
+#
+# growth_c and lipschitz_k: the trajectory bound suite's field_growth and
+# field_lipschitz entries; the cost lower bound: terminal_limit; the
+# parameter modulus: the oscillation diagnostic.
+
+def bounds(p, trials=60, steps=40, seed=0, **kwargs):
+    return trajectory_bound_suite(p, trials=trials, steps=steps, seed=seed, **kwargs)
+
+
+def terminal(p, seed=0, x_radius=5.0):
+    phi = EnsembleState(np.full((p.space.size, p.n), 0.25), p.space)
+    return terminal_limit(p, phi, [0.2, 0.1, 0.05], steps=4, cost_lipschitz=1e6,
+                          seed=seed, x_radius=x_radius)
+
+
+def oscillation(p, seed=0, x_radius=5.0):
+    phi = EnsembleState(np.full((p.space.size, p.n), 0.25), p.space)
+    return oscillation_diagnostic(p, 0.0, phi, 2, [0.5, 1.5], steps=10, seed=seed,
+                                  x_radius=x_radius)
+
+
 # -- growth -------------------------------------------------------------------
 
 def test_growth_zero_field_passes():
     p = toy_problem(zero_field, growth_c=1.0, lipschitz_k=1.0)
-    rep = validate_growth(p, samples=100)
-    assert rep.passed and rep.worst == 0.0
+    rep = bounds(p)
+    assert rep.passed and rep.details["max_ratio"]["field_growth"] == 0.0
 
 
 def test_growth_identity_passes_inside_box():
     p = toy_problem(lambda t, X, u: X, growth_c=1.0, lipschitz_k=1.0)
-    rep = validate_growth(p, samples=300)
+    rep = bounds(p)
     assert rep.passed
-    assert rep.worst < 1.0
+    assert 0.0 < rep.details["max_ratio"]["field_growth"] < 1.0
 
 
 def test_growth_quadratic_violates():
-    p = toy_problem(lambda t, X, u: X * X, growth_c=1.0, lipschitz_k=1.0)
-    rep = validate_growth(p, samples=300)
+    # a short horizon keeps x' = x^2 from blowing up from |phi| up to about 12
+    p = toy_problem(lambda t, X, u: X * X, growth_c=1.0, lipschitz_k=1.0, T=0.05)
+    rep = bounds(p, phi_scale=3.0)
     assert not rep.passed
-    # x^2 = 1 + x crosses at the golden ratio
-    assert abs(rep.witness["x"][0]) > 1.618
+    worst = max((v for v in rep.details["violations"] if v["bound"] == "field_growth"),
+                key=lambda v: v["ratio"])
+    assert worst["ratio"] == rep.details["max_ratio"]["field_growth"]
+    # x^2 = 1 + |x| crosses at the golden ratio; the rhs is 1 + |x|
+    assert worst["lhs"] > worst["rhs"] > 1.0 + 1.618
 
 
 def test_growth_requires_budget():
     p = toy_problem(zero_field, growth_c=1.0, lipschitz_k=1.0)
-    with pytest.raises(ValueError):
-        validate_growth(p, samples=0)
+    rep = bounds(p, trials=0)
+    assert not rep.passed and rep.details["evaluated"] == 0
 
 
 # -- lipschitz ----------------------------------------------------------------
@@ -144,63 +171,70 @@ def test_growth_requires_budget():
 def test_lipschitz_constant_field_passes():
     p = toy_problem(lambda t, X, u: np.full_like(X, 3.0), growth_c=5.0,
                     lipschitz_k=0.5)
-    assert validate_lipschitz(p, samples=200).passed
+    rep = bounds(p)
+    assert rep.passed and rep.details["max_ratio"]["field_lipschitz"] == 0.0
 
 
 def test_lipschitz_steep_slope_violates_with_ratio_two():
     p = toy_problem(lambda t, X, u: 2.0 * X, growth_c=3.0, lipschitz_k=1.0)
-    rep = validate_lipschitz(p, samples=200)
+    rep = bounds(p)
     assert not rep.passed
-    assert rep.worst == pytest.approx(2.0, rel=1e-9)
+    assert rep.details["max_ratio"]["field_lipschitz"] == pytest.approx(2.0, rel=1e-9)
 
 
 def test_lipschitz_sine_passes():
     p = toy_problem(lambda t, X, u: np.sin(X), growth_c=1.0, lipschitz_k=1.0)
-    assert validate_lipschitz(p, samples=500).passed
+    rep = bounds(p)
+    assert rep.passed and rep.details["max_ratio"]["field_lipschitz"] <= 1.0
 
 
-def test_lipschitz_fails_without_evidence():
-    # every pair is closer than 1e-9, so nothing is evaluated: no pass
-    p = toy_problem(lambda t, X, u: 100.0 * X, growth_c=200.0, lipschitz_k=1.0)
-    rep = validate_lipschitz(p, samples=50, x_radius=1e-12)
-    assert not rep.passed
-    assert rep.details["evaluated"] == 0 and rep.witness == {}
-    assert "insufficient evidence" in rep.details["note"]
+def test_lipschitz_skips_pairs_closer_than_1e_9():
+    # the true constant is 100, so a scored pair reads 100; on a short horizon
+    # from data of size 1e-12 every pair stays closer than 1e-9 and none is scored
+    p = toy_problem(lambda t, X, u: 100.0 * X, growth_c=200.0, lipschitz_k=1.0,
+                    T=0.01)
+    assert bounds(p).details["max_ratio"]["field_lipschitz"] > 99.0
+    rep = bounds(p, phi_scale=1e-12)
+    assert rep.details["max_ratio"]["field_lipschitz"] == 0.0
+    assert all(v["bound"] != "field_lipschitz" for v in rep.details["violations"])
 
 
 # -- cost lower bound ----------------------------------------------------------
 
 def test_cost_bound_zero_cost():
     p = toy_problem(zero_field, growth_c=1.0, lipschitz_k=1.0)
-    rep = validate_cost_bound(p, samples=100)
-    assert rep.passed and rep.worst == pytest.approx(0.0)
+    rep = terminal(p)
+    assert rep.passed and rep.details["cost_deficit"] == 0.0
 
 
 def test_cost_bound_boundary_equality():
     p = toy_problem(zero_field, growth_c=1.0, lipschitz_k=1.0,
                     g=lambda X: -(X * X).sum(axis=-1), b=1.0)
-    rep = validate_cost_bound(p, samples=200)
+    rep = terminal(p)
     assert rep.passed
-    assert rep.worst == pytest.approx(0.0, abs=1e-12)
+    assert rep.details["cost_deficit"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_cost_bound_quartic_violates():
     p = toy_problem(zero_field, growth_c=1.0, lipschitz_k=1.0,
                     g=lambda X: -(X * X).sum(axis=-1) ** 2, b=1.0)
-    rep = validate_cost_bound(p, samples=300, x_radius=2.0)
+    rep = terminal(p, x_radius=2.0)
+    # the slope and the decay pass: only the cost bound fails
+    assert rep.worst <= rep.tolerance and rep.details["monotone_decay"]
     assert not rep.passed
-    assert abs(rep.witness["x"][0]) > 1.0
-    # worst is the largest deficit a - b|x|^2 - g = x^4 - x^2 > 0
-    x = rep.witness["x"][0]
-    assert rep.worst == rep.witness["deficit"] == pytest.approx(x ** 4 - x ** 2)
+    x = rep.details["cost_witness"]["x"][0]
+    assert 1.0 < abs(x) <= 2.0
+    # the deficit a - b|x|^2 - g = x^4 - x^2 > 0
+    assert rep.details["cost_deficit"] == pytest.approx(x ** 4 - x ** 2)
 
 
 # -- parameter modulus ----------------------------------------------------------
 
 def test_modulus_omega_independent_field():
-    p = toy_problem(lambda t, X, u: np.broadcast_to(u, np.shape(X)), growth_c=1.0,
+    p = toy_problem(lambda t, X, u: np.broadcast_to(np.asarray(u)[..., None, :], np.shape(X)), growth_c=1.0,
                     lipschitz_k=1.0, theta=lambda r: 0.0)
-    assert modulus_check(p, pairs=1).passed
+    rep = oscillation(p)
+    assert rep.passed and rep.details["modulus"][0]["estimate"] == 0.0
 
 
 def test_modulus_linear_gain_analytic_bound():
@@ -209,19 +243,24 @@ def test_modulus_linear_gain_analytic_bound():
     gains = np.array([[0.0], [1.0]])
     p = toy_problem(lambda t, X, u: gains * X, growth_c=1.0, lipschitz_k=1.0,
                     theta=lambda r: 1.0 * R * r)
-    assert modulus_check(p, pairs=1, x_radius=R).passed
+    assert oscillation(p, x_radius=R).passed
+    # on a larger box the same theta is too small
+    assert not oscillation(p, x_radius=2 * R).passed
 
 
 def test_modulus_estimate_matches_per_pair_reference():
-    # theta = 0 fails the check, so the witness carries the estimate; the atoms'
-    # velocities differ by exactly x, so the estimate is T * max |x| over samples
+    # theta = 0 fails the check; the atoms' velocities differ by exactly x, so
+    # the estimate is T * max |x| over the 32 states drawn from default_rng(seed)
     gains = np.array([[0.0], [1.0]])
-    p = toy_problem(lambda t, X, u: gains * X + u, growth_c=3.0, lipschitz_k=1.0,
+    p = toy_problem(lambda t, X, u: gains * X + np.asarray(u)[..., None, :],
+                    growth_c=3.0, lipschitz_k=1.0,
                     theta=lambda r: 0.0)
-    rep = modulus_check(p, pairs=1, seed=4, x_radius=2.0, state_samples=8)
-    xs = np.random.default_rng(4).uniform(-2.0, 2.0, size=(8, 1))
+    rep = oscillation(p, seed=4, x_radius=2.0)
+    xs = 2.0 * np.random.default_rng(4).uniform(-1.0, 1.0, size=(32, 1))
     assert not rep.passed
-    assert rep.witness["estimate"] == pytest.approx(np.abs(xs).max(), rel=1e-12)
+    (pair,) = rep.details["modulus"]
+    assert pair["atoms"] == [0, 1] and pair["bound"] == 0.0
+    assert pair["estimate"] == pytest.approx(np.abs(xs).max(), rel=1e-12)
 
 
 def test_modulus_single_atom_vacuous():
@@ -233,7 +272,8 @@ def test_modulus_single_atom_vacuous():
     p = ProblemSpec(space=space, n=1, m=1, dynamics=dyn, cost=cost,
                     controls=ControlSchedule.constant(np.array([[0.0]])),
                     horizon=1.0)
-    assert modulus_check(p, pairs=3).passed
+    rep = oscillation(p)
+    assert rep.passed and rep.details["modulus"] == []
 
 
 @pytest.mark.parametrize("name", ["linear-ensemble", "bilinear"])
@@ -249,42 +289,46 @@ def test_builtin_modulus_gain_overflow_is_vacuous_not_a_warning(name, params, ga
 def test_modulus_missing_is_capability_error():
     p = toy_problem(zero_field, growth_c=1.0, lipschitz_k=1.0)
     with pytest.raises(CapabilityError):
-        modulus_check(p, pairs=1)
+        oscillation(p)
 
 
-# -- one report for every validator ----------------------------------------------
+# -- one report for every certificate --------------------------------------------
 
 _GAINS = np.array([[0.0], [1.0]])
 
 
-@pytest.mark.parametrize("validate, budget, good, bad", [
-    (validate_growth, {"samples": 200},
+@pytest.mark.parametrize("check, holds, good, bad", [
+    (bounds, lambda rep: rep.details["max_ratio"]["field_growth"] <= rep.tolerance,
      lambda: toy_problem(lambda t, X, u: 0.5 * X, growth_c=1.0, lipschitz_k=1.0),
-     lambda: toy_problem(lambda t, X, u: X * X, growth_c=1.0, lipschitz_k=1.0)),
-    (validate_lipschitz, {"samples": 200},
+     lambda: toy_problem(lambda t, X, u: X * X, growth_c=1.0, lipschitz_k=1.0,
+                         T=0.05)),
+    (bounds, lambda rep: rep.details["max_ratio"]["field_lipschitz"] <= rep.tolerance,
      lambda: toy_problem(lambda t, X, u: np.sin(X), growth_c=1.0, lipschitz_k=1.0),
      lambda: toy_problem(lambda t, X, u: 2.0 * X, growth_c=3.0, lipschitz_k=1.0)),
-    (validate_cost_bound, {"samples": 200},
+    (terminal, lambda rep: rep.details["cost_deficit"] <= 1e-12,
      lambda: toy_problem(zero_field, growth_c=1.0, lipschitz_k=1.0,
                          g=lambda X: (X * X).sum(axis=-1)),
      lambda: toy_problem(zero_field, growth_c=1.0, lipschitz_k=1.0,
                          g=lambda X: -(X * X).sum(axis=-1) ** 2, b=1.0)),
-    (modulus_check, {"pairs": 1},
-     lambda: toy_problem(lambda t, X, u: np.broadcast_to(u, np.shape(X)),
+    (oscillation, lambda rep: all(pair["estimate"] - pair["bound"] <= rep.tolerance
+                                  for pair in rep.details["modulus"]),
+     lambda: toy_problem(lambda t, X, u: np.broadcast_to(np.asarray(u)[..., None, :],
+                                                         np.shape(X)),
                          growth_c=1.0, lipschitz_k=1.0, theta=lambda r: 0.0),
      lambda: toy_problem(lambda t, X, u: _GAINS * X, growth_c=1.0,
                          lipschitz_k=1.0, theta=lambda r: 0.0)),
 ], ids=["growth", "lipschitz", "cost_bound", "modulus"])
-def test_validators_report_under_one_rule(validate, budget, good, bad):
+def test_validators_report_under_one_rule(check, holds, good, bad):
+    # each certificate is scored inside the report of the check that reads it:
+    # a wrong one fails that check, and its witness is that check's worst
     for make, expected in ((good, True), (bad, False)):
-        rep = validate(make(), seed=3, **budget)
+        rep = check(make(), seed=3)
         assert isinstance(rep, CheckReport)
-        assert rep.passed is expected
-        assert rep.passed == (rep.details["evaluated"] > 0
-                              and rep.worst <= rep.tolerance)
-        # the witness is the worst sample, on a pass too
+        assert rep.passed is expected and holds(rep) is expected
         assert rep.witness
-        assert {"samples", "domain"} <= set(rep.details)
+        if check is not terminal:       # terminal_limit keeps its own verdict
+            assert rep.passed == (rep.details["evaluated"] > 0
+                                  and rep.worst <= rep.tolerance)
 
 
 # -- control schedule -----------------------------------------------------------
@@ -392,11 +436,15 @@ def test_project_rejects_early_times_and_misshapen_controls():
     ("bilinear", {"M": 2, "a": [0.5, 1.0]}),
 ])
 def test_builtins_pass_all_validators(name, kwargs):
+    # every declared certificate passes the check that reads it
     p = builtin(name, **kwargs)
-    assert validate_growth(p, samples=400, seed=1).passed
-    assert validate_lipschitz(p, samples=400, seed=2).passed
-    assert validate_cost_bound(p, samples=400, seed=3).passed
-    assert modulus_check(p, pairs=5, seed=4).passed
+    M = p.space.size
+    phi = EnsembleState(np.full((M, p.n), 0.25), p.space)
+    assert bounds(p, trials=100, seed=1).passed
+    assert terminal_limit(p, phi, [0.2, 0.1, 0.05], steps=4, seed=3,
+                          cost_lipschitz=cost_lipschitz_bound(p, radius=5.0)).passed
+    rep = oscillation_diagnostic(p, 0.0, phi, 3, _default_radii(p), steps=20, seed=4)
+    assert rep.passed and len(rep.details["modulus"]) == M * (M - 1) // 2
 
 
 def test_builtin_unknown_name():
@@ -552,8 +600,10 @@ def test_problem_file_with_expressions(tmp_path):
     v = p.dynamics.field(0.0, np.full((2, 1), 2.0), np.array([0.5]))
     np.testing.assert_allclose(v, [[0.5], [2.5]])
     assert p.cost.values(np.ones((2, 1)))[1] == pytest.approx(0.0)
-    assert validate_growth(p, samples=200, x_radius=1.0).passed
-    assert modulus_check(p, pairs=1, x_radius=5.0).passed
+    # its declared growth, Lipschitz, modulus and cost certificates hold
+    assert bounds(p, phi_scale=0.25).passed
+    assert oscillation(p, x_radius=5.0).passed
+    assert terminal(p).details["cost_deficit"] <= 1e-12
 
 
 def _stacked_expression_field(exprs, coords, n, m):

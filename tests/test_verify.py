@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ from enoc import (Axis, CapabilityError, ControlSchedule, ControlSignal,
                   TerminalCostSpec, TimeGrid, builtin,
                   cost_lipschitz_bound, epigraph_invariance, hjb_residual,
                   integrate, l2_inner, oscillation_diagnostic, problem_from_dict,
-                  terminal_limit, terminal_functional, trajectory_bound_suite,
-                  value_dp, value_oracle)
-from enoc.cli import _dpp_check
+                  random_signal, terminal_limit, terminal_functional,
+                  trajectory_bound_suite, value_dp, value_oracle)
+from enoc.cli import _VERIFY_DEFAULTS, _default_radii, _dpp_check
 from enoc.problem import _sampled_report
 from enoc.value import _node_mesh
 
@@ -371,6 +372,100 @@ def test_oscillation_requires_modulus():
         oscillation_diagnostic(p, 0.0, EnsembleState.zeros(space, 1), 1, [0.5])
 
 
+def test_oscillation_without_a_radius_raises(lin2):
+    # the modulus pairs would still be scored, so no radius is a usage error,
+    # as no signal is, not a pass on the pairs alone
+    phi = EnsembleState.zeros(lin2.space, 1)
+    with pytest.raises(ValueError, match="radii"):
+        oscillation_diagnostic(lin2, 0.0, phi, 2, [], steps=10)
+    with pytest.raises(ValueError, match="signals"):
+        oscillation_diagnostic(lin2, 0.0, phi, [], [0.5], steps=10)
+
+
+def test_oscillation_signals_are_drawn_as_without_the_modulus(lin2):
+    # the modulus states come from their own generator: the signals are the
+    # ones default_rng(seed) draws first
+    phi = EnsembleState([[0.5], [-0.25]], lin2.space)
+    rep = oscillation_diagnostic(lin2, 0.1, phi, 4, [0.5, 1.5], steps=30, seed=9)
+    rng = np.random.default_rng(9)
+    grid = TimeGrid(0.1, lin2.horizon, 30)
+    signals = [random_signal(lin2, grid, rng) for _ in range(4)]
+    ref = oscillation_diagnostic(lin2, 0.1, phi, signals, [0.5, 1.5], seed=9)
+    assert rep.details["curves"] == ref.details["curves"]
+    assert rep.details["modulus"] == ref.details["modulus"]
+
+
+def _modulus_by_node_and_control(p, seed, x_radius):
+    """The modulus estimates one time node and one control at a time, on the
+    draws of _modulus_excess: the reference for its batched field calls."""
+    M = p.space.size
+    rng = np.random.default_rng(seed)
+    I, J = np.triu_indices(M, 1)
+    if I.size > enoc.verify._MODULUS_PAIRS:
+        keep = np.sort(rng.choice(I.size, size=enoc.verify._MODULUS_PAIRS, replace=False))
+        I, J = I[keep], J[keep]
+    xs = x_radius * rng.uniform(-1.0, 1.0, (32, p.n))
+    ts = np.linspace(0.0, p.horizon, 33)
+    X = np.broadcast_to(xs[:, None, :], (32, M, p.n))
+    vals = np.zeros((I.size, ts.size))
+    for q, t in enumerate(ts):
+        for u in p.controls.active_set(t):
+            V = p.dynamics.field(t, X, u)
+            gaps = np.linalg.norm(V[:, I] - V[:, J], axis=-1).max(axis=0)
+            vals[:, q] = np.maximum(vals[:, q], gaps)
+    return [[int(i), int(j)] for i, j in zip(I, J)], [
+        float(np.trapezoid(row, ts)) for row in vals]
+
+
+def _switching_expression():
+    # a t-dependent field, whose atoms differ by a control-scaled gap, on
+    # three control sets of different sizes
+    return problem_from_dict({
+        "format": "enoc-problem/1",
+        "space": {"format": "enoc-space/1",
+                  "atoms": [{"id": c, "coords": [float(k)]} for k, c in enumerate("abc")],
+                  "weights": [0.2, 0.3, 0.5]},
+        "n": 1, "m": 1, "horizon": 1.0,
+        "dynamics": {"expressions": ["w1 * x1 * u1 * cos(3 * t) + u1"],
+                     "growth_c": 4.0, "lipschitz_k": 2.0, "omega_modulus": "10 * r"},
+        "cost": {"expression": "x1 ** 2"},
+        "controls": {"breakpoints": [0.0, 0.3, 0.7],
+                     "sets": [[[-1.0], [1.0]], [[-1.0], [0.0], [0.5], [1.0]], [[0.25]]],
+                     "box": [[-1.0, 1.0]]},
+    })
+
+
+@pytest.mark.parametrize("make", [
+    lambda: builtin("linear-ensemble", M=3, n=2),
+    lambda: builtin("bilinear", M=4, n=2),
+    _switching_expression,
+    # 78 pairs: 64 of them drawn
+    lambda: builtin("linear-ensemble", M=13),
+], ids=["linear-ensemble", "bilinear", "switching-expression", "drawn-pairs"])
+def test_modulus_batches_equal_the_loop_over_nodes_and_controls(make, monkeypatch):
+    p = make()
+    # one call per run of nodes, then a slab small enough to split each run
+    for slab, seed in ((enoc.verify._SLAB, 0), (2 ** 11, 5)):
+        monkeypatch.setattr(enoc.verify, "_SLAB", slab)
+        pairs, estimates = _modulus_by_node_and_control(p, seed, 3.0)
+        excess, witnesses = enoc.verify._modulus_excess(p, seed, 3.0)
+        assert [w["atoms"] for w in witnesses] == pairs
+        assert [w["estimate"] for w in witnesses] == estimates
+        np.testing.assert_array_equal(
+            excess, [w["estimate"] - w["bound"] for w in witnesses])
+
+
+def test_certificates_on_a_box_past_the_float_range_fail_without_a_warning(lin2):
+    # the suite turns a RuntimeWarning into a failure: overflow must not warn
+    phi = EnsembleState([[0.5], [0.5]], lin2.space)
+    rep = oscillation_diagnostic(lin2, 0.0, phi, 2, [0.5], steps=10, x_radius=1e300)
+    assert not rep.passed and rep.worst == np.inf and "atoms" in rep.witness
+    # b |x|^2 overflows to inf: the lower bound is vacuous there, and holds
+    rep = terminal_limit(lin2, phi, [0.2, 0.1], steps=4, cost_lipschitz=1e6,
+                         x_radius=1e300)
+    assert rep.passed and rep.details["cost_deficit"] == -np.inf
+
+
 def test_oscillation_reproducible_with_seed(lin2):
     phi = EnsembleState([[0.5], [0.5]], lin2.space)
     a = oscillation_diagnostic(lin2, 0.0, phi, 3, [0.5], steps=30, seed=7)
@@ -398,17 +493,68 @@ def _coarse_hjb():
 
 @pytest.mark.parametrize("check", [
     lambda: trajectory_bound_suite(builtin("linear-ensemble"), trials=0),
-    lambda: oscillation_diagnostic(
-        builtin("linear-ensemble"), 0.0,
-        EnsembleState.zeros(builtin("linear-ensemble").space, 1), 2, [], steps=10),
     lambda: _dpp_check(builtin("linear-ensemble"), 0.0, 0, 4, 0, 10 ** 6),
     lambda: _dpp_check(builtin("linear-ensemble"), 0.0, 3, 1, 0, 10 ** 6),
     _coarse_hjb,
-], ids=["bounds-no-trial", "oscillation-no-radius", "dpp-no-start", "dpp-no-split",
-        "hjb-every-node-skipped"])
+], ids=["bounds-no-trial", "dpp-no-start", "dpp-no-split", "hjb-every-node-skipped"])
 def test_sampled_checks_fail_on_zero_evidence(check):
     rep = check()
     assert not rep.passed
     assert rep.details["evaluated"] == 0
     assert rep.worst == 0.0 and rep.witness == {}
     assert rep.details["note"].startswith("insufficient evidence: ")
+
+
+# -- planted wrong certificates ----------------------------------------------------
+
+def _scaled_modulus(theta, factor):
+    return lambda r: factor * theta(r)
+
+
+# each declared certificate, made wrong, and the battery check that reads it
+_PLANTED = {
+    "growth_c": ("trajectory_bounds", lambda p: replace(
+        p, dynamics=replace(p.dynamics, growth_c=0.1 * p.dynamics.growth_c))),
+    "lipschitz_k": ("trajectory_bounds", lambda p: replace(
+        p, dynamics=replace(p.dynamics, lipschitz_k=0.1 * p.dynamics.lipschitz_k))),
+    "lower_bound_a": ("terminal_limit", lambda p: replace(
+        p, cost=replace(p.cost, lower_bound_a=p.cost.lower_bound_a + 10.0))),
+    "omega_modulus": ("oscillation", lambda p: replace(
+        p, dynamics=replace(p.dynamics, omega_modulus=_scaled_modulus(
+            p.dynamics.omega_modulus, 0.01)))),
+}
+
+
+def _battery_check(name, p, seed):
+    """The verify battery's check ``name`` at the default configuration."""
+    v = _VERIFY_DEFAULTS
+    phi = EnsembleState(np.full((p.space.size, p.n), 0.25), p.space)
+    if name == "trajectory_bounds":
+        return trajectory_bound_suite(p, trials=v["trials"], steps=v["bounds_steps"],
+                                      seed=seed)
+    if name == "terminal_limit":
+        return terminal_limit(
+            p, phi, v["gaps"], steps=v["terminal_steps"], seed=seed,
+            cost_lipschitz=cost_lipschitz_bound(p, radius=v["hjb_extent"]),
+            x_radius=v["hjb_extent"])
+    return oscillation_diagnostic(p, 0.0, phi, v["osc_controls"], _default_radii(p),
+                                  steps=v["osc_steps"], seed=seed,
+                                  x_radius=v["hjb_extent"])
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("name, certificate", [
+    (name, certificate)
+    for name in ("linear-ensemble", "bilinear", "decoupled-quadratic")
+    for certificate in _PLANTED
+    # decoupled-quadratic's field is u alone: its true Lipschitz constant and
+    # parameter modulus are 0, so no declared value of them is too small
+    if not (name == "decoupled-quadratic"
+            and certificate in ("lipschitz_k", "omega_modulus"))])
+def test_a_planted_wrong_certificate_fails_the_check_that_reads_it(name, certificate,
+                                                                   seed):
+    check, plant = _PLANTED[certificate]
+    p = builtin(name)
+    assert _battery_check(check, p, seed).passed
+    rep = _battery_check(check, plant(p), seed)
+    assert rep.name == check and not rep.passed
