@@ -359,15 +359,18 @@ def cmd_verify(args) -> int:
 
 
 def cmd_query(args) -> int:
-    # the mapped grid reads the header and the one slice value_at interpolates
+    # the mapped grid reads the header and the one slice's stencil pages
     vg = ValueGrid.map(args.grid_file)
     z = np.array([float(v) for v in args.state.split(",")])
     box = [[ax.lo, ax.hi] for ax in vg.axes]
-    # value_at clamps to the boundary; a query answers inside the box only
+    # evaluate clamps to the boundary; a query answers inside the box only
     if z.size == len(box) and not all(lo <= x <= hi for x, (lo, hi) in zip(z, box)):
         raise ValueError(f"state {args.state} lies outside the grid's box {box}")
-    val = vg.value_at(float(args.time), z)
-    print(_FMT % val)
+    vals, _, touched = vg.evaluate(vg.time_index(float(args.time)), z[None, :])
+    print(_FMT % float(vals[0]))
+    if touched[0]:
+        print("note: boundary-influenced: the interpolation reads a tainted node, "
+              "whose value depends on an out-of-grid lookup", file=sys.stderr)
     return 0
 
 

@@ -16,12 +16,14 @@ extrapolated.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
 import mmap
 import os
 import struct
 import warnings
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -249,6 +251,8 @@ class Axis:
             raise ValueError(f"axis needs lo < hi, got [{self.lo}, {self.hi}]")
         if self.count < 2:
             raise ValueError("axis needs at least two nodes")
+        if not all(map(math.isfinite, (self.lo, self.hi, self.spacing))):
+            raise ValueError(f"axis [{self.lo}, {self.hi}] needs finite bounds and spacing")
 
     @property
     def spacing(self):
@@ -389,6 +393,7 @@ class ValueGrid:
     coverage_radius: float
     coverage_ok: bool
     meta: dict = field(default_factory=dict)
+    source: tuple = field(default=None, repr=False, compare=False)  # map's (pread, _Layout)
 
     @property
     def shape(self):
@@ -399,21 +404,35 @@ class ValueGrid:
         return _node_mesh([ax.nodes for ax in self.axes])
 
     def evaluate(self, j, Z):
-        """Interpolate slice j at stacked points Z (Q, d) -> (values, n_clamped)."""
+        """Interpolate slice j at stacked points Z (Q, d) -> (values, n_clamped,
+        touched), ``touched`` marking the points whose stencil reads a tainted node."""
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
         if Z.shape[1] != len(self.axes):
             raise DimensionMismatchError(f"state has {Z.shape[1]} coordinates, "
                                          f"the grid has {len(self.axes)} axes")
-        vals, clamped, _ = _interpolate(self.values[j], self.tainted[j], self.axes, Z)
-        return vals, int(clamped.sum())
+        vals, clamped, touched = _interpolate(self.values[j], self.tainted[j], self.axes, Z)
+        return vals, int(clamped.sum()), touched
 
-    def value_at(self, t, z):
-        """Value at a grid time node (matched within 1e-9) and stacked state."""
+    def time_index(self, t):
+        """Index of the grid time node t (matched within 1e-9)."""
         j = int(np.argmin(np.abs(self.grid.nodes - t)))
         if not abs(self.grid.nodes[j] - t) <= 1e-9:       # NaN is no node
             raise ValueError(f"t={t} is not a grid node of {self.grid}")
-        vals, _ = self.evaluate(j, np.asarray(z, dtype=float)[None, :])
+        return j
+
+    def value_at(self, t, z):
+        """Value at a grid time node and stacked state."""
+        vals, _, _ = self.evaluate(self.time_index(t), np.asarray(z, dtype=float)[None, :])
         return float(vals[0])
+
+    def argmin_at(self, j, node):
+        """Argmin entry of slice j at the index tuple ``node``; a mapped grid
+        preads it, as indexing the view faults in a page-cache folio (64 KB+)."""
+        if self.source is None:
+            return int(self.argmin[j][node])
+        read, layout = self.source
+        at = layout.offset("argmin", j) + 4 * int(np.ravel_multi_index(node, self.shape))
+        return int.from_bytes(read(4, at), "little", signed=True)
 
     # -- persistence ----------------------------------------------------
 
@@ -438,18 +457,23 @@ class ValueGrid:
         :func:`_read_header`: every table is a view of the mapping, so a
         reader touches only the pages it reads.  The argmin is the file's
         int32 and the taint its bytes as bool (numpy's boolean operations
-        read any nonzero byte as True)."""
+        read any nonzero byte as True).  :meth:`argmin_at` preads the file
+        that was mapped, whatever later replaces it at ``path``."""
         with open(path, "rb") as fh:
             header, grid, axes, layout = _read_header(fh, path)
             buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+            fd = os.dup(fh.fileno())
         size = math.prod(layout.shape)
         values, argmin, tainted = (
             np.frombuffer(buf, dtype, count * size, at).reshape((count,) + layout.shape)
             for at, dtype, count in layout.tables.values())
+        read = functools.partial(os.pread, fd)
+        weakref.finalize(read, os.close, fd)
         return cls(grid=grid, axes=axes, values=values, argmin=argmin, tainted=tainted,
                    clamp_count=header["clamp_count"],
                    coverage_radius=header["coverage_radius"],
-                   coverage_ok=header["coverage_ok"], meta=header["meta"])
+                   coverage_ok=header["coverage_ok"], meta=header["meta"],
+                   source=(read, layout))
 
 
 class _Layout:
@@ -881,7 +905,8 @@ def value_adjoint(p: ProblemSpec, s, phi: EnsembleState, grid: TimeGrid,
 def greedy_rollout(p: ProblemSpec, vg: ValueGrid, phi: EnsembleState):
     """Roll the stored argmin table forward from phi (nearest-node policy), one
     RK4 step per interval; a non-finite state raises DivergenceError as an
-    :func:`_integrate_batch` row does, with bitwise the same states."""
+    :func:`_integrate_batch` row does, with bitwise the same states.  It reads
+    each entry with :meth:`ValueGrid.argmin_at`, so it maps no table page."""
     grid = vg.grid
     vals = np.empty((grid.steps, p.m))
     states = np.empty((grid.steps + 1, p.space.size, p.n))
@@ -891,7 +916,7 @@ def greedy_rollout(p: ProblemSpec, vg: ValueGrid, phi: EnsembleState):
     for j in range(grid.steps):
         node = tuple(min(max(round((z - lo) / dz), 0), top)
                      for z, (lo, dz, top) in zip(states[j].reshape(-1).tolist(), spans))
-        u = p.controls.active_set(grid.nodes[j])[int(vg.argmin[j][node])]
+        u = p.controls.active_set(grid.nodes[j])[vg.argmin_at(j, node)]
         vals[j] = u
         with np.errstate(over="ignore", invalid="ignore"):
             states[j + 1] = _rk4_step(p.dynamics.field, grid.nodes[j],

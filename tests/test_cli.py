@@ -7,6 +7,8 @@ import json
 import struct
 import sys
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -166,7 +168,7 @@ def test_verify_impossible_tolerance_fails(tmp_path, small_verify_cfg):
 
 def test_verify_tolerance_override_keeps_zero_evidence_failing(tmp_path,
                                                               small_verify_cfg):
-    cfg = json.loads(open(small_verify_cfg).read())
+    cfg = json.loads(Path(small_verify_cfg).read_text())
     cfg["verify"]["hjb_steps"] = 4
     path = tmp_path / "coarse.json"
     path.write_text(json.dumps(cfg))
@@ -182,8 +184,31 @@ def test_verify_tolerance_override_keeps_zero_evidence_failing(tmp_path,
     assert set(passed.values()) == {"True"}
 
 
+@pytest.mark.parametrize("args, flags", [
+    (["verify"], {"hjb_extent": 1e308}),
+    (["verify", "--grid=-1e308:1e308:5"], {}),
+    (["solve", "--method", "dp", "--grid=-1e308:1e308:5"], None),
+], ids=["verify-extent", "verify-grid", "solve-grid"])
+def test_an_axis_whose_span_is_not_finite_exits_2(tmp_path, small_verify_cfg, capsys,
+                                                  args, flags):
+    # the span 2e308 overflows to inf: the axis is rejected by its bounds
+    # before numpy spaces its nodes or the terminal cost sees them
+    cfg = json.loads(Path(small_verify_cfg).read_text())
+    cfg["verify"].update(flags or {})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    extra = ["--config", str(path)] if flags is not None else []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run(args + ["--problem", "linear-ensemble", "--phi", "0.3,0.4",
+                         "--out", str(tmp_path / "o")] + extra)
+    assert rc == 2 and caught == []
+    err = capsys.readouterr().err
+    assert err == "error: axis [-1e+308, 1e+308] needs finite bounds and spacing\n"
+
+
 def _verify_fails_only_the_dpp_check(tmp_path, small_verify_cfg, **verify):
-    cfg = json.loads(open(small_verify_cfg).read())
+    cfg = json.loads(Path(small_verify_cfg).read_text())
     cfg["verify"].update(verify)
     path = tmp_path / "zero-evidence.json"
     path.write_text(json.dumps(cfg))
@@ -481,6 +506,27 @@ def test_query_answers_a_state_on_the_grid_box(small_grid_file, capsys, state):
     assert capsys.readouterr().out == "%.17g\n" % vg.value_at(0.0, z)
 
 
+def test_query_notes_a_boundary_influenced_answer(tmp_path, capsys):
+    # at t = 0 on this grid, the middle three columns are untainted
+    out = tmp_path / "g"
+    assert run(["solve", "--problem", "linear-ensemble", "--method", "dp",
+                "--steps", "3", "--grid=-4:4:17", "--out", str(out)]) == 0
+    path = out / "value_grid.bin"
+    vg = ValueGrid.map(path)
+    capsys.readouterr()
+    for state, tainted in (("0.3,-0.4", False), ("3.5,3.5", True)):
+        z = np.array([float(v) for v in state.split(",")])
+        vals, _, touched = vg.evaluate(0, z[None, :])
+        assert touched[0] == tainted
+        assert run(["query", "--grid-file", str(path), "--time", "0",
+                    "--state", state]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "%.17g\n" % vals[0]
+        assert captured.err == ("note: boundary-influenced: the interpolation reads a "
+                                "tainted node, whose value depends on an out-of-grid "
+                                "lookup\n" if tainted else "")
+
+
 def _with_header(blob, edit):
     """The value-grid file ``blob`` with its JSON header replaced by
     ``edit(header)`` (JSON, or bytes as they are), written without padding,
@@ -508,11 +554,13 @@ def _set(key, value):
     (_set("meta", []), "'meta' is malformed"),
     (_set("s", 2.0), "need 0 <= s < T"),
     (lambda h: {**h, "axes": [[4.0, -4.0, 5], h["axes"][1]]}, "axis needs lo < hi"),
+    (lambda h: {**h, "axes": [[-1e308, 1e308, 5], h["axes"][1]]},
+     "axis [-1e+308, 1e+308] needs finite bounds and spacing"),
     (lambda h: b"[" * 10 ** 5 + b"]" * 10 ** 5, "maximum recursion depth"),
     (lambda h: b"{\"s\": 0", "Expecting"),
 ], ids=["axis-of-two", "list", "steps-string", "steps-float", "count-float", "axes-null",
         "s-string", "s-missing", "coverage-int", "meta-list", "s-after-T", "axis-reversed",
-        "nested-deep", "not-json"])
+        "axis-span-overflows", "nested-deep", "not-json"])
 def test_query_rejects_a_malformed_grid_header(small_grid_file, tmp_path, capsys, edit,
                                                problem):
     bad = tmp_path / "bad.bin"

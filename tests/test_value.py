@@ -749,15 +749,21 @@ def test_rollout_is_the_batched_integrator_bitwise(make, axes, steps):
     assert traj.states.tobytes() == enoc.integrate(p, 0.0, phi, sig).states.tobytes()
 
 
+def all_plus_one_table():
+    """A table whose every argmin is u = +1: on late_divergence_problem it
+    drives atom 0, then atom 1, past c."""
+    grid, axes = TimeGrid(0.0, 1.0, 5), [Axis(-1.0, 1.0, 3)] * 2
+    return ValueGrid(grid=grid, axes=axes, values=np.zeros((6, 3, 3)),
+                     argmin=np.full((5, 3, 3), 2, dtype=np.int32),
+                     tainted=np.zeros((6, 3, 3), dtype=bool), clamp_count=0,
+                     coverage_radius=1.0, coverage_ok=True)
+
+
 @pytest.mark.parametrize("x0", [[0.1, -0.3], [-0.5, 0.2]])
 def test_rollout_divergence_is_the_batched_integrators_error(x0):
-    # a table whose every argmin is u = +1 drives atom 0, then atom 1, past c
     p = late_divergence_problem()
-    grid, axes = TimeGrid(0.0, 1.0, 5), [Axis(-1.0, 1.0, 3)] * 2
-    vg = ValueGrid(grid=grid, axes=axes, values=np.zeros((6, 3, 3)),
-                   argmin=np.full((5, 3, 3), 2, dtype=np.int32),
-                   tainted=np.zeros((6, 3, 3), dtype=bool), clamp_count=0,
-                   coverage_radius=1.0, coverage_ok=True)
+    vg = all_plus_one_table()
+    grid = vg.grid
     phi = EnsembleState(np.array(x0)[:, None], p.space)
     with pytest.raises(DivergenceError) as want:
         enoc.integrate(p, 0.0, phi, ControlSignal.constant(grid, [1.0]))
@@ -888,6 +894,12 @@ def test_interpolate_matches_scipy_and_a_corner_loop(d):
     assert np.array_equal(clamped, ref_clamped)
     assert np.array_equal(touched, ref_touched)
     assert clamped.any() and touched.any() and not touched.all()
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, np.inf), (-np.inf, 0.0), (-1e308, 1e308)])
+def test_axis_rejects_a_span_that_is_not_finite(lo, hi):
+    with pytest.raises(ValueError, match=r"needs finite bounds and spacing"):
+        Axis(lo, hi, 3)
 
 
 def test_interpolate_rejects_nan_queries():
@@ -1073,6 +1085,74 @@ def test_value_grid_map_reads_what_the_held_grid_holds(tmp_path, lin2):
         want = _interpolate(held.values[j], held.tainted[j], held.axes, Z)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
     assert (mapped.clamp_count, mapped.meta) == (held.clamp_count, held.meta)
+
+
+# -- the rollout on a mapped grid reads each argmin entry from the file ----------------
+
+class _Unindexable:
+    def __getitem__(self, key):
+        raise AssertionError("the rollout indexed the mapped argmin view")
+
+
+def _same_rollout(a, b):
+    return (a[0].values.tobytes() == b[0].values.tobytes()
+            and a[1].states.tobytes() == b[1].states.tobytes())
+
+
+@pytest.mark.parametrize("make, axes, steps", _DP_PROBLEMS + [
+    (lambda: problem_from_dict(_EXPR_SWITCHING), [Axis(-2.0, 2.0, 41)] * 2, 30)],
+    ids=_DP_IDS + ["expr-switching"])
+def test_mapped_rollout_is_the_held_rollout_bitwise(tmp_path, make, axes, steps):
+    p = make()
+    grid = TimeGrid(0.0, 1.0, steps)
+    held = value_dp(p, axes, grid)
+    mapped = value_dp(p, axes, grid, path=tmp_path / "grid.bin")
+    assert held.source is None and mapped.source is not None
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        phi = EnsembleState(rng.uniform(-1.0, 1.0, (p.space.size, p.n)), p.space)
+        assert _same_rollout(greedy_rollout(p, mapped, phi), greedy_rollout(p, held, phi))
+
+
+@pytest.mark.parametrize("x0", [[0.1, -0.3], [-0.5, 0.2]])
+def test_mapped_rollout_divergence_is_the_held_rollouts_error(tmp_path, x0):
+    p = late_divergence_problem()
+    held = all_plus_one_table()
+    held.save(tmp_path / "grid.bin")
+    mapped = ValueGrid.map(tmp_path / "grid.bin")
+    phi = EnsembleState(np.array(x0)[:, None], p.space)
+    with pytest.raises(DivergenceError) as want:
+        greedy_rollout(p, held, phi)
+    with pytest.raises(DivergenceError) as got:
+        greedy_rollout(p, mapped, phi)
+    assert (got.value.t, got.value.atom) == (want.value.t, want.value.atom)
+
+
+def test_mapped_rollout_never_reads_the_mapped_argmin(tmp_path):
+    p = problem_from_dict(_EXPR_SWITCHING)
+    axes, grid = [Axis(-2.0, 2.0, 41)] * 2, TimeGrid(0.0, 1.0, 30)
+    held = value_dp(p, axes, grid)
+    mapped = value_dp(p, axes, grid, path=tmp_path / "grid.bin")
+    mapped.argmin = _Unindexable()
+    phi = EnsembleState(np.array([[0.4], [-0.3]]), p.space)
+    assert _same_rollout(greedy_rollout(p, mapped, phi), greedy_rollout(p, held, phi))
+
+
+def test_mapped_rollout_reads_the_file_that_was_mapped(tmp_path, lin2):
+    import dataclasses
+
+    axes, grid = [Axis(-2.0, 2.0, 21)] * 2, TimeGrid(0.0, 1.0, 8)
+    path = tmp_path / "grid.bin"
+    held = value_dp(lin2, axes, grid)
+    mapped = value_dp(lin2, axes, grid, path=path)
+    # every entry names another of the three controls
+    other = dataclasses.replace(held, argmin=(held.argmin + 1) % 3)
+    other.save(path)
+    assert ValueGrid.map(path).argmin.tobytes() == other.argmin.astype("<i4").tobytes()
+    phi = EnsembleState(np.array([[0.4], [-0.3]]), lin2.space)
+    want = greedy_rollout(lin2, held, phi)
+    assert _same_rollout(greedy_rollout(lin2, mapped, phi), want)
+    assert not _same_rollout(greedy_rollout(lin2, other, phi), want)
 
 
 def test_streaming_adds_no_field_calls(tmp_path):
