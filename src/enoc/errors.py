@@ -41,10 +41,12 @@ class TerminalValueError(EnocError, ValueError):
     """Terminal cost is NaN, or infinite where the caller needs it finite.
 
     One rule, applied by one gate (``enoc.value._weighted_costs``) that every
-    solver calls: +inf propagates, except on ``value_dp``'s grid nodes; NaN,
-    -inf and finite per-atom costs whose mass-weighted sum overflows raise
-    this error.  So do a per-atom cost that overflows to +inf while it is
-    computed and an adjoint costate or gradient that is not finite.
+    solver calls on each block of states it costs, summing the weighted
+    per-atom costs atom by atom: +inf propagates, except on ``value_dp``'s
+    grid nodes; NaN, -inf and finite per-atom costs whose mass-weighted sum
+    overflows raise this error, naming the state by its index among all
+    the caller's states.  So do a per-atom cost that overflows to +inf while
+    it is computed and an adjoint costate or gradient that is not finite.
     """
 
 

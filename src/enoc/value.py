@@ -20,6 +20,7 @@ import functools
 import json
 import math
 import mmap
+import operator
 import os
 import struct
 import warnings
@@ -52,26 +53,34 @@ def unstack_state(z, space, n) -> EnsembleState:
 # -- terminal functional ---------------------------------------------------
 
 def _terminal_sums(p: ProblemSpec, X, where=None, finite=False):
-    """Mass-weighted terminal costs of stacked states X (nodes, M, n) under
-    the gate of :func:`_weighted_costs`.  The cost runs on blocks of
-    _LEAF_BLOCK nodes, so its temporaries stay small, into one contiguous
-    per-atom array (the weighted sum of a strided one rounds differently).
-    """
-    per_atom = np.empty(X.shape[:2])
+    """Mass-weighted terminal costs of stacked states X (nodes, M, n), costed
+    and gated (:func:`_weighted_costs`) in blocks of _LEAF_BLOCK nodes, so no
+    per-atom array of all the nodes is held.  An error names the node's index
+    in X."""
+    total = np.empty(X.shape[0])
     for lo in range(0, X.shape[0], _LEAF_BLOCK):
-        per_atom[lo:lo + _LEAF_BLOCK] = p.cost.values(X[lo:lo + _LEAF_BLOCK])
-    return _weighted_costs(p, per_atom, where, finite)
+        at = slice(lo, lo + _LEAF_BLOCK)
+        total[at] = _weighted_costs(p, p.cost.values(X[at]), range(X.shape[0])[at],
+                                    where, finite)
+    return total
 
 
-def _weighted_costs(p: ProblemSpec, per_atom, where=None, finite=False):
-    """Mass-weighted sums of per-atom costs (nodes, M), in one call (a row
-    block's sum can round differently): the one terminal-cost gate of every
-    solver.  +inf propagates (unless ``finite``); NaN, -inf, and finite costs
-    whose weighted sum overflows raise TerminalValueError.  Only the rows whose
-    sum is not finite are searched.  ``where`` names a row in the error (None
-    for a single state)."""
+def _weighted_costs(p: ProblemSpec, per_atom, index, where=None, finite=False):
+    """Mass-weighted sums of per-atom costs (rows, M), taken atom by atom in
+    atom order: the weighted column of atom 0, plus that of atom 1, and so
+    on.  Each row's sum is its own, so a state's cost is bitwise the same
+    whether it is costed alone or among any number of rows (a BLAS matvec
+    rounds a row by how many the call holds).  The one terminal-cost gate of
+    every solver: +inf propagates (unless ``finite``); NaN, -inf, and finite
+    costs whose weighted sum overflows raise TerminalValueError.  Only the
+    rows whose sum is not finite are searched.  ``where`` names a row in the
+    error (None for a single state) by its number in ``index``, the range of
+    the rows' numbers among all the caller's rows."""
+    w = p.space.weights
     with np.errstate(over="ignore", invalid="ignore"):
-        total = per_atom @ p.space.weights
+        total = per_atom[:, 0] * w[0]
+        for i in range(1, w.size):
+            total += per_atom[:, i] * w[i]
     rows = np.flatnonzero(~np.isfinite(total))
     if rows.size:
         bad = per_atom[rows]
@@ -80,7 +89,8 @@ def _weighted_costs(p: ProblemSpec, per_atom, where=None, finite=False):
             hit = test(bad)
             if hit.any() and (finite or word != "+inf"):
                 r, i = np.argwhere(hit)[0]
-                at = f"at atom {i}" if where is None else f"on {where} {rows[r]}, atom {i}"
+                at = (f"at atom {i}" if where is None
+                      else f"on {where} {index[rows[r]]}, atom {i}")
                 raise TerminalValueError(f"terminal cost is {word} {at}")
         if np.isfinite(bad).all(axis=1).any():
             raise TerminalValueError("the mass-weighted terminal cost overflows "
@@ -169,10 +179,15 @@ def build_oracle_tree(p: ProblemSpec, s, phi, grid: TimeGrid,
     """Enumerate every signal from phi, one EnsembleState or B stacked start
     states (B, M, n); the budget counts B x signals.  The leaf level is made
     in blocks of whole nodes, at most _LEAF_BLOCK leaves each (or one node),
-    and each block is costed and dropped, never held.  The first leaf with a
+    and each control's leaves in a block are costed, weighted straight into
+    their strided rows of ``values[steps]`` and dropped: neither the leaf
+    states nor their per-atom costs are held.  The first leaf with a
     non-finite state raises DivergenceError as an :func:`_integrate_batch`
     row does.  A NaN or -inf leaf cost, or a weighted sum that overflows,
-    raises TerminalValueError; +inf is kept (the gate of :func:`_weighted_costs`)."""
+    raises TerminalValueError naming the leaf's index among all leaves;
+    +inf is kept (the gate of :func:`_weighted_costs`).  A cost error is
+    raised once every block is scanned, so a divergence in a later block
+    wins over it."""
     starts = (phi.values[None] if isinstance(phi, EnsembleState)
               else np.asarray(phi, dtype=float))
     if starts.ndim != 3 or starts.shape[1:] != (p.space.size, p.n):
@@ -192,11 +207,13 @@ def build_oracle_tree(p: ProblemSpec, s, phi, grid: TimeGrid,
         states.append(_children(fld, nodes[j], nodes[j + 1] - nodes[j], states[-1],
                                 controls[j]))
     # the leaf level in blocks of whole nodes, each scanned, costed and
-    # dropped; control k's leaves are costed straight into their strided rows
+    # dropped; control k's leaves are weighted straight into their strided
+    # rows.  A cost error waits for the scan to end: a divergence anywhere wins
     K, parents = len(controls[-1]), states[-1]
     t, h = nodes[-2], nodes[-1] - nodes[-2]
-    per_atom = np.empty((parents.shape[0] * K, p.space.size))
-    width = max(1, _LEAF_BLOCK // K)
+    values = [None] * (grid.steps + 1)
+    costs = values[grid.steps] = np.empty(parents.shape[0] * K)
+    width, error = max(1, _LEAF_BLOCK // K), None
     for lo in range(0, parents.shape[0], width):
         block, bad = parents[lo:lo + width], []
         for k, u in enumerate(controls[-1]):
@@ -206,8 +223,13 @@ def build_oracle_tree(p: ProblemSpec, s, phi, grid: TimeGrid,
             if not finite.all():
                 r = int(np.argmin(finite))
                 bad.append(((lo + r) * K + k, leaves[r]))
-            elif not bad:
-                per_atom[lo * K + k:(lo + block.shape[0]) * K:K] = p.cost.values(leaves)
+            elif not bad and error is None:
+                at = slice(lo * K + k, (lo + block.shape[0]) * K, K)
+                try:
+                    costs[at] = _weighted_costs(p, p.cost.values(leaves), range(costs.size)[at],
+                                                "an enumerated endpoint, leaf")
+                except TerminalValueError as exc:
+                    error = exc
         if bad:
             # a state once non-finite stays so: the first bad leaf's chain
             # holds the first non-finite node
@@ -215,8 +237,8 @@ def build_oracle_tree(p: ProblemSpec, s, phi, grid: TimeGrid,
             chain = [level[q // math.prod(map(len, controls[j:]))]
                      for j, level in enumerate(states)]
             _raise_divergence(grid.nodes[None], np.stack(chain + [leaf])[:, None])
-    values = [None] * (grid.steps + 1)
-    values[grid.steps] = _weighted_costs(p, per_atom, "an enumerated endpoint, leaf")
+    if error is not None:
+        raise error
     for j in range(grid.steps - 1, -1, -1):
         values[j] = values[j + 1].reshape(-1, len(controls[j])).min(axis=1)
     return OracleTree(grid=grid, controls=controls, states=states, values=values)
@@ -393,7 +415,7 @@ class ValueGrid:
     coverage_radius: float
     coverage_ok: bool
     meta: dict = field(default_factory=dict)
-    source: tuple = field(default=None, repr=False, compare=False)  # map's (pread, _Layout)
+    source: tuple = field(default=None, repr=False, compare=False)  # map's pread, argmin layout
 
     @property
     def shape(self):
@@ -427,11 +449,16 @@ class ValueGrid:
 
     def argmin_at(self, j, node):
         """Argmin entry of slice j at the index tuple ``node``; a mapped grid
-        preads it, as indexing the view faults in a page-cache folio (64 KB+)."""
+        preads it, as indexing the view faults in a page-cache folio (64 KB+),
+        at an offset summed in Python from the table's byte strides.  An
+        index outside the table raises IndexError."""
         if self.source is None:
             return int(self.argmin[j][node])
-        read, layout = self.source
-        at = layout.offset("argmin", j) + 4 * int(np.ravel_multi_index(node, self.shape))
+        read, at, shape, strides = self.source
+        key = (j, *node)
+        if len(key) != len(shape) or min(key) < 0 or not all(map(operator.lt, key, shape)):
+            raise IndexError(f"argmin entry {key} is outside the table's shape {shape}")
+        at += sum(map(operator.mul, key, strides))
         return int.from_bytes(read(4, at), "little", signed=True)
 
     # -- persistence ----------------------------------------------------
@@ -473,7 +500,7 @@ class ValueGrid:
                    clamp_count=header["clamp_count"],
                    coverage_radius=header["coverage_radius"],
                    coverage_ok=header["coverage_ok"], meta=header["meta"],
-                   source=(read, layout))
+                   source=(read, layout.offset("argmin", 0), argmin.shape, argmin.strides))
 
 
 class _Layout:

@@ -365,6 +365,17 @@ def test_batched_tree_starts_match_one_oracle_each(lin2):
         build_oracle_tree(lin2, 0.0, starts[:, :, 0], grid)
 
 
+def atom_order_sum(p, per_atom):
+    """Mass-weighted sums of per-atom costs (rows, M), atom 0's weighted
+    column first, then each next atom's added: the order of every solver's
+    terminal-cost gate."""
+    w = p.space.weights
+    total = per_atom[:, 0] * w[0]
+    for i in range(1, w.size):
+        total = total + per_atom[:, i] * w[i]
+    return total
+
+
 def reference_oracle_tree(p, starts, grid):
     """The row-major loop that build_oracle_tree lays out node-innermost:
     each level is C-order (nodes, M, n), control k of node b at row b*K + k.
@@ -380,7 +391,7 @@ def reference_oracle_tree(p, starts, grid):
         for k in range(len(pts)):
             nxt[:, k] = _rk4_step(fld, t, h, cur, pts[k])
         states.append(nxt.reshape((-1,) + cur.shape[1:]))
-    values = [p.cost.values(states[-1]) @ p.space.weights]
+    values = [atom_order_sum(p, p.cost.values(states[-1]))]
     for pts in reversed(controls):
         values.insert(0, values[0].reshape(-1, len(pts)).min(axis=1))
     return states, values
@@ -439,18 +450,22 @@ def test_leaf_costs_in_blocks_are_the_one_call_bitwise(monkeypatch, make):
         assert all(_same_bits(a, b) for a, b in zip(tree.values, values))
 
 
-def late_divergence_problem(until=np.inf):
+def late_divergence_problem(until=np.inf, nan_at=None):
     """Two atoms, x' = u, but +inf where x_i is past c_i before the time
     ``until``: a signal diverges only after enough +1 controls, so the first
-    bad leaves sit late in the lexicographic order."""
+    bad leaves sit late in the lexicographic order.  The cost is x_i^2, or
+    NaN where the predicate ``nan_at`` holds for x_i."""
     c = np.array([[0.35], [0.7]])
 
     def field(t, X, u):
         past = (X > c) & (np.asarray(t)[..., None, None] < until)
         return np.where(past, np.inf, np.broadcast_to(np.asarray(u)[..., None, :], X.shape))
 
-    cost = TerminalCostSpec(eval_ens=lambda X: X[..., 0] ** 2, lower_bound_a=np.zeros(2),
-                            lower_bound_b=0.0)
+    def g(X):
+        x = X[..., 0]
+        return x ** 2 if nan_at is None else np.where(nan_at(x), np.nan, x ** 2)
+
+    cost = TerminalCostSpec(eval_ens=g, lower_bound_a=np.zeros(2), lower_bound_b=0.0)
     return ProblemSpec(space=ParameterSpace(weights=[0.5, 0.5], coords=[[0.0], [1.0]]),
                        n=1, m=1, dynamics=DynamicsSpec(eval_ens=field, growth_c=1.0,
                                                        lipschitz_k=1.0),
@@ -491,6 +506,46 @@ def test_divergence_in_a_later_block_is_the_reference_error(monkeypatch, x0, unt
     assert (exc.value.t, exc.value.atom) == want
 
 
+@pytest.mark.parametrize("leaf_block", [4, 16])
+def test_a_cost_error_waits_for_a_later_blocks_divergence(monkeypatch, leaf_block):
+    monkeypatch.setattr(enoc.value, "_LEAF_BLOCK", leaf_block)
+    grid = TimeGrid(0.0, 1.0, 5)
+    # leaf 0 (every control -1) ends at x = (-1.1, -1.3) with a NaN cost in
+    # the first block of 3 or 15 leaves; leaf 80 diverges in block 26 or 5
+    p = late_divergence_problem(nan_at=lambda x: x < -1.0)
+    phi = EnsembleState([[-0.1], [-0.3]], p.space)
+    q, want = first_divergence_by_signal(p, phi, grid)
+    assert q == 80
+    with pytest.raises(DivergenceError) as exc:
+        build_oracle_tree(p, 0.0, phi, grid)
+    assert (exc.value.t, exc.value.atom) == want
+    # with no divergence, a lone NaN cost in the last block (leaf 242, every
+    # control +1, ends at x_0 = 0.9) is named by its index among all leaves
+    p = late_divergence_problem(until=0.0, nan_at=lambda x: x > 0.85)
+    with pytest.raises(TerminalValueError,
+                       match=r"NaN on an enumerated endpoint, leaf 242, atom 0$"):
+        build_oracle_tree(p, 0.0, phi, grid)
+
+
+@pytest.mark.parametrize("params, steps", [({"weights": [0.3, 0.7]}, 8), ({"M": 3}, 6)],
+                         ids=["weights-0.3-0.7", "M3"])
+def test_oracle_leaves_are_their_signals_realized_costs_bitwise(params, steps):
+    # with weights that are not dyadic, a weighted sum that rounds a row by
+    # how many rows it holds moves a leaf's cost off its signal's by a bit
+    p = builtin("linear-ensemble", **params)
+    grid = TimeGrid(0.0, p.horizon, steps)
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        phi = EnsembleState(rng.uniform(-0.5, 0.5, (p.space.size, p.n)), p.space)
+        tree = build_oracle_tree(p, 0.0, phi, grid)
+        for q in rng.choice(tree.values[-1].size, 50, replace=False):
+            vals = np.stack([pts[k] for pts, k in zip(tree.controls, tree.decode(q))])
+            realized = integrate(p, 0.0, phi, ControlSignal(grid, vals)).terminal
+            assert tree.values[-1][q] == terminal_functional(p, realized)
+        res = value_oracle(p, 0.0, phi, grid)
+        assert res.value == terminal_functional(p, integrate(p, 0.0, phi, res.best).terminal)
+
+
 def test_oracle_never_holds_the_leaf_level():
     # 9^6 = 531,441 leaves of (2, 2) states (17 MB), in nine blocks
     p = builtin("linear-ensemble", M=2, n=2, a=[0.5, -0.3], c=[2.0, 1.0])
@@ -505,11 +560,11 @@ def test_oracle_never_holds_the_leaf_level():
     finally:
         tracemalloc.stop()
     assert tree.values[-1].size == leaves
-    per_atom = leaves * 2 * 8
     values = sum(v.nbytes for v in tree.values)
     held = sum(s.nbytes for s in tree.states)
-    # a block's children, its RK4 temporaries and the gate's row masks
-    assert peak < per_atom + values + held + 4 * block_bytes
+    # a block's children, its RK4 temporaries and the gate's row masks; no
+    # per-atom cost array of the whole leaf level
+    assert peak < values + held + 4 * block_bytes
     # a held leaf level (17 MB) would not fit in the slack over the arrays kept
     assert leaves * 2 * 2 * 8 > values + 4 * block_bytes
 
@@ -573,6 +628,20 @@ def test_dp_rejects_nonfinite_terminal_cost():
         value_dp(p, [Axis(-1.0, 1.0, 5)], TimeGrid(0.0, 1.0, 2))
 
 
+def test_dp_names_a_nonfinite_terminal_cost_by_its_node_among_all(monkeypatch):
+    # blocks of 2 nodes: node 4 (x = 1) is row 0 of the third block
+    monkeypatch.setattr(enoc.value, "_LEAF_BLOCK", 2)
+    space = ParameterSpace(weights=[1.0], coords=[[0.0]])
+    cost = TerminalCostSpec(eval_ens=lambda X: np.where(X[..., 0] > 0.6, np.nan, 0.0),
+                            lower_bound_a=np.zeros(1), lower_bound_b=0.0)
+    dyn = DynamicsSpec(eval_ens=lambda t, X, u: np.zeros_like(X),
+                       growth_c=1.0, lipschitz_k=1.0)
+    p = ProblemSpec(space=space, n=1, m=1, dynamics=dyn, cost=cost,
+                    controls=ControlSchedule.constant([[0.0]]), horizon=1.0)
+    with pytest.raises(TerminalValueError, match=r"NaN on grid node 4, atom 0$"):
+        value_dp(p, [Axis(-1.0, 1.0, 5)], TimeGrid(0.0, 1.0, 2))
+
+
 def reference_value_dp(p, axes, grid):
     """The per-node corner-gather recursion that value_dp factors per atom:
     each candidate moves all Q nodes by one Euler step and interpolates the
@@ -590,7 +659,7 @@ def reference_value_dp(p, axes, grid):
     argmin = np.empty((N,) + shape, dtype=np.int32)
     tainted = np.zeros((N + 1,) + shape, dtype=bool)
     gaps = np.full((N,) + shape, np.inf)
-    values[N] = (p.cost.values(X) @ p.space.weights).reshape(shape)
+    values[N] = atom_order_sum(p, p.cost.values(X)).reshape(shape)
     clamp_count = 0
     for j in range(N - 1, -1, -1):
         t, h = grid.nodes[j], grid.nodes[j + 1] - grid.nodes[j]
@@ -702,7 +771,7 @@ def per_candidate_value_dp(p, axes, grid):
     values = np.empty((N + 1,) + shape)
     argmin = np.empty((N,) + shape, dtype=np.int32)
     tainted = np.zeros((N + 1,) + shape, dtype=bool)
-    values[N] = (p.cost.values(X) @ p.space.weights).reshape(shape)
+    values[N] = atom_order_sum(p, p.cost.values(X)).reshape(shape)
     blk_axes = [axes[i * n:(i + 1) * n] for i in range(M)]
     meshes = [_node_mesh([ax.nodes for ax in blk]) for blk in blk_axes]
     sizes = tuple(mesh.shape[0] for mesh in meshes)
@@ -1153,6 +1222,23 @@ def test_mapped_rollout_reads_the_file_that_was_mapped(tmp_path, lin2):
     want = greedy_rollout(lin2, held, phi)
     assert _same_rollout(greedy_rollout(lin2, mapped, phi), want)
     assert not _same_rollout(greedy_rollout(lin2, other, phi), want)
+
+
+def test_mapped_argmin_entries_are_the_held_tables(tmp_path):
+    # unequal axis counts, so a swapped stride reads another entry
+    p = builtin("decoupled-quadratic", M=3, tau=[0.3, -0.2, 0.5])
+    axes = [Axis(-1.0, 1.0, 5), Axis(-1.5, 1.5, 4), Axis(-1.0, 1.0, 3)]
+    grid = TimeGrid(0.0, 1.0, 4)
+    held = value_dp(p, axes, grid)
+    mapped = value_dp(p, axes, grid, path=tmp_path / "grid.bin")
+    assert len(np.unique(held.argmin)) == 3
+    for j in range(grid.steps):
+        for node in np.ndindex(held.shape):
+            assert mapped.argmin_at(j, node) == held.argmin_at(j, node) == held.argmin[j][node]
+    for j, node in ((4, (0, 0, 0)), (-1, (0, 0, 0)), (0, (5, 0, 0)), (0, (0, 4, 2)),
+                    (0, (0, -1, 0)), (0, (0, 0)), (0, (0, 0, 0, 0))):
+        with pytest.raises(IndexError, match="outside the table's shape"):
+            mapped.argmin_at(j, node)
 
 
 def test_streaming_adds_no_field_calls(tmp_path):
