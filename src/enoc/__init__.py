@@ -7,8 +7,7 @@ __version__ = "0.1.0"
 from .errors import (CapabilityError, CapacityError, DimensionMismatchError,
                      DivergenceError, EnocError, GridCoverageWarning,
                      ScheduleError, TerminalValueError)
-from .measure import (EnsembleState, ParameterSpace, ball_average, ball_mass,
-                      l2_inner, l2_norm)
+from .measure import EnsembleState, ParameterSpace, ball_average, ball_mass, l2_norm
 from .problem import (CheckReport, ControlSchedule, DynamicsSpec, ProblemSpec,
                       TerminalCostSpec)
 from .library import (builtin, closed_form, cost_lipschitz_bound, load_problem,

@@ -24,8 +24,8 @@ _FLOAT_FMT = "%.17g"
 class TimeGrid:
     """Uniform nodes t_0 .. t_N on [s, T].
 
-    ``prefix``/``suffix`` share the parent's node values bitwise, so
-    integrating a sub-horizon reproduces the parent's steps exactly.
+    ``suffix`` shares the parent's node values bitwise, so integrating the
+    rest of the horizon reproduces the parent's steps exactly.
     """
 
     def __init__(self, s, T, steps, _nodes=None):
@@ -50,12 +50,6 @@ class TimeGrid:
         if not 0 <= j < self.steps:
             raise ValueError(f"split index {j} out of range")
         return TimeGrid(self.nodes[j], self.T, self.steps - j, _nodes=self.nodes[j:])
-
-    def prefix(self, j):
-        """Sub-grid over [s, t_j]."""
-        if not 0 < j <= self.steps:
-            raise ValueError(f"split index {j} out of range")
-        return TimeGrid(self.s, self.nodes[j], j, _nodes=self.nodes[: j + 1])
 
     def __repr__(self):
         return f"TimeGrid(s={self.s:.6g}, T={self.T:.6g}, steps={self.steps})"

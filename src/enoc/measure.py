@@ -3,7 +3,7 @@
 A parameter space is a finite list of atoms (abstract parameter points), each
 carrying a positive mass, together with a validated metric between atoms.  An
 ensemble state assigns one n-dimensional state vector to every atom; the
-mass-weighted inner product below makes the set of ensemble states a
+mass-weighted norm below makes the set of ensemble states a
 finite-dimensional stand-in for a weighted L2 space of parameter-indexed
 states.
 
@@ -36,13 +36,12 @@ class ParameterSpace:
         fine for the few hundred atoms this package targets).  If omitted,
         ``coords`` must be given and the Euclidean embedding metric is used.
     coords : (M, d) coordinate embedding of the atoms, optional.
-    labels : per-atom identifiers, optional (defaults to ``w0, w1, ...``).
 
     Instances are immutable after construction and safe to share between
     threads; all array fields are read-only views.
     """
 
-    def __init__(self, weights, metric=None, coords=None, labels=None):
+    def __init__(self, weights, metric=None, coords=None):
         w = np.asarray(weights, dtype=float)
         if w.ndim != 1 or w.size < 1:
             raise ValueError("weights must be a 1-D array with at least one atom")
@@ -85,15 +84,9 @@ class ParameterSpace:
                 )
             self._validate_metric(metric)
 
-        if labels is None:
-            labels = [f"w{i}" for i in range(m)]
-        elif len(labels) != m:
-            raise ValueError(f"got {len(labels)} labels for {m} atoms")
-
         self._weights = w
         self._metric = metric
         self._coords = coords
-        self._labels = [str(x) for x in labels]
         for arr in (self._weights, self._metric, self._coords):
             if arr is not None:
                 arr.setflags(write=False)
@@ -144,10 +137,6 @@ class ParameterSpace:
         return self._coords
 
     @property
-    def labels(self):
-        return list(self._labels)
-
-    @property
     def mass(self):
         """Total mass of the space (sum of weights)."""
         return float(self._weights.sum())
@@ -156,20 +145,6 @@ class ParameterSpace:
         return f"ParameterSpace(M={self.size}, mass={self.mass:.6g})"
 
     # -- serialization ----------------------------------------------------
-
-    def to_dict(self):
-        doc = {
-            "format": SPACE_FORMAT,
-            "atoms": [
-                {"id": lbl} if self._coords is None
-                else {"id": lbl, "coords": list(map(float, self._coords[i]))}
-                for i, lbl in enumerate(self._labels)
-            ],
-            "weights": [float(x) for x in self._weights],
-        }
-        if self._coords is None:
-            doc["metric"] = [[float(x) for x in row] for row in self._metric]
-        return doc
 
     @classmethod
     def from_dict(cls, doc):
@@ -180,24 +155,17 @@ class ParameterSpace:
                 f"unsupported space format {doc.get('format')!r}, expected {SPACE_FORMAT!r}"
             )
         atoms = doc["atoms"]
-        if not (isinstance(atoms, list) and all(isinstance(a, dict) for a in atoms)):
-            raise ValueError(
-                f"space key 'atoms' must be a list of objects, got {atoms!r:.60}")
-        labels = [a["id"] for a in atoms]
+        if not (isinstance(atoms, list)
+                and all(isinstance(a, dict) and "id" in a for a in atoms)):
+            raise ValueError(f"space key 'atoms' must be a list of objects with an 'id', "
+                             f"got {atoms!r:.60}")
         coords = None
         if atoms and "coords" in atoms[0]:
             coords = [a["coords"] for a in atoms]
-        return cls(
-            weights=doc["weights"],
-            metric=doc.get("metric"),
-            coords=coords,
-            labels=labels,
-        )
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        space = cls(weights=doc["weights"], metric=doc.get("metric"), coords=coords)
+        if len(atoms) != space.size:
+            raise ValueError(f"got {len(atoms)} atoms for {space.size} weights")
+        return space
 
     @classmethod
     def load(cls, path):
@@ -251,14 +219,9 @@ def _check_pair(phi: EnsembleState, psi: EnsembleState):
         )
 
 
-def l2_inner(phi: EnsembleState, psi: EnsembleState) -> float:
-    """Mass-weighted inner product sum_i w_i (phi_i . psi_i)."""
-    _check_pair(phi, psi)
-    return float(np.einsum("i,ij,ij->", phi.space.weights, phi.values, psi.values))
-
-
 def l2_norm(phi: EnsembleState) -> float:
-    """Norm induced by :func:`l2_inner`; zero exactly for the zero state."""
+    """Mass-weighted norm sqrt(sum_i w_i |phi_i|^2); zero exactly for the
+    zero state."""
     q = np.einsum("i,ij,ij->", phi.space.weights, phi.values, phi.values)
     return float(np.sqrt(q))
 

@@ -36,9 +36,8 @@ from .problem import ProblemSpec
 from .ensemble import (ControlSignal, TimeGrid, Trajectory, _integrate_batch,
                        _raise_divergence, _rk4_stages, _rk4_step, integrate)
 
-_MAGIC = b"ENOCVG1\n"
-_LEAF_BLOCK = 1 << 16          # states per terminal-cost call and oracle leaf block,
-                               # argmin entries per chunk that the grid writer widens
+_MAGIC = b"ENOCVG2\n"
+_LEAF_BLOCK = 1 << 16          # states per terminal-cost call and oracle leaf block
 
 
 def stack_state(phi: EnsembleState) -> np.ndarray:
@@ -409,7 +408,7 @@ class ValueGrid:
     axes: list
     values: np.ndarray          # (steps + 1, *counts)
     argmin: np.ndarray          # (steps, *counts): value_dp's narrowest unsigned
-                                # type (_argmin_dtype), the file's int32 when mapped
+                                # type (_argmin_dtype), the file's when mapped
     tainted: np.ndarray         # (steps + 1, *counts) bool
     clamp_count: int
     coverage_radius: float
@@ -454,24 +453,22 @@ class ValueGrid:
         index outside the table raises IndexError."""
         if self.source is None:
             return int(self.argmin[j][node])
-        read, at, shape, strides = self.source
+        read, at, shape, strides, dtype = self.source
         key = (j, *node)
         if len(key) != len(shape) or min(key) < 0 or not all(map(operator.lt, key, shape)):
             raise IndexError(f"argmin entry {key} is outside the table's shape {shape}")
         at += sum(map(operator.mul, key, strides))
-        return int.from_bytes(read(4, at), "little", signed=True)
+        return int.from_bytes(read(dtype.itemsize, at), "little", signed=dtype.kind == "i")
 
     # -- persistence ----------------------------------------------------
 
     def save(self, path):
-        """Write the ENOCVG1 file (see :class:`_Layout`) slice by slice
-        through :func:`_grid_writer`, which writes the values and the taint
-        from their own memory and widens the argmin, of any integer dtype in
-        memory, to int32 in chunks, so the file is the same whatever that
-        dtype.  The file is made under a temporary name and then replaces
-        ``path``, so saving onto the file a grid is mapped from does not
-        truncate it under the mapping."""
-        with _grid_writer(path, self.grid, self.axes, self.coverage_radius,
+        """Write the ENOCVG2 file (see :class:`_Layout`) slice by slice
+        through :func:`_grid_writer`, every table from its own memory and the
+        argmin in its own integer type.  The file is made under a temporary
+        name and then replaces ``path``, so saving onto the file a grid is
+        mapped from does not truncate it under the mapping."""
+        with _grid_writer(path, self.grid, self.axes, self.argmin.dtype, self.coverage_radius,
                           self.coverage_ok, self.meta) as (write, header):
             header["clamp_count"] = self.clamp_count
             for j in range(self.grid.steps + 1):
@@ -482,10 +479,10 @@ class ValueGrid:
     def map(cls, path):
         """Map a file :meth:`save` writes read-only, after the checks of
         :func:`_read_header`: every table is a view of the mapping, so a
-        reader touches only the pages it reads.  The argmin is the file's
-        int32 and the taint its bytes as bool (numpy's boolean operations
-        read any nonzero byte as True).  :meth:`argmin_at` preads the file
-        that was mapped, whatever later replaces it at ``path``."""
+        reader touches only the pages it reads.  The argmin is in the
+        header's type and the taint is its bytes as bool (numpy's boolean
+        operations read any nonzero byte as True).  :meth:`argmin_at` preads
+        the file that was mapped, whatever later replaces it at ``path``."""
         with open(path, "rb") as fh:
             header, grid, axes, layout = _read_header(fh, path)
             buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
@@ -500,21 +497,24 @@ class ValueGrid:
                    clamp_count=header["clamp_count"],
                    coverage_radius=header["coverage_radius"],
                    coverage_ok=header["coverage_ok"], meta=header["meta"],
-                   source=(read, layout.offset("argmin", 0), argmin.shape, argmin.strides))
+                   source=(read, layout.offset("argmin", 0), argmin.shape, argmin.strides,
+                           argmin.dtype))
 
 
 class _Layout:
-    """The ENOCVG1 file: magic, u64 header length and JSON header, then the
+    """The ENOCVG2 file: magic, u64 header length and JSON header, then the
     tables from offset ``start`` on: C-order float64 values (steps + 1
-    slices), int32 argmin (steps slices) and one byte (0 or 1) per taint flag
-    (steps + 1 slices), each slice of ``shape``.  ``tables`` maps each table
-    to (offset, dtype, slices), and every slice sits at a fixed offset, so a
-    slice is written or read alone."""
+    slices), the argmin in the header's integer type ``argmin_dtype``
+    (steps slices) and one byte (0 or 1) per taint flag (steps + 1 slices),
+    each slice of ``shape``.  ``tables`` maps each table to (offset, dtype,
+    slices), and every slice sits at a fixed offset, so a slice is written
+    or read alone."""
 
-    def __init__(self, start, steps, shape):
+    def __init__(self, start, steps, shape, argmin_dtype):
         self.shape = tuple(shape)
         self.tables = {}
-        for name, dtype, count in (("values", "<f8", steps + 1), ("argmin", "<i4", steps),
+        for name, dtype, count in (("values", "<f8", steps + 1),
+                                   ("argmin", argmin_dtype, steps),
                                    ("tainted", "?", steps + 1)):
             self.tables[name] = (start, np.dtype(dtype), count)
             start += count * self.slice_bytes(name)
@@ -528,36 +528,35 @@ class _Layout:
 
 
 @contextlib.contextmanager
-def _grid_writer(path, grid, axes, coverage_radius, coverage_ok, meta):
-    """Write the ENOCVG1 file of a value grid slice by slice, its header
+def _grid_writer(path, grid, axes, argmin_dtype, coverage_radius, coverage_ok, meta):
+    """Write the ENOCVG2 file of a value grid slice by slice, its header
     last: yields ``(write, header)``.  ``write(j, values, tainted,
     argmin=None)`` puts slice j of each given table at its offset, in any
-    order.  The values and the taint are written from their own memory
-    through a byte view (no copy when already contiguous in that dtype); the
-    argmin is widened to int32 in chunks of _LEAF_BLOCK entries.  The block
-    sets ``header["clamp_count"]``, which a sweep knows only at its end: the
+    order, from its own memory through a byte view (no copy when contiguous
+    in the layout's dtype: the argmin's is ``argmin_dtype``, little-endian,
+    which must be an integer type of at most 8 bytes).  The block sets
+    ``header["clamp_count"]``, which a sweep knows only at its end: the
     header's length is reserved for a 20-digit count, and when the block
     ends the header is written there, padded with trailing JSON whitespace.
     The file is made under a temporary name next to ``path`` and replaces it
     when the block ends; if the block raises, it is deleted."""
     header = {"s": grid.s, "T": grid.T, "steps": grid.steps,
               "axes": [[ax.lo, ax.hi, ax.count] for ax in axes], "clamp_count": None,
+              "argmin_dtype": np.dtype(argmin_dtype).newbyteorder("<").str,
               "coverage_radius": coverage_radius, "coverage_ok": coverage_ok, "meta": meta}
+    if not _HEADER["argmin_dtype"](header["argmin_dtype"]):
+        raise ValueError(f"an argmin table of type {header['argmin_dtype']} is not integer")
     hlen = len(json.dumps(dict(header, clamp_count=10 ** 20 - 1), sort_keys=True).encode())
-    layout = _Layout(len(_MAGIC) + 8 + hlen, grid.steps, [ax.count for ax in axes])
+    layout = _Layout(len(_MAGIC) + 8 + hlen, grid.steps, [ax.count for ax in axes],
+                     header["argmin_dtype"])
     tmp = os.fspath(path) + ".part"
 
     def write(j, values, tainted, argmin=None):
-        fh.seek(layout.offset("values", j))
-        fh.write(memoryview(np.ascontiguousarray(values, dtype="<f8")).cast("B"))
-        if argmin is not None:
-            fh.seek(layout.offset("argmin", j))
-            arg = np.ravel(argmin)
-            for lo in range(0, arg.size, _LEAF_BLOCK):
-                fh.write(memoryview(arg[lo:lo + _LEAF_BLOCK].astype("<i4")).cast("B"))
-        fh.seek(layout.offset("tainted", j))
-        fh.write(memoryview(np.ascontiguousarray(tainted, dtype=bool)
-                            .view(np.uint8)).cast("B"))
+        for name, table in (("values", values), ("argmin", argmin), ("tainted", tainted)):
+            if table is not None:
+                fh.seek(layout.offset(name, j))
+                fh.write(memoryview(np.ascontiguousarray(table, layout.tables[name][1]))
+                         .cast("B"))
 
     try:
         with open(tmp, "wb") as fh:
@@ -594,16 +593,18 @@ def _axis_triples(val):
 _HEADER = {"s": _number, "T": _number, "steps": lambda v: _number(v, True),
            "clamp_count": lambda v: _number(v, True), "coverage_radius": _number,
            "coverage_ok": lambda v: isinstance(v, bool),
-           "meta": lambda v: isinstance(v, dict), "axes": _axis_triples}
+           "meta": lambda v: isinstance(v, dict), "axes": _axis_triples,
+           "argmin_dtype": lambda v: v in ("|u1", "|i1", "<u2", "<i2", "<u4", "<i4",
+                                           "<u8", "<i8")}
 
 
 def _read_header(fh, path):
     """The header, time grid, axes and :class:`_Layout` of the value-grid
     file open as ``fh``.  The header must be a JSON object with every key the
     writer writes, each of the type it writes, and may end in whitespace (the
-    writer's padding, or none in files written before it); the file's size
-    must be exactly the layout's.  Any other file raises ValueError naming
-    ``path``."""
+    writer's padding); the file's size must be exactly the layout's.  Any
+    other file, an ENOCVG1 file of an older enoc among them, raises
+    ValueError naming ``path``."""
     size = os.fstat(fh.fileno()).st_size
 
     def read(count):
@@ -612,8 +613,10 @@ def _read_header(fh, path):
         return fh.read(count)
 
     try:
-        if fh.read(len(_MAGIC)) != _MAGIC:
-            raise ValueError("not a value-grid file")
+        magic = fh.read(len(_MAGIC))
+        if magic != _MAGIC:
+            raise ValueError("an ENOCVG1 file, written by an older enoc; solve again"
+                             if magic == b"ENOCVG1\n" else "not a value-grid file")
         (hlen,) = struct.unpack("<Q", read(8))
         header = json.loads(read(hlen))
         if not isinstance(header, dict):
@@ -623,7 +626,8 @@ def _read_header(fh, path):
                 raise ValueError(f"header key {key!r} is missing" if key not in header else
                                  f"header key {key!r} is malformed: {header[key]!r:.60}")
         axes = [Axis(*trip) for trip in header["axes"]]
-        layout = _Layout(fh.tell(), header["steps"], [ax.count for ax in axes])
+        layout = _Layout(fh.tell(), header["steps"], [ax.count for ax in axes],
+                         header["argmin_dtype"])
         if layout.size != size:
             raise ValueError(f"truncated at {size} bytes" if layout.size > size
                              else f"{size - layout.size} trailing bytes")
@@ -700,11 +704,12 @@ def value_dp(p: ProblemSpec, axes, grid: TimeGrid, phi_radius=None,
     batch then fold in, one after the other, through a running minimum and
     first argmin.  The arithmetic of every node is that of one control at a
     time.  The argmin table holds the narrowest unsigned type for the
-    largest control set on the grid (uint8 up to 256 controls).
+    largest control set on the grid (uint8 up to 256 controls), in memory
+    and in the file.
 
     The recursion needs only slice j + 1 to make slice j.  With ``path``,
     each finished slice of the values, argmin and taint goes into that
-    ENOCVG1 file (see :meth:`ValueGrid.save`) as it is made, so the sweep
+    ENOCVG2 file (see :meth:`ValueGrid.save`) as it is made, so the sweep
     holds two value and taint slices and one argmin slice instead of the
     tables; the file's header, which holds the clamp count, is written when
     the sweep ends.  The result then maps the file read-only
@@ -768,7 +773,7 @@ def value_dp(p: ProblemSpec, axes, grid: TimeGrid, phi_radius=None,
 
     clamp_total = 0
     writer = (contextlib.nullcontext((None, {})) if path is None else _grid_writer(
-        path, grid, axes, float(coverage_radius), coverage_ok, dict(p.meta)))
+        path, grid, axes, argmin.dtype, float(coverage_radius), coverage_ok, dict(p.meta)))
     with writer as (write, header):
         if write:
             write(N, values[N % slots], tainted[N % slots])

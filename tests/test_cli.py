@@ -572,9 +572,34 @@ def test_query_rejects_a_malformed_grid_header(small_grid_file, tmp_path, capsys
     assert problem in captured.err and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argmin_dtype", [">i4", "<f8", "|b1", "u1", "<u16", 1, None])
+def test_query_rejects_an_argmin_type_it_cannot_read(small_grid_file, tmp_path, capsys,
+                                                     argmin_dtype):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(_with_header(small_grid_file.read_bytes(),
+                                 _set("argmin_dtype", argmin_dtype)))
+    rc = run(["query", "--grid-file", str(bad), "--time", "0", "--state", "0,0"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {bad}: header key 'argmin_dtype' is malformed" in captured.err
+
+
+def test_query_rejects_a_grid_file_of_an_older_enoc(small_grid_file, tmp_path, capsys):
+    # the magic is read first, so the rest of an ENOCVG1 file does not matter
+    old = tmp_path / "old.bin"
+    old.write_bytes(b"ENOCVG1\n" + small_grid_file.read_bytes()[8:])
+    rc = run(["query", "--grid-file", str(old), "--time", "0", "--state", "0,0"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert (f"error: {old}: an ENOCVG1 file, written by an older enoc; solve again"
+            in captured.err)
+
+
 def test_query_reads_a_grid_file_with_an_unpadded_header(small_grid_file, tmp_path,
                                                          capsys):
-    # the header as written before the writer padded it
+    # the same header without the writer's padding
     blob = small_grid_file.read_bytes()
     (hlen,) = struct.unpack("<Q", blob[8:16])
     assert blob[16:16 + hlen].endswith(b" ")
@@ -595,12 +620,12 @@ def test_query_reads_a_grid_file_with_an_unpadded_header(small_grid_file, tmp_pa
 
 
 def test_query_reads_one_slice_of_the_grid(tmp_path, capsys):
-    # a 201^2 x 100 grid, 52.9 MB on disk; the query interpolates slice 0
+    # a 201^2 x 100 grid, 40.8 MB on disk; the query interpolates slice 0
     out = tmp_path / "big"
     assert run(["solve", "--problem", "linear-ensemble", "--method", "dp",
                 "--steps", "100", "--grid=-4:4:201", "--out", str(out)]) == 0
     path = out / "value_grid.bin"
-    assert path.stat().st_size > 50e6
+    assert path.stat().st_size > 40e6
     capsys.readouterr()
     tracemalloc.start()
     try:
@@ -896,6 +921,14 @@ def test_space_file_by_path_solves(tmp_path, sine_drift_doc):
     rc, err = _solve_with_space_file(tmp_path, sine_drift_doc, json.dumps(far).encode())
     assert rc == 2
     assert err.startswith("error: problem key 'space': distance of atoms (0,1) overflows")
+
+
+def test_space_file_atom_without_an_id_exits_2(tmp_path, sine_drift_doc):
+    space = dict(_SPACES[0], atoms=[{"id": "a", "coords": [0.0]}, {"coords": [1.0]}])
+    rc, err = _solve_with_space_file(tmp_path, sine_drift_doc, json.dumps(space).encode())
+    assert rc == 2
+    assert err.startswith("error: problem key 'space': space key 'atoms' must be a list "
+                          "of objects with an 'id'")
 
 
 _JSON = st.recursive(

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,11 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enoc import (DimensionMismatchError, EnsembleState, ParameterSpace,
-                  ball_average, ball_mass, l2_inner, l2_norm)
+                  ball_average, ball_mass, l2_norm)
 
 
 def _space(weights, metric=None, coords=None):
     return ParameterSpace(weights=weights, metric=metric, coords=coords)
+
+
+def _inner(phi, psi):
+    """The mass-weighted inner product sum_i w_i (phi_i . psi_i)."""
+    return float(np.einsum("i,ij,ij->", phi.space.weights, phi.values, psi.values))
 
 
 # -- construction -------------------------------------------------------------
@@ -69,27 +75,14 @@ def test_state_rejects_nonfinite():
         EnsembleState([[0.0], [np.inf]], sp)
 
 
-# -- inner product and norm ---------------------------------------------------
+# -- norm ---------------------------------------------------------------------
 
-def test_inner_zero_state(two_atom_space):
-    z = EnsembleState.zeros(two_atom_space, 1)
-    assert l2_inner(z, z) == 0.0
-
-
-def test_inner_symmetry_cancellation(two_atom_space):
-    phi = EnsembleState([[2.0], [-2.0]], two_atom_space)
-    psi = EnsembleState([[1.0], [1.0]], two_atom_space)
-    assert l2_inner(phi, psi) == pytest.approx(0.0)
-
-
-def test_inner_matches_extended_precision_sum():
+def test_norm_matches_extended_precision_sum():
     rng = np.random.default_rng(7)
     sp = _space(rng.uniform(0.1, 2.0, 4), coords=rng.standard_normal((4, 2)))
     phi = EnsembleState(rng.standard_normal((4, 3)), sp)
-    psi = EnsembleState(rng.standard_normal((4, 3)), sp)
-    terms = [sp.weights[i] * phi.values[i, k] * psi.values[i, k]
-             for i in range(4) for k in range(3)]
-    assert l2_inner(phi, psi) == pytest.approx(math.fsum(terms), abs=1e-12)
+    terms = [sp.weights[i] * phi.values[i, k] ** 2 for i in range(4) for k in range(3)]
+    assert l2_norm(phi) == pytest.approx(math.sqrt(math.fsum(terms)), abs=1e-12)
 
 
 def test_norm_examples():
@@ -108,7 +101,7 @@ def test_cauchy_schwarz(m_atoms, n_dim, seed):
                 coords=rng.standard_normal((m_atoms, 1)))
     phi = EnsembleState(rng.standard_normal((m_atoms, n_dim)), sp)
     psi = EnsembleState(rng.standard_normal((m_atoms, n_dim)), sp)
-    assert abs(l2_inner(phi, psi)) <= l2_norm(phi) * l2_norm(psi) * (1 + 1e-12)
+    assert abs(_inner(phi, psi)) <= l2_norm(phi) * l2_norm(psi) * (1 + 1e-12)
 
 
 # -- ball operations ----------------------------------------------------------
@@ -224,19 +217,35 @@ def test_space_round_trip(tmp_path):
     rng = np.random.default_rng(17)
     sp = _space(rng.uniform(0.1, 1.0, 4), coords=rng.standard_normal((4, 2)))
     path = tmp_path / "space.json"
-    sp.save(path)
+    path.write_text(json.dumps({
+        "format": "enoc-space/1",
+        "atoms": [{"id": f"w{i}", "coords": c.tolist()} for i, c in enumerate(sp.coords)],
+        "weights": sp.weights.tolist()}))
     back = ParameterSpace.load(path)
     np.testing.assert_allclose(back.weights, sp.weights)
     np.testing.assert_allclose(back.metric, sp.metric)
-    assert back.labels == sp.labels
 
 
 def test_space_round_trip_explicit_metric(tmp_path):
     sp = _space([0.3, 0.7], metric=[[0.0, 1.0], [1.0, 0.0]])
     path = tmp_path / "space.json"
-    sp.save(path)
+    path.write_text(json.dumps({"format": "enoc-space/1", "atoms": [{"id": "a"}, {"id": "b"}],
+                                "weights": [0.3, 0.7], "metric": sp.metric.tolist()}))
     back = ParameterSpace.load(path)
     np.testing.assert_allclose(back.metric, sp.metric)
+
+
+@pytest.mark.parametrize("atoms, problem", [
+    ([{"id": "a"}, {}], "list of objects with an 'id'"),
+    ([{"id": "a"}], "got 1 atoms for 2 weights"),
+    ([{"id": "a"}, {"id": "b"}, {"id": "c"}], "got 3 atoms for 2 weights"),
+])
+def test_loader_requires_one_atom_with_an_id_per_weight(tmp_path, atoms, problem):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"format": "enoc-space/1", "atoms": atoms,
+                                "weights": [0.3, 0.7], "metric": [[0.0, 1.0], [1.0, 0.0]]}))
+    with pytest.raises(ValueError, match=problem):
+        ParameterSpace.load(path)
 
 
 def test_loader_reports_first_violation(tmp_path):
@@ -246,7 +255,6 @@ def test_loader_reports_first_violation(tmp_path):
         "weights": [1.0, -2.0],
         "metric": [[0.0, 1.0], [1.0, 0.0]],
     }
-    import json
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="atom 1"):
@@ -254,7 +262,6 @@ def test_loader_reports_first_violation(tmp_path):
 
 
 def test_loader_rejects_unknown_format(tmp_path):
-    import json
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"format": "nope", "atoms": [], "weights": []}))
     with pytest.raises(ValueError, match="format"):

@@ -1016,10 +1016,9 @@ def test_value_grid_map_reads_exactly_the_saved_bytes(tmp_path, lin2):
 
 def test_value_grid_save_writes_the_tables_without_copies(tmp_path):
     # a 16 MB value table, a 4 MB int32 (or 1 MB uint8) argmin and a 2 MB
-    # taint table; the argmin is written as int32 either way
+    # taint table; each is written in its own type from its own memory
     rng = np.random.default_rng(2)
     grid, axes = TimeGrid(0.0, 1.0, 1), [Axis(-1.0, 1.0, 1024)] * 2
-    blobs = []
     for dtype in (np.int32, np.uint8):
         vg = ValueGrid(grid=grid, axes=axes, values=rng.standard_normal((2, 1024, 1024)),
                        argmin=rng.integers(0, 3, (1, 1024, 1024), dtype=dtype),
@@ -1033,15 +1032,13 @@ def test_value_grid_save_writes_the_tables_without_copies(tmp_path):
         finally:
             tracemalloc.stop()
         assert vg.values.nbytes >= 16 * 2 ** 20 and peak < 2 ** 20
-        tables = (vg.values.astype("<f8").tobytes() + vg.argmin.astype("<i4").tobytes()
-                  + vg.tainted.astype("u1").tobytes())
+        tables = vg.values.tobytes() + vg.argmin.tobytes() + vg.tainted.tobytes()
         blob = path.read_bytes()
         assert blob.endswith(tables)
         header = json.loads(blob[16:len(blob) - len(tables)])
-        assert blob[:16] == b"ENOCVG1\n" + struct.pack("<Q", len(blob) - 16 - len(tables))
+        assert blob[:16] == b"ENOCVG2\n" + struct.pack("<Q", len(blob) - 16 - len(tables))
         assert header["axes"] == [[-1.0, 1.0, 1024]] * 2 and header["clamp_count"] == 5
-        blobs.append(len(blob))
-    assert blobs[0] == blobs[1]
+        assert header["argmin_dtype"] == np.dtype(dtype).str
 
 
 def test_value_grid_save_map_save_is_byte_identical(tmp_path, lin2):
@@ -1050,8 +1047,9 @@ def test_value_grid_save_map_save_is_byte_identical(tmp_path, lin2):
     vg.save(first)
     back = ValueGrid.map(first)
     back.save(second)
-    # the narrow table in memory, int32 when mapped, one file for both
-    assert vg.argmin.dtype == np.uint8 and back.argmin.dtype == np.int32
+    # the narrow table in memory and when mapped, one file for both
+    assert vg.argmin.dtype == back.argmin.dtype == np.uint8
+    assert back.argmin.tobytes() == vg.argmin.tobytes()
     assert first.read_bytes() == second.read_bytes()
 
 
@@ -1096,9 +1094,10 @@ def test_streamed_grid_is_the_saved_table_bytewise(tmp_path, make, axes, steps, 
         ax.count for ax in axes)
     assert streamed.clamp_count == held.clamp_count > 0
     assert (held.clamp_count > lookups / 2) == clamped
-    # the result maps the file: the held tables, the argmin as int32
+    # the result maps the file: the held tables, the argmin in its own type
     assert streamed.values.tobytes() == held.values.tobytes()
-    assert streamed.argmin.dtype == np.int32 and np.array_equal(streamed.argmin, held.argmin)
+    assert streamed.argmin.dtype == held.argmin.dtype
+    assert streamed.argmin.tobytes() == held.argmin.tobytes()
     assert streamed.tainted.tobytes() == held.tainted.tobytes()
     assert sorted(f.name for f in tmp_path.iterdir()) == ["saved.bin", "streamed.bin"]
 
@@ -1145,7 +1144,8 @@ def test_value_grid_map_reads_what_the_held_grid_holds(tmp_path, lin2):
     held.tainted[-1, -1, -1] = True
     mapped = ValueGrid.map(path)
     assert mapped.values.tobytes() == held.values.tobytes()
-    assert mapped.argmin.dtype == np.int32 and np.array_equal(mapped.argmin, held.argmin)
+    assert mapped.argmin.dtype == held.argmin.dtype
+    assert mapped.argmin.tobytes() == held.argmin.tobytes()
     assert np.array_equal(mapped.tainted, held.tainted) and mapped.tainted[-1, -1, -1]
     assert mapped.tainted.sum() == held.tainted.sum()
     Z = np.random.default_rng(2).uniform(-1.2, 1.2, (50, 2))
@@ -1154,6 +1154,48 @@ def test_value_grid_map_reads_what_the_held_grid_holds(tmp_path, lin2):
         want = _interpolate(held.values[j], held.tainted[j], held.axes, Z)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
     assert (mapped.clamp_count, mapped.meta) == (held.clamp_count, held.meta)
+
+
+def test_value_grid_file_keeps_a_wide_argmin_type(tmp_path):
+    # x' = u toward 0.9 under 300 controls: the table is uint16, and the best
+    # indices pass 255
+    space = ParameterSpace(weights=[1.0], coords=[[0.0]])
+    p = ProblemSpec(space=space, n=1, m=1,
+                    dynamics=DynamicsSpec(eval_ens=lambda t, X, u: np.zeros_like(X)
+                                          + np.asarray(u)[..., None, :],
+                                          growth_c=1.0, lipschitz_k=1.0),
+                    cost=TerminalCostSpec(eval_ens=lambda X: (X[..., 0] - 0.9) ** 2,
+                                          lower_bound_a=np.zeros(1), lower_bound_b=0.0),
+                    controls=ControlSchedule.constant(np.linspace(-1.0, 1.0, 300)[:, None]),
+                    horizon=1.0)
+    axes, grid = [Axis(-1.0, 1.0, 9)], TimeGrid(0.0, 1.0, 3)
+    held = value_dp(p, axes, grid)
+    assert held.argmin.dtype == np.uint16 and held.argmin.max() > 255
+    held.save(tmp_path / "saved.bin")
+    mapped = value_dp(p, axes, grid, path=tmp_path / "streamed.bin")
+    assert ((tmp_path / "streamed.bin").read_bytes()
+            == (tmp_path / "saved.bin").read_bytes())
+    assert mapped.argmin.dtype == np.uint16
+    assert mapped.argmin.tobytes() == held.argmin.tobytes()
+    for j in range(grid.steps):
+        for node in np.ndindex(held.shape):
+            assert mapped.argmin_at(j, node) == held.argmin_at(j, node) == held.argmin[j][node]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.bool_])
+def test_value_grid_save_refuses_an_argmin_the_reader_cannot_read(tmp_path, dtype):
+    vg = all_plus_one_table()
+    vg.argmin = vg.argmin.astype(dtype)
+    with pytest.raises(ValueError, match="is not integer"):
+        vg.save(tmp_path / "grid.bin")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_grid_writer_writes_the_keys_the_reader_checks(tmp_path, lin2):
+    value_dp(lin2, [Axis(-1.0, 1.0, 5)] * 2, TimeGrid(0.0, 1.0, 3), path=tmp_path / "g.bin")
+    blob = (tmp_path / "g.bin").read_bytes()
+    (hlen,) = struct.unpack("<Q", blob[8:16])
+    assert sorted(json.loads(blob[16:16 + hlen])) == sorted(enoc.value._HEADER)
 
 
 # -- the rollout on a mapped grid reads each argmin entry from the file ----------------
@@ -1217,7 +1259,9 @@ def test_mapped_rollout_reads_the_file_that_was_mapped(tmp_path, lin2):
     # every entry names another of the three controls
     other = dataclasses.replace(held, argmin=(held.argmin + 1) % 3)
     other.save(path)
-    assert ValueGrid.map(path).argmin.tobytes() == other.argmin.astype("<i4").tobytes()
+    back = ValueGrid.map(path)
+    assert back.argmin.dtype == other.argmin.dtype
+    assert back.argmin.tobytes() == other.argmin.tobytes()
     phi = EnsembleState(np.array([[0.4], [-0.3]]), lin2.space)
     want = greedy_rollout(lin2, held, phi)
     assert _same_rollout(greedy_rollout(lin2, mapped, phi), want)
@@ -1352,12 +1396,13 @@ def test_dpp_linear_family_all_splits(lin2):
 
 
 def _sequential_dpp(p, phi, grid, j):
-    """The two-stage residual by a prefix tree and one oracle per mid state."""
+    """The two-stage residual by the reference tree's level-j states and one
+    oracle per mid state."""
     direct = value_oracle(p, grid.s, phi, grid)
-    prefix = reference_oracle_tree(p, phi.values[None], grid.prefix(j))[0]
+    levels = reference_oracle_tree(p, phi.values[None], grid)[0]
     best = min(value_oracle(p, grid.nodes[j], EnsembleState(mid, p.space),
                             grid.suffix(j)).value
-               for mid in prefix[j])
+               for mid in levels[j])
     return direct.value - best
 
 

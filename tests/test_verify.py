@@ -9,7 +9,7 @@ from enoc import (Axis, CapabilityError, ControlSchedule, ControlSignal,
                   DynamicsSpec, EnsembleState, ParameterSpace, ProblemSpec,
                   TerminalCostSpec, TimeGrid, builtin,
                   cost_lipschitz_bound, epigraph_invariance, hjb_residual,
-                  integrate, l2_inner, oscillation_diagnostic, problem_from_dict,
+                  integrate, oscillation_diagnostic, problem_from_dict,
                   random_signal, terminal_limit, terminal_functional,
                   trajectory_bound_suite, value_dp, value_oracle)
 from enoc.cli import _VERIFY_DEFAULTS, _default_radii, _dpp_check
@@ -88,8 +88,9 @@ def test_hjb_matches_pointwise_hamiltonian_operation(lin2):
     phi = EnsembleState(np.array(rep.witness["z"]).reshape(2, 1), lin2.space)
     costate = EnsembleState((grad / lin2.space.weights).reshape(2, 1), lin2.space)
     t = vg.grid.nodes[j]
-    h = min(l2_inner(costate, EnsembleState(lin2.dynamics.field(t, phi.values, u),
-                                            lin2.space))
+    # the mass-weighted pairing of the costate with each control's velocity
+    h = min(float(np.einsum("i,ij,ij->", lin2.space.weights, costate.values,
+                            lin2.dynamics.field(t, phi.values, u)))
             for u in lin2.controls.active_set(t))
     assert rep.worst > 0.0
     assert rep.worst == pytest.approx(abs(xi_t + h), abs=1e-12)
