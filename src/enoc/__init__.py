@@ -10,8 +10,7 @@ from .errors import (CapabilityError, CapacityError, DimensionMismatchError,
 from .measure import EnsembleState, ParameterSpace, ball_average, ball_mass, l2_norm
 from .problem import (CheckReport, ControlSchedule, DynamicsSpec, ProblemSpec,
                       TerminalCostSpec)
-from .library import (builtin, closed_form, cost_lipschitz_bound, load_problem,
-                      problem_from_dict)
+from .library import builtin, closed_form, load_problem, problem_from_dict
 from .ensemble import (ControlSignal, TimeGrid, Trajectory, integrate,
                        trajectory_bound_suite, random_signal)
 from .value import (AdjointResult, Axis, OracleResult, OracleTree, QueryResult,

@@ -24,7 +24,7 @@ from . import __version__
 from .errors import EnocError
 from .measure import EnsembleState
 from .problem import CheckReport, ProblemSpec, _sampled_report
-from .library import builtin, cost_lipschitz_bound, load_problem
+from .library import builtin, load_problem
 # integrate is bound here for the benchmark tracer, which wraps it by this name
 from .ensemble import (ControlSignal, TimeGrid, integrate,  # noqa: F401
                        trajectory_bound_suite)
@@ -312,7 +312,6 @@ def cmd_verify(args) -> int:
     budget = int(cfg["budget"])
     tol = cfg["tol"]
     extent = vcfg["hjb_extent"]     # the state box of the checks that sample states
-    cost_lipschitz = cost_lipschitz_bound(p, radius=extent)
     axes = (
         _dp_axes(cfg, p) if cfg["grid"] is not None
         else [Axis(-extent, extent, int(vcfg["hjb_counts"]))]
@@ -335,8 +334,7 @@ def cmd_verify(args) -> int:
             p, kappa=float(vcfg["kappa"]), tol=tol),
         lambda: terminal_limit(
             p, phi, vcfg["gaps"], steps=int(vcfg["terminal_steps"]),
-            budget=budget, cost_lipschitz=cost_lipschitz, tol=tol, seed=seed,
-            x_radius=extent),
+            budget=budget, tol=tol, seed=seed, x_radius=extent),
         lambda: oscillation_diagnostic(
             p, s, phi, int(vcfg["osc_controls"]),
             _default_radii(p) if vcfg["radii"] is None else vcfg["radii"],

@@ -8,7 +8,8 @@ a closed-form optimum used as an external reference by the solvers' tests.
 Problem files are JSON (format tag ``enoc-problem/1``) and either name a
 builtin with parameters or define dynamics/cost through the expression
 language of :mod:`enoc.expr` (variables ``t``, ``x1..xn``, ``u1..um`` and the
-atom coordinates ``w1..wd``; grammar documented there).
+atom coordinates ``w1..wd``; grammar documented there), the optional
+certificates ``dynamics.omega_modulus`` and ``cost.lipschitz`` in ``r``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import os
 
 import numpy as np
 
-from .errors import CapabilityError, CapacityError
+from .errors import CapacityError
 from .expr import Expression
 from .measure import ParameterSpace
 from .problem import ControlSchedule, DynamicsSpec, ProblemSpec, TerminalCostSpec
@@ -137,11 +138,13 @@ def linear_ensemble(M=2, n=1, a=None, c=None, weights=None, coords=None,
 
     # g is linear: c.x + b|x|^2 >= -|c|^2 / (4b) with b = 1
     lb_a = -0.25 * (cvec * cvec).sum(axis=1)
+    with np.errstate(over="ignore"):        # G's Lipschitz constant |c|_w; inf is vacuous
+        cost_lip = float(np.sqrt((space.weights[:, None] * cvec * cvec).sum()))
 
     dyn = DynamicsSpec(eval_ens=f_ens, jac_x_ens=jac_x, jac_u_ens=jac_u,
                        growth_c=growth_c, lipschitz_k=lipschitz_k, omega_modulus=theta)
-    cost = TerminalCostSpec(eval_ens=g_ens, grad_ens=g_grad,
-                            lower_bound_a=lb_a, lower_bound_b=1.0)
+    cost = TerminalCostSpec(eval_ens=g_ens, grad_ens=g_grad, lower_bound_a=lb_a,
+                            lower_bound_b=1.0, lipschitz=lambda r: cost_lip)
     meta = {"builtin": "linear-ensemble",
             "parameters": {"M": M, "n": n, "a": a.tolist(), "c": cvec.tolist(),
                            "weights": space.weights.tolist(),
@@ -176,11 +179,14 @@ def decoupled_quadratic(M=1, n=1, tau=None, weights=None, coords=None,
     def g_grad(X):
         return 2.0 * (X - tau)
 
+    # |grad g| <= 2(r + max_i |tau_i|) on the ball; hypot does not overflow
+    tmax = float(np.hypot.reduce(tau, axis=1, initial=0.0).max())
     dyn = DynamicsSpec(eval_ens=f_ens, jac_x_ens=jac_x, jac_u_ens=jac_u,
                        growth_c=max(_rho_term(rho, np.sqrt(n)), 1e-6), lipschitz_k=1.0,
                        omega_modulus=lambda r: 0.0)
     cost = TerminalCostSpec(eval_ens=g_ens, grad_ens=g_grad,
-                            lower_bound_a=np.zeros(M), lower_bound_b=0.0)
+                            lower_bound_a=np.zeros(M), lower_bound_b=0.0,
+                            lipschitz=lambda r: 2.0 * (r + tmax) * float(np.sqrt(space.mass)))
     meta = {"builtin": "decoupled-quadratic",
             "parameters": {"M": M, "n": n, "tau": tau.tolist(),
                            "weights": space.weights.tolist(),
@@ -228,7 +234,9 @@ def bilinear(M=2, n=1, a=None, weights=None, coords=None,
     dyn = DynamicsSpec(eval_ens=f_ens, jac_x_ens=jac_x, jac_u_ens=jac_u,
                        growth_c=cert, lipschitz_k=cert, omega_modulus=theta)
     cost = TerminalCostSpec(eval_ens=g_ens, grad_ens=g_grad,
-                            lower_bound_a=np.zeros(M), lower_bound_b=0.0)
+                            lower_bound_a=np.zeros(M), lower_bound_b=0.0,
+                            # |grad g| = 2|x| <= 2r on the ball
+                            lipschitz=lambda r: 2.0 * r * float(np.sqrt(space.mass)))
     meta = {"builtin": "bilinear",
             "parameters": {"M": M, "n": n, "a": a.tolist(),
                            "weights": space.weights.tolist(),
@@ -344,29 +352,6 @@ def closed_form(p: ProblemSpec) -> LinearEnsembleClosedForm:
     return LinearEnsembleClosedForm(p)
 
 
-def cost_lipschitz_bound(p: ProblemSpec, radius: float) -> float:
-    """Lipschitz certificate of the averaged terminal cost in the weighted norm.
-
-    For the linear cost it is the weighted norm of the coefficient profile
-    (global); for the quadratic costs it is the pointwise gradient bound on
-    the ball of the given radius, Cauchy-Schwarzed through the weights.
-    Any other problem raises :class:`CapabilityError`.
-    """
-    name = p.meta.get("builtin")
-    par = p.meta.get("parameters", {})
-    w = p.space.weights
-    if name == "linear-ensemble":
-        c = np.asarray(par["c"], dtype=float)
-        return float(np.sqrt((w[:, None] * c * c).sum()))
-    if name == "decoupled-quadratic":
-        tau = np.asarray(par["tau"], dtype=float)
-        tmax = float(np.abs(tau).max()) if tau.size else 0.0
-        return 2.0 * (radius + tmax) * float(np.sqrt(p.space.mass))
-    if name == "bilinear":
-        return 2.0 * radius * float(np.sqrt(p.space.mass))
-    raise CapabilityError("no cost Lipschitz certificate: only builtin problems have one")
-
-
 # -- problem files ---------------------------------------------------------
 
 _REQUIRED = object()
@@ -384,6 +369,13 @@ def _get(doc, path, convert, default=_REQUIRED):
     except (KeyError, TypeError, ValueError, OverflowError, OSError) as exc:
         detail = f"missing {exc}" if isinstance(exc, KeyError) else exc
         raise ValueError(f"problem key {path!r}: {detail}") from None
+
+
+def _radius_function(doc, path):
+    """The optional expression in ``r`` at ``path`` as a function, or None."""
+    expr = _get(doc, path, lambda src: None if src is None else Expression(src, ["r"]),
+                None)
+    return None if expr is None else lambda r: float(expr(r=r))
 
 
 def _list(val):
@@ -463,13 +455,10 @@ def _expression_problem(doc, base_dir) -> ProblemSpec:
             out[..., k] = e(**env)
         return out
 
-    texpr = _get(doc, "dynamics.omega_modulus",
-                 lambda src: None if src is None else Expression(src, ["r"]), None)
-    theta = None if texpr is None else lambda r: float(texpr(r=r))
     dyn = DynamicsSpec(eval_ens=f_ens,
                        growth_c=_get(doc, "dynamics.growth_c", float),
                        lipschitz_k=_get(doc, "dynamics.lipschitz_k", float),
-                       omega_modulus=theta)
+                       omega_modulus=_radius_function(doc, "dynamics.omega_modulus"))
 
     cost_vars = ([f"x{k+1}" for k in range(n)] + [f"w{k+1}" for k in range(d)])
     gexpr = _get(doc, "cost.expression", lambda src: Expression(src, cost_vars))
@@ -481,7 +470,8 @@ def _expression_problem(doc, base_dir) -> ProblemSpec:
         np.full(space.size, float(v)) if np.isscalar(v) else np.asarray(v, dtype=float)),
         0.0)
     cost = TerminalCostSpec(eval_ens=g_ens, lower_bound_a=lb_a,
-                            lower_bound_b=_get(doc, "cost.lower_bound_b", float, 0.0))
+                            lower_bound_b=_get(doc, "cost.lower_bound_b", float, 0.0),
+                            lipschitz=_radius_function(doc, "cost.lipschitz"))
     meta = {"doc": doc}
     return ProblemSpec(space=space, n=n, m=m, dynamics=dyn, cost=cost,
                        controls=controls, horizon=T, meta=meta)

@@ -1,12 +1,12 @@
 """Problem specifications: dynamics, terminal cost, control schedule, and the
 report the verify checks return.
 
-The regularity certificates (growth constant, Lipschitz constant, parameter
-modulus, cost lower bound) are declared by whoever builds the problem.  The
-verify battery spot-checks each in the one check that reads it: growth and
-Lipschitz in the trajectory bound suite, the modulus in the oscillation
-diagnostic, the cost lower bound in the terminal limit.  A passing report is
-sampled evidence on its stated domain, never a proof.
+The regularity certificates (growth and Lipschitz constants, parameter
+modulus, the cost's lower and Lipschitz bounds) are declared by whoever builds
+the problem.  The verify battery spot-checks each in the one check that reads
+it: growth and Lipschitz in the trajectory bound suite, the modulus in the
+oscillation diagnostic, both cost bounds in the terminal limit.  A passing
+report is sampled evidence on its stated domain, never a proof.
 """
 
 from __future__ import annotations
@@ -83,19 +83,22 @@ class DynamicsSpec:
 
 @dataclass
 class TerminalCostSpec:
-    """Terminal cost of the ensemble with its declared lower-bound certificate.
+    """Terminal cost of the ensemble with its declared certificates.
 
     ``eval_ens(X)`` maps stacked states of shape (..., M, n) to per-atom costs
     (..., M) and may return +inf (extended-valued costs are allowed);
     ``lower_bound_a`` (per atom) and ``lower_bound_b`` certify
-    g(x, i) >= a_i - b |x|^2.  ``grad_ens`` (shape (..., M, n)) enables the
-    adjoint solver.
+    g(x, i) >= a_i - b |x|^2; optional ``lipschitz(r)`` is a Lipschitz constant
+    of G = sum_i w_i g(x_i, i) in the weighted norm on states whose atoms lie
+    in the ball |x_i| <= r (+inf is vacuous).  ``grad_ens`` (shape (..., M, n))
+    enables the adjoint solver.
     """
 
     eval_ens: Callable
     lower_bound_a: np.ndarray
     lower_bound_b: float
     grad_ens: Optional[Callable] = None
+    lipschitz: Optional[Callable] = None
 
     def __post_init__(self):
         self.lower_bound_a = np.asarray(self.lower_bound_a, dtype=float)

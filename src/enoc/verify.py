@@ -9,13 +9,13 @@ sampled starts and one suffix tree per split, its witness the (sample,
 split time) of the worst residual.
 The bound suite and the two-stage, HJB and oscillation checks pass by the
 one rule of ``_sampled_report``; ``epigraph_invariance`` (two tolerances)
-and ``terminal_limit`` (a slope, monotone decay and the cost bound) keep
+and ``terminal_limit`` (a slope, monotone decay and the cost bounds) keep
 their own verdicts.  A ``tol`` replaces only the derived tolerance, never a
 tolerance-free condition (evidence, monotone decay, ball mass, the cost
-bound).  Each declared certificate is checked in the one check that reads
-it: growth and Lipschitz constants in the bound suite, the cost lower bound
-in ``terminal_limit`` and the parameter modulus in
-``oscillation_diagnostic``.  Checks never raise on a violation; they raise
+bounds).  Each declared certificate is checked in the one check that reads
+it: growth and Lipschitz constants in the bound suite, the cost's lower
+bound and Lipschitz bound in ``terminal_limit`` and the parameter modulus
+in ``oscillation_diagnostic``.  Checks never raise on a violation; they raise
 only on misuse (grids too small to difference, missing capabilities).
 """
 
@@ -28,13 +28,13 @@ import numpy as np
 from .errors import CapabilityError
 from .measure import EnsembleState, ball_average, ball_mass, l2_norm
 from .problem import CheckReport, ProblemSpec, _instance_tag, _sampled_report
-from .ensemble import (TimeGrid, _check_start, _integrate_batch, integrate,
-                       random_signal)
+from .ensemble import (TimeGrid, _check_start, _integrate_batch, _weighted_norms,
+                       integrate, random_signal)
 from .value import (ValueGrid, _node_mesh, build_oracle_tree,
                     terminal_functional, value_oracle)
 
 _SLAB = 2 ** 17        # floats one slab of hjb_residual's slices works with (1 MB)
-_COST_SAMPLES = 256    # states terminal_limit checks the cost's lower bound at
+_COST_SAMPLES = 256    # states (and state pairs) terminal_limit checks the cost at
 _MODULUS_STATES = 32   # states the modulus estimate compares two atoms at
 _MODULUS_TIMES = 33    # trapezoid nodes of its time integral over [0, T]
 _MODULUS_PAIRS = 64    # atom pairs it compares at most (drawn when there are more)
@@ -219,34 +219,36 @@ def epigraph_invariance(p: ProblemSpec, s, phi: EnsembleState, grid: TimeGrid,
 # -- boundary behavior at the terminal time -----------------------------------
 
 def terminal_limit(p: ProblemSpec, phibar: EnsembleState, horizon_gaps,
-                   steps=8, budget=1_000_000, cost_lipschitz=None, tol=None,
-                   seed=0, x_radius=5.0) -> CheckReport:
+                   steps=8, budget=1_000_000, tol=None, seed=0,
+                   x_radius=5.0) -> CheckReport:
     """Shrinking-horizon convergence of the value to the terminal functional.
 
     For each gap D in ``horizon_gaps`` the value from (T - D, phibar) is
     compared with the terminal functional at phibar; the difference must
     decay monotonically, with fitted slope at most twice the derived
-    constant L = Lg * c * e^{c D_max} (sqrt(mass) + ||phibar||), where Lg is
-    the local Lipschitz certificate of the cost (``cost_lipschitz``) and c
-    the growth certificate.  ``tol`` replaces 2 L as the slope bound; the
-    decay must stay monotone.
+    constant L = Lg * c * e^{c D_max} (sqrt(mass) + ||phibar||), where Lg =
+    ``p.cost.lipschitz(x_radius)`` (CapabilityError naming ``cost.lipschitz``
+    when not declared) and c the growth certificate.  ``tol`` replaces 2 L
+    as the slope bound; the decay must stay monotone.
 
-    The cost's lower-bound certificate g(x, w_i) >= a_i - b |x|^2 is checked
-    too, at every atom of _COST_SAMPLES states drawn uniformly from the box
-    [-x_radius, x_radius]^n by ``default_rng(seed)``: the largest deficit
-    a_i - b |x|^2 - g must be at most 1e-12 (a NaN is the worst), whatever
-    ``tol``.  ``details`` holds it as ``cost_deficit`` and its state and atom
-    as ``cost_witness``.
+    Both cost certificates are checked too, whatever ``tol``, by draws from
+    ``default_rng(seed)``, a NaN the worst: the largest deficit
+    a_i - b |x|^2 - g at every atom of _COST_SAMPLES states uniform on the box
+    [-x_radius, x_radius]^n must be at most 1e-12 (``cost_deficit`` at
+    ``cost_witness``); then the largest |G(phi) - G(psi)| / (Lg ||phi - psi||_w)
+    over _COST_SAMPLES pairs whose atoms lie in the ball |x_i| <= x_radius
+    (box draws pulled radially onto it), 0/0 scored by the bound suite's
+    rule, at most 1 + 1e-12 (``lipschitz_ratio`` at ``lipschitz_witness``).
     """
-    if cost_lipschitz is None:
-        raise ValueError("terminal_limit needs a local cost Lipschitz certificate")
+    if p.cost.lipschitz is None:
+        raise CapabilityError("no cost Lipschitz certificate: declare 'cost.lipschitz'")
+    lip = float(p.cost.lipschitz(x_radius))
     gaps = sorted((float(g) for g in horizon_gaps), reverse=True)
     if not gaps or gaps[0] <= 0 or gaps[0] >= p.horizon:
         raise ValueError("horizon gaps must lie strictly inside (0, T)")
     jcal = terminal_functional(p, phibar)
     c = p.dynamics.growth_c
-    L = (cost_lipschitz * c * np.exp(c * gaps[0])
-         * (np.sqrt(p.space.mass) + l2_norm(phibar)))
+    L = lip * c * np.exp(c * gaps[0]) * (np.sqrt(p.space.mass) + l2_norm(phibar))
     table = []
     for gap in gaps:
         sk = p.horizon - gap
@@ -260,7 +262,8 @@ def terminal_limit(p: ProblemSpec, phibar: EnsembleState, horizon_gaps,
     if tol is None:
         tol = 2.0 * L
 
-    xs = x_radius * np.random.default_rng(seed).uniform(-1.0, 1.0, (_COST_SAMPLES, p.n))
+    rng = np.random.default_rng(seed)
+    xs = x_radius * rng.uniform(-1.0, 1.0, (_COST_SAMPLES, p.n))
     X = np.broadcast_to(xs[:, None, :], (_COST_SAMPLES, p.space.size, p.n))
     g = p.cost.values(X)
     with np.errstate(over="ignore", invalid="ignore"):     # past 1e154, |x|^2 is inf
@@ -269,7 +272,17 @@ def terminal_limit(p: ProblemSpec, phibar: EnsembleState, horizon_gaps,
     q, atom = np.unravel_index(int(np.argmax(deficit)), deficit.shape)  # NaN first
     worst_deficit = float(deficit[q, atom])
 
-    passed = slope <= tol and monotone and worst_deficit <= 1e-12
+    pairs = rng.uniform(-1.0, 1.0, (2, _COST_SAMPLES, p.space.size, p.n))
+    pairs *= x_radius / np.maximum(1.0, np.linalg.norm(pairs, axis=-1, keepdims=True))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        G = p.cost.values(pairs) @ p.space.weights
+        lhs = np.abs(G[0] - G[1])
+        rhs = lip * _weighted_norms(p.space.weights, pairs[0] - pairs[1])
+        ratio = np.where(rhs <= 0.0, np.where(lhs <= 1e-12, 0.0, np.inf), lhs / rhs)
+    k = int(np.argmax(ratio))                           # a NaN is the maximum
+    worst_ratio = float(ratio[k])
+
+    passed = slope <= tol and monotone and worst_deficit <= 1e-12 and worst_ratio <= 1 + 1e-12
     worst_i = int(np.argmax(diffs / gaps_arr))
     return CheckReport(
         name="terminal_limit", instance=_instance_tag(p), tolerance=tol,
@@ -278,6 +291,7 @@ def terminal_limit(p: ProblemSpec, phibar: EnsembleState, horizon_gaps,
                  "empirical_slope": slope, "monotone_decay": monotone,
                  "table": table, "cost_deficit": worst_deficit,
                  "cost_witness": {"x": xs[q].tolist(), "atom": int(atom)},
+                 "lipschitz_ratio": worst_ratio, "lipschitz_witness": pairs[:, k].tolist(),
                  "cost_samples": _COST_SAMPLES, "x_radius": x_radius})
 
 

@@ -30,9 +30,9 @@ def random_state(space, n, rng, scale=1.0):
 
 @pytest.fixture
 def sine_drift_doc():
-    """Expression problem x' = 5 sin(40 t), cost x^2: no builtin name, so no
-    cost Lipschitz certificate, and from phibar = 0 the terminal differences
-    do not decay monotonically in the horizon gap."""
+    """Expression problem x' = 5 sin(40 t), cost x^2.  It declares no
+    ``cost.lipschitz``, so verify exits 2 on it; and from phibar = 0 the
+    terminal differences do not decay monotonically in the horizon gap."""
     return {
         "format": "enoc-problem/1",
         "space": {"format": "enoc-space/1",

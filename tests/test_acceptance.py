@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from enoc import (Axis, EnsembleState, TimeGrid, builtin, closed_form,
-                  cost_lipschitz_bound, dpp_residual, epigraph_invariance,
+                  dpp_residual, epigraph_invariance,
                   hjb_residual, integrate, trajectory_bound_suite,
                   oscillation_diagnostic, terminal_limit, value_adjoint,
                   value_dp, value_oracle)
@@ -132,8 +132,7 @@ def test_criterion_6_epigraph_invariance_full_enumeration():
 def test_criterion_7_terminal_limit_linear_decay():
     p = _smooth_pair()
     phi = EnsembleState([[0.3], [0.4]], p.space)
-    rep = terminal_limit(p, phi, [0.2, 0.1, 0.05, 0.025],
-                         cost_lipschitz=cost_lipschitz_bound(p, radius=5.0))
+    rep = terminal_limit(p, phi, [0.2, 0.1, 0.05, 0.025])
     _report(7, rep.passed,
             f"empirical slope {rep.details['empirical_slope']:.3f} <= "
             f"2 x derived constant {rep.details['derived_constant']:.3f}; "

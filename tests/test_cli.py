@@ -369,6 +369,29 @@ def test_verify_without_cost_certificate_exits_2_before_any_check(
     assert "error: no cost Lipschitz certificate:" in captured.err
 
 
+def test_verify_reads_a_problem_files_cost_certificate(tmp_path, capsys, monkeypatch):
+    # the solve-expr benchmark problem, G = sum_i w_i (x - w_i)^2 with
+    # |grad G| <= 2 (r + 1), given its two optional certificates
+    doc = _perfbench("workloads", monkeypatch)._expr_document()
+    doc["dynamics"]["omega_modulus"] = "5 * r"
+    doc["cost"]["lipschitz"] = "2 + 2 * r"
+    problem = tmp_path / "expr.json"
+    problem.write_text(json.dumps(doc))
+    for seed in (0, 3):
+        out = tmp_path / f"v{seed}"
+        assert run(["verify", "--problem", str(problem), "--seed", str(seed),
+                    "--out", str(out)]) == 0
+        assert (out / "summary.txt").read_text().endswith("6/6 checks passed\n")
+    del doc["cost"]["lipschitz"]
+    problem.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "none"
+    assert run(["verify", "--problem", str(problem), "--out", str(out)]) == 2
+    assert not (out / "checks.csv").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: no cost Lipschitz certificate") and "'cost.lipschitz'" in err
+
+
 @pytest.mark.parametrize("cfg, message", [
     ({"stpes": 2}, "unknown config keys: stpes"),
     ({"verify": {"trails": 3}}, "unknown config keys: trails"),

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,8 +9,7 @@ from hypothesis import strategies as st
 from enoc import (CapabilityError, CheckReport, ControlSchedule,
                   DimensionMismatchError, DynamicsSpec, EnocError,
                   EnsembleState, ParameterSpace, ProblemSpec, ScheduleError,
-                  TerminalCostSpec, builtin, closed_form, cost_lipschitz_bound,
-                  load_problem, oscillation_diagnostic, problem_from_dict,
+                  TerminalCostSpec, builtin, closed_form, load_problem, oscillation_diagnostic, problem_from_dict,
                   terminal_limit, trajectory_bound_suite)
 from enoc.cli import _default_radii
 from enoc.expr import Expression, ExpressionError
@@ -52,7 +52,7 @@ EXPR_DOC = {
         "omega_modulus": "60 * r",
     },
     "cost": {"expression": "(x1 - w1) ** 2", "lower_bound_a": 0.0,
-             "lower_bound_b": 0.0},
+             "lower_bound_b": 0.0, "lipschitz": "2 + 2 * r"},
     "controls": {"breakpoints": [0.0], "sets": [[[-1.0], [0.0], [1.0]]],
                  "box": [[-1.0, 1.0]]},
 }
@@ -123,8 +123,9 @@ def bounds(p, trials=60, steps=40, seed=0, **kwargs):
 
 def terminal(p, seed=0, x_radius=5.0):
     phi = EnsembleState(np.full((p.space.size, p.n), 0.25), p.space)
-    return terminal_limit(p, phi, [0.2, 0.1, 0.05], steps=4, cost_lipschitz=1e6,
-                          seed=seed, x_radius=x_radius)
+    p = replace(p, cost=replace(p.cost, lipschitz=lambda r: 1e6))
+    return terminal_limit(p, phi, [0.2, 0.1, 0.05], steps=4, seed=seed,
+                          x_radius=x_radius)
 
 
 def oscillation(p, seed=0, x_radius=5.0):
@@ -441,10 +442,60 @@ def test_builtins_pass_all_validators(name, kwargs):
     M = p.space.size
     phi = EnsembleState(np.full((M, p.n), 0.25), p.space)
     assert bounds(p, trials=100, seed=1).passed
-    assert terminal_limit(p, phi, [0.2, 0.1, 0.05], steps=4, seed=3,
-                          cost_lipschitz=cost_lipschitz_bound(p, radius=5.0)).passed
+    assert terminal_limit(p, phi, [0.2, 0.1, 0.05], steps=4, seed=3).passed
     rep = oscillation_diagnostic(p, 0.0, phi, 3, _default_radii(p), steps=20, seed=4)
     assert rep.passed and len(rep.details["modulus"]) == M * (M - 1) // 2
+
+
+def test_every_builtin_declares_the_certificates_verify_reads():
+    # verify exits 2 on a problem without cost.lipschitz or
+    # dynamics.omega_modulus; no builtin may lack them
+    for name, factory in _BUILTINS.items():
+        p = factory()
+        assert p.cost.lipschitz is not None, name
+        assert p.dynamics.omega_modulus is not None, name
+
+
+def _reference_cost_lipschitz(p, radius):
+    """The cost Lipschitz bounds of the builtins, recomputed from their
+    parameters by the arithmetic each builtin's certificate must keep."""
+    name, par, w = p.meta["builtin"], p.meta["parameters"], p.space.weights
+    if name == "linear-ensemble":
+        c = np.asarray(par["c"], dtype=float)
+        return float(np.sqrt((w[:, None] * c * c).sum()))
+    if name == "decoupled-quadratic":
+        tmax = float(np.abs(np.asarray(par["tau"], dtype=float)).max())
+        return 2.0 * (radius + tmax) * float(np.sqrt(p.space.mass))
+    return 2.0 * radius * float(np.sqrt(p.space.mass))
+
+
+@pytest.mark.parametrize("name", ["linear-ensemble", "decoupled-quadratic", "bilinear"])
+def test_builtin_cost_lipschitz_is_the_reference_bitwise(name):
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        M = int(rng.integers(1, 6))
+        params = {"M": M, "weights": rng.uniform(0.05, 3.0, M).tolist()}
+        if name == "linear-ensemble":
+            params["c"] = rng.uniform(-4.0, 4.0, M).tolist()
+        elif name == "decoupled-quadratic":
+            params["tau"] = rng.uniform(-4.0, 4.0, M).tolist()
+        p = builtin(name, **params)
+        for r in (*rng.uniform(0.0, 20.0, 3), 5.0):
+            got, want = p.cost.lipschitz(float(r)), _reference_cost_lipschitz(p, float(r))
+            assert got.hex() == want.hex(), (params, r)
+
+
+def test_decoupled_quadratic_certificate_covers_the_extremal_pair():
+    # |grad G| = 2|x - tau| peaks at x = -5 tau / |tau| on the radius-5 ball:
+    # 2 (5 + |tau|) = 18.49 for tau = (3, 3), above 2 (5 + max|tau_k|) = 16
+    p = builtin("decoupled-quadratic", M=1, n=2, tau=[3.0, 3.0])
+    tau = np.array([3.0, 3.0])
+    phi = -5.0 * tau / np.linalg.norm(tau)
+    psi = (1.0 - 1e-6) * phi
+    G = p.cost.values(np.stack([phi, psi])[:, None, :]) @ p.space.weights
+    slope = abs(G[0] - G[1]) / np.linalg.norm(phi - psi)
+    assert 16.0 < slope <= p.cost.lipschitz(5.0)
+    assert p.cost.lipschitz(5.0) == pytest.approx(2.0 * (5.0 + np.sqrt(18.0)), rel=1e-15)
 
 
 def test_builtin_unknown_name():

@@ -8,7 +8,7 @@ import enoc.verify
 from enoc import (Axis, CapabilityError, ControlSchedule, ControlSignal,
                   DynamicsSpec, EnsembleState, ParameterSpace, ProblemSpec,
                   TerminalCostSpec, TimeGrid, builtin,
-                  cost_lipschitz_bound, epigraph_invariance, hjb_residual,
+                  epigraph_invariance, hjb_residual,
                   integrate, oscillation_diagnostic, problem_from_dict,
                   random_signal, terminal_limit, terminal_functional,
                   trajectory_bound_suite, value_dp, value_oracle)
@@ -23,7 +23,8 @@ def drift_free_smooth():
                        growth_c=1.0, lipschitz_k=1.0,
                        omega_modulus=lambda r: 0.0)
     cost = TerminalCostSpec(eval_ens=lambda X: np.sin(X[..., 0]),
-                            lower_bound_a=np.full(1, -1.0), lower_bound_b=0.0)
+                            lower_bound_a=np.full(1, -1.0), lower_bound_b=0.0,
+                            lipschitz=lambda r: 1.0)
     return ProblemSpec(space=space, n=1, m=1, dynamics=dyn, cost=cost,
                        controls=ControlSchedule.constant([[-1.0], [0.0], [1.0]]),
                        horizon=1.0)
@@ -293,7 +294,7 @@ def test_epigraph_fails_on_nan_evidence():
 def test_terminal_limit_drift_free_zero_differences():
     p = drift_free_smooth()
     phi = EnsembleState([[0.4]], p.space)
-    rep = terminal_limit(p, phi, [0.2, 0.1, 0.05], cost_lipschitz=1.0)
+    rep = terminal_limit(p, phi, [0.2, 0.1, 0.05])
     assert rep.passed
     for row in rep.details["table"]:
         assert row["difference"] == pytest.approx(0.0, abs=1e-14)
@@ -301,8 +302,7 @@ def test_terminal_limit_drift_free_zero_differences():
 
 def test_terminal_limit_linear_family(lin2):
     phi = EnsembleState([[0.3], [0.4]], lin2.space)
-    lip = cost_lipschitz_bound(lin2, radius=5.0)
-    rep = terminal_limit(lin2, phi, [0.2, 0.1, 0.05, 0.025], cost_lipschitz=lip)
+    rep = terminal_limit(lin2, phi, [0.2, 0.1, 0.05, 0.025])
     assert rep.passed
     assert rep.details["empirical_slope"] <= rep.tolerance
     diffs = [row["difference"] for row in rep.details["table"]]
@@ -312,26 +312,29 @@ def test_terminal_limit_linear_family(lin2):
 def test_terminal_limit_tol_keeps_monotone_decay(sine_drift_doc):
     # differences 0.036, 0.0045, 0.041, 0.014 over the gaps: a huge slope
     # tolerance must not lift the monotone-decay condition
+    sine_drift_doc["cost"]["lipschitz"] = "2 * r"
     p = problem_from_dict(sine_drift_doc)
     phibar = EnsembleState.zeros(p.space, 1)
-    rep = terminal_limit(p, phibar, [0.2, 0.1, 0.05, 0.025], steps=4,
-                         cost_lipschitz=1.0, tol=1e6)
+    rep = terminal_limit(p, phibar, [0.2, 0.1, 0.05, 0.025], steps=4, tol=1e6)
     assert rep.tolerance == 1e6
     assert rep.worst <= rep.tolerance
     assert rep.details["monotone_decay"] is False
     assert rep.passed is False
 
 
-def test_terminal_limit_requires_certificate(lin2):
-    phi = EnsembleState([[0.0], [0.0]], lin2.space)
-    with pytest.raises(ValueError, match="Lipschitz"):
-        terminal_limit(lin2, phi, [0.1])
+def test_terminal_limit_requires_certificate(sine_drift_doc):
+    p = problem_from_dict(sine_drift_doc)
+    assert p.cost.lipschitz is None
+    phi = EnsembleState.zeros(p.space, 1)
+    with pytest.raises(CapabilityError,
+                       match="^no cost Lipschitz certificate: .*'cost.lipschitz'"):
+        terminal_limit(p, phi, [0.1])
 
 
 def test_terminal_limit_rejects_bad_gaps(lin2):
     phi = EnsembleState([[0.0], [0.0]], lin2.space)
     with pytest.raises(ValueError):
-        terminal_limit(lin2, phi, [1.5], cost_lipschitz=1.0)
+        terminal_limit(lin2, phi, [1.5])
 
 
 # -- oscillation diagnostic ---------------------------------------------------------
@@ -462,8 +465,7 @@ def test_certificates_on_a_box_past_the_float_range_fail_without_a_warning(lin2)
     rep = oscillation_diagnostic(lin2, 0.0, phi, 2, [0.5], steps=10, x_radius=1e300)
     assert not rep.passed and rep.worst == np.inf and "atoms" in rep.witness
     # b |x|^2 overflows to inf: the lower bound is vacuous there, and holds
-    rep = terminal_limit(lin2, phi, [0.2, 0.1], steps=4, cost_lipschitz=1e6,
-                         x_radius=1e300)
+    rep = terminal_limit(lin2, phi, [0.2, 0.1], steps=4, x_radius=1e300)
     assert rep.passed and rep.details["cost_deficit"] == -np.inf
 
 
@@ -523,6 +525,8 @@ _PLANTED = {
     "omega_modulus": ("oscillation", lambda p: replace(
         p, dynamics=replace(p.dynamics, omega_modulus=_scaled_modulus(
             p.dynamics.omega_modulus, 0.01)))),
+    "lipschitz": ("terminal_limit", lambda p: replace(
+        p, cost=replace(p.cost, lipschitz=_scaled_modulus(p.cost.lipschitz, 0.1)))),
 }
 
 
@@ -536,7 +540,6 @@ def _battery_check(name, p, seed):
     if name == "terminal_limit":
         return terminal_limit(
             p, phi, v["gaps"], steps=v["terminal_steps"], seed=seed,
-            cost_lipschitz=cost_lipschitz_bound(p, radius=v["hjb_extent"]),
             x_radius=v["hjb_extent"])
     return oscillation_diagnostic(p, 0.0, phi, v["osc_controls"], _default_radii(p),
                                   steps=v["osc_steps"], seed=seed,
@@ -559,3 +562,5 @@ def test_a_planted_wrong_certificate_fails_the_check_that_reads_it(name, certifi
     assert _battery_check(check, p, seed).passed
     rep = _battery_check(check, plant(p), seed)
     assert rep.name == check and not rep.passed
+    if certificate == "lipschitz":
+        assert rep.details["lipschitz_ratio"] > 1.0
